@@ -1,12 +1,23 @@
-"""Persistent on-disk run cache shared by every process of a sweep.
+"""The run store: a process-local memory tier in front of a persistent
+on-disk cache shared by every process of a sweep.
 
-The in-memory LRU in :mod:`repro.harness.runner` dies with the process;
-this cache makes clean :class:`~repro.harness.runner.RunRecord` objects
-survive across pytest invocations, CLI calls and pool workers. Entries
+Every cached run goes through :func:`cached`: the memory tier (an LRU
+of :data:`MEMORY_MAX_ENTRIES` records; a hit returns the *same* record
+object), then the active :class:`DiskCache` when one is configured,
+then the run itself. The memory tier dies with the process; the disk
+tier makes :class:`~repro.harness.runner.RunRecord` objects survive
+across pytest invocations, CLI calls and pool workers. Disk entries
 are keyed by a content hash over the *full* run identity — machine,
 workload name **and program bytes**, config, scale, threads, simt,
 max_cycles, config overrides — plus the repo code version, so editing a
 workload or the simulator can never alias a stale record.
+
+**Only clean records are cached**, and this module is the one place
+that rule lives (:func:`storable`): both tiers refuse a record whose
+status is not ``"ok"`` (a failed or truncated run must never satisfy a
+later request), and a non-ok entry already on disk or on a peer (an
+old writer, a poisoned peer) is skipped and counted as a stale skip,
+never served. Callers simply offer every record.
 
 Design constraints (enforced by ``tests/test_diskcache.py``):
 
@@ -16,8 +27,9 @@ Design constraints (enforced by ``tests/test_diskcache.py``):
   visible entry.
 * **Corruption is a miss, never a crash** — a truncated, garbage or
   schema-mismatched entry file is dropped and treated as a miss.
-* **LRU size bound** — reads touch the entry's mtime; writes evict the
-  oldest entries beyond ``max_entries``.
+* **LRU size bound** — reads touch the entry's mtime; every write
+  (a ``put`` or a remote read-through) evicts the oldest entries
+  beyond ``max_entries``.
 * **Sharded layout** — entries live under 256 first-byte fan-out
   subdirectories (``<root>/<key[:2]>/<key>.json``), so a large cache
   never forces a reader or evictor to scan one flat directory. Legacy
@@ -42,6 +54,7 @@ import hashlib
 import json
 import os
 import tempfile
+from collections import OrderedDict
 from dataclasses import asdict
 from pathlib import Path
 
@@ -54,6 +67,10 @@ CACHE_SCHEMA = 2
 
 #: default LRU bound on entry files
 MAX_ENTRIES = 4096
+
+#: LRU bound on the process-local memory tier; sweeps touching more
+#: distinct (workload, config) cells than this re-run the oldest ones
+MEMORY_MAX_ENTRIES = 512
 
 _ENTRY_SUFFIX = ".json"
 
@@ -143,6 +160,40 @@ def program_digest(program):
     return h.hexdigest()
 
 
+def storable(record):
+    """The store's admission rule: only a clean (``status == "ok"``)
+    record may be cached or served from cache."""
+    return getattr(record, "status", None) == "ok"
+
+
+class MemoryTier:
+    """The process-local LRU in front of the disk tier. It is on
+    whether or not a disk cache is configured, and a hit returns the
+    very object that was stored."""
+
+    def __init__(self, max_entries=MEMORY_MAX_ENTRIES):
+        self.max_entries = max_entries
+        self._records = OrderedDict()
+
+    def __len__(self):
+        return len(self._records)
+
+    def get(self, key):
+        record = self._records.get(key)
+        if record is not None:
+            self._records.move_to_end(key)
+        return record
+
+    def put(self, key, record):
+        if storable(record):
+            self._records[key] = record
+            while len(self._records) > self.max_entries:
+                self._records.popitem(last=False)
+
+    def clear(self):
+        self._records.clear()
+
+
 class DiskCache:
     """One sharded cache directory of ``<key[:2]>/<key>.json`` entry
     files (plus any legacy flat entries awaiting migration)."""
@@ -161,6 +212,7 @@ class DiskCache:
         self.migrated = 0  # flat pre-shard entries moved into shards
         self.remote_hits = 0    # misses satisfied by the peer tier
         self.remote_errors = 0  # peer probes that failed/decoded corrupt
+        self.stale_skips = 0    # non-ok entries skipped, never served
         self._migrate()
 
     # ------------------------------------------------------------ paths
@@ -234,9 +286,10 @@ class DiskCache:
     def get(self, key, remote=True):
         """The cached :class:`RunRecord` for ``key``, or None. Any
         kind of damage — missing, truncated, garbage, wrong schema,
-        mismatched key — is a miss; damaged files are removed. A local
-        miss consults the remote tier (when configured) before being
-        reported as a miss.
+        mismatched key — is a miss; damaged files are removed. A
+        non-ok entry is skipped (``stale_skips``) and is a miss too. A
+        local miss consults the remote tier (when configured) before
+        being reported as a miss.
 
         ``remote=False`` skips the peer probe — a blocking HTTP fetch
         — entirely. Latency-critical callers (the service's event-loop
@@ -246,7 +299,10 @@ class DiskCache:
         raw = self._read_raw(key)
         if raw is not None:
             record = self._decode(raw, key)
-            if record is not None:
+            if record is None:
+                self.dropped += 1
+                self._remove(path)
+            elif self._servable(record):
                 self.hits += 1
                 telemetry.emit("cache_hit", run=key[:12], tier="disk")
                 try:  # LRU touch
@@ -254,14 +310,9 @@ class DiskCache:
                 except OSError:
                     pass
                 return record
-            self.dropped += 1
-            self._remove(path)
         if remote:
-            record = self._remote_get(key)
+            record = self.remote_probe(key)
             if record is not None:
-                self.hits += 1
-                self.remote_hits += 1
-                telemetry.emit("cache_hit", run=key[:12], tier="remote")
                 return record
         self.misses += 1
         telemetry.emit("cache_miss", run=key[:12], tier="disk")
@@ -290,9 +341,10 @@ class DiskCache:
         return self._read_raw(key)
 
     def _remote_get(self, key):
-        """Probe the peer tier for ``key``; a validated entry is
-        persisted locally (read-through). Never raises — any transport
-        or decode problem is counted and degrades to a miss."""
+        """Probe the peer tier for ``key``; a validated ok entry is
+        persisted locally through the bounded write path (read-through).
+        Never raises — any transport or decode problem is counted and
+        degrades to a miss, and a non-ok peer entry is a stale skip."""
         if not self.remote:
             return None
         import urllib.request
@@ -308,8 +360,18 @@ class DiskCache:
         if record is None:
             self.remote_errors += 1
             return None
-        self._write_raw(key, raw)
+        if not self._servable(record):
+            return None
+        self._write(key, raw)
         return record
+
+    def _servable(self, record):
+        """Read side of :func:`storable`: count a non-ok entry as a
+        stale skip instead of serving it."""
+        if storable(record):
+            return True
+        self.stale_skips += 1
+        return False
 
     def _decode(self, raw, key=None):
         from repro.harness.runner import RunRecord
@@ -330,8 +392,9 @@ class DiskCache:
     # ------------------------------------------------------------ write
 
     def put(self, key, record):
-        """Atomically persist ``record`` under ``key``; never raises
-        (a cache that cannot write degrades to a smaller cache).
+        """Atomically persist ``record`` under ``key``; returns False
+        for a non-ok record (:func:`storable`) and never raises (a
+        cache that cannot write degrades to a smaller cache).
 
         That contract covers *encoding* too: a record carrying an
         unserializable field (circular structure, an object whose
@@ -350,16 +413,13 @@ class DiskCache:
             # hostile field's __str__/__float__ can raise anything
             self.dropped += 1
             return False
-        if not self._write_raw(key, entry):
-            return False
-        self.writes += 1
-        self._evict()
-        return True
+        return storable(record) and self._write(key, entry)
 
-    def _write_raw(self, key, text):
+    def _write(self, key, text):
         """Atomic write of pre-encoded entry text into ``key``'s shard
-        (temp file + ``os.replace`` in the same directory). Returns
-        False instead of raising on any filesystem refusal."""
+        (temp file + ``os.replace`` in the same directory), counted
+        and followed by LRU eviction. Returns False instead of raising
+        on any filesystem refusal."""
         path = self._path(key)
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
@@ -376,6 +436,8 @@ class DiskCache:
                 raise
         except OSError:
             return False
+        self.writes += 1
+        self._evict()
         return True
 
     def _evict(self):
@@ -416,7 +478,8 @@ class DiskCache:
                 "repaired": self.repaired, "migrated": self.migrated,
                 "remote": self.remote or "",
                 "remote_hits": self.remote_hits,
-                "remote_errors": self.remote_errors}
+                "remote_errors": self.remote_errors,
+                "stale_skips": self.stale_skips}
 
     def clear(self):
         """Remove every entry file; returns how many were removed."""
@@ -457,6 +520,9 @@ class DiskCache:
 # =====================================================================
 # Process-wide active cache
 # =====================================================================
+
+#: the process-wide memory tier (emptied by ``harness.clear_cache``)
+memory = MemoryTier()
 
 _UNSET = object()
 _configured = _UNSET
@@ -520,3 +586,27 @@ def active():
         cache = DiskCache(root, remote=remote)
         _instances[(root, remote)] = cache
     return cache
+
+
+def cached(parts, factory):
+    """The run store's read-through for one run identity ``parts`` (a
+    hashable tuple): the memory tier, then the active disk tier, then
+    ``factory()``. The result is offered to both tiers, which keep it
+    only if it is clean, so a failed run is retried on the next call.
+    A lookup emits exactly one ``cache_hit``/``cache_miss`` event."""
+    record = memory.get(parts)
+    if record is not None:
+        telemetry.emit("cache_hit", tier="mem")
+        return record
+    disk = active()
+    if disk is None:
+        telemetry.emit("cache_miss", tier="mem")
+    else:
+        key = key_for(parts)
+        record = disk.get(key)
+    if record is None:
+        record = factory()
+        if disk is not None:
+            disk.put(key, record)
+    memory.put(parts, record)
+    return record

@@ -1,4 +1,5 @@
-"""Process-pool execution of run batches (sweeps, campaigns, figures).
+"""Process-pool execution of run batches (sweeps, campaigns, figures)
+and of the run service's jobs.
 
 Everything the harness runs reduces to a list of picklable
 :class:`RunSpec` points; :func:`run_specs` shards them across a
@@ -9,18 +10,23 @@ with no wall-clock input, so a record computed in a worker is
 bit-identical (modulo the ``host.*`` wall-clock gauges) to one computed
 serially, and ``tests/test_parallel_equivalence.py`` enforces it.
 
-Degradation is graceful and total (docs/RESILIENCE.md): any pool-level
-failure — fork/spawn refused by the OS, a spec or record that fails to
-pickle, a worker blowing past the wall-clock watchdog, the pool dying
+:class:`Executor` is the one execution core: it owns the pool and
+walks the degradation ladder of docs/RESILIENCE.md §3 for every spec,
+whichever front door admitted it. ``run_specs`` drives it
+synchronously, submitting every pending spec up front so the pool
+stays pipelined; the service scheduler (:mod:`repro.service.
+scheduler`) drives it from executor threads. Any pool-level failure —
+fork/spawn refused by the OS, a spec or record that fails to pickle, a
+worker blowing past the wall-clock watchdog, the pool dying
 mid-flight — is retried with exponential backoff + jitter, survives a
 ``BrokenProcessPool`` by rebuilding the pool and requeueing whatever
-was in flight, and finally falls back to executing the affected specs
-serially in-process, so a parallel sweep can never produce fewer
-results than a serial one. A spec whose serial fallback *also* raises
-is quarantined (synthesized ``status="quarantined"`` record,
-``failure_class="infra"``) instead of aborting the sweep; a spec that
-times out again under the bounded serial retry becomes
-``status="timeout"`` with its elapsed time instead of hanging forever.
+was in flight, and finally falls back to executing the affected spec
+in-process, so a parallel sweep can never produce fewer results than a
+serial one. A spec whose in-process fallback *also* raises is
+quarantined (synthesized ``status="quarantined"`` record,
+``failure_class="infra"``); a spec that times out again under the
+bounded serial retry becomes ``status="timeout"`` with its elapsed
+time instead of hanging forever.
 
 Crash safety: pass ``journal=`` (a path, or ``True`` for an auto-named
 file under ``.repro_journal/``) and every completed record is fsync'd
@@ -42,14 +48,13 @@ serial-retry deadline ``REPRO_SERIAL_RETRY_TIMEOUT`` (max(watchdog,
 """
 
 import os
-import pickle
 import random
 import signal
 import threading
 import time
 import warnings
 from concurrent.futures import TimeoutError as FutureTimeout
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -267,24 +272,20 @@ def _pool(max_workers):
     return ProcessPoolExecutor(max_workers=max_workers)
 
 
-def build_pool(max_workers):
-    """Public pool factory for layers that keep a *persistent* pool
-    across many requests (the :mod:`repro.service` scheduler) — same
-    fork-preferring policy as :func:`run_specs`' internal pool."""
-    return _pool(max_workers)
-
-
-def abandon_pool(pool):
-    """Public alias of the hung-pool teardown (terminate without
-    joining) for external pool owners; see :func:`_abandon`."""
-    _abandon(pool)
-
-
-def default_worker_timeout():
-    """The effective per-spec watchdog (``REPRO_WORKER_TIMEOUT`` or
-    900 s) — exported so the service scheduler shares one knob with
-    the sweep harness."""
-    return _worker_timeout(None)
+def _abandon(pool):
+    """Tear down a pool with a hung worker without joining it (a
+    ``shutdown(wait=True)`` — or interpreter exit — would block on the
+    stuck process otherwise)."""
+    procs = list((getattr(pool, "_processes", None) or {}).values())
+    try:
+        pool.shutdown(wait=False, cancel_futures=True)
+    except Exception:
+        pass
+    for proc in procs:
+        try:
+            proc.terminate()
+        except Exception:
+            pass
 
 
 def _failure_record(spec, status, error, failure_class):
@@ -298,20 +299,18 @@ def _failure_record(spec, status, error, failure_class):
                  failure_class=failure_class)
 
 
-def _quarantine(spec, attempts, exc, run_id=None):
-    """A spec that failed in the pool *and* in-process: quarantine it
-    (classified infra failure) rather than aborting the sweep."""
-    resilience().inc(QUARANTINED)
-    error = f"{type(exc).__name__}: {exc}"
-    telemetry.emit("quarantine", run=run_id, span=attempts,
-                   error=error)
-    warnings.warn(f"{spec.workload} failed {attempts} attempt(s) "
-                  f"({error}); quarantined")
-    return _failure_record(spec, "quarantined", error, "infra")
+def _status(record):
+    """A record's status ("ok" for a record that carries none)."""
+    status = getattr(record, "status", None)
+    if status is None and isinstance(record, dict):
+        status = record.get("status")
+    return "ok" if status is None else str(status)
 
 
-def _rid(run_ids, index):
-    return None if run_ids is None else run_ids[index]
+def _landed(future):
+    """True once ``future`` holds a result (not an error)."""
+    return future.done() and not future.cancelled() \
+        and future.exception() is None
 
 
 def _submit(pool, spec, run_id, span):
@@ -320,20 +319,6 @@ def _submit(pool, spec, run_id, span):
     if run_id is None:
         return pool.submit(execute_spec, spec)
     return pool.submit(execute_spec, spec, run_id, span)
-
-
-def _record_event(record, run_id, span):
-    """The parent-side, authoritative completion event for a landed
-    record: exactly one ``finished``/``failed`` per spec per
-    invocation, however many attempts it took."""
-    if run_id is None:
-        return
-    status = getattr(record, "status", None)
-    if status is None and isinstance(record, dict):
-        status = record.get("status")
-    status = status if status is not None else "ok"
-    telemetry.emit("failed" if status != "ok" else "finished",
-                   run=run_id, span=span, status=str(status))
 
 
 def _await_result(future, deadline, progress):
@@ -353,10 +338,301 @@ def _await_result(future, deadline, progress):
                 raise
 
 
-def _journal_put(jrnl, keys, index, record):
-    if jrnl is not None and record is not None:
-        if jrnl.append(keys[index], record):
-            resilience().inc(JOURNAL_APPENDS)
+class Ticket:
+    """One spec's passage through the ladder: its telemetry identity,
+    the executions started so far (``attempts``, which is also the
+    span of the latest one) and, while a pool holds it, that
+    attempt's future."""
+
+    __slots__ = ("spec", "run_id", "attempts", "future", "pool")
+
+    def __init__(self, spec, run_id=None):
+        self.spec = spec
+        self.run_id = run_id
+        self.attempts = 0
+        self.future = None
+        self.pool = None
+
+
+class Executor:
+    """The degradation ladder of docs/RESILIENCE.md §3 over a pool it
+    owns: the one execution core behind :func:`run_specs` and the run
+    service.
+
+    :meth:`submit` starts a :class:`Ticket` on the pool (built on
+    demand); :meth:`result` walks the ladder for it and always returns
+    a record, emitting the ticket's one ``finished``/``failed`` event.
+    ``run_specs`` submits a whole batch up front and collects it in
+    order from one thread; the service scheduler calls :meth:`run` on
+    one executor thread per job, so every method is thread-safe.
+    ``workers=0`` runs tickets in-process with no ladder (the serial
+    path); ``inline=True`` swaps the process pool for a thread pool.
+    """
+
+    def __init__(self, workers, timeout=None, retries=None,
+                 inline=False, progress=None):
+        self.workers = workers
+        self.deadline = _worker_timeout(timeout)
+        self.retry_limit = _retry_limit(retries)
+        self.inline = inline
+        self.progress = progress
+        self.pool = None         # the live pool
+        self.generation = 0      # live pools discarded (broken, hung)
+        self._retired = []       # pools with a hung worker
+        self._live = {}          # tickets a pool holds, in submit order
+        self._lock = threading.RLock()
+        self._closed = False
+
+    def _make(self, workers):
+        if self.inline:
+            return ThreadPoolExecutor(max_workers=workers,
+                                      thread_name_prefix="repro-job")
+        return _pool(workers)
+
+    # ------------------------------------------------------------ api
+
+    def run(self, ticket):
+        """Submit ``ticket`` and block until its record is in."""
+        self.submit(ticket)
+        return self.result(ticket)
+
+    def submit(self, ticket):
+        """Start ``ticket``'s next attempt on the live pool. False
+        when no pool can take it; :meth:`result` then runs it
+        in-process."""
+        if self.workers <= 0:
+            return False
+        with self._lock:
+            for _ in range(2):   # a pool found broken is replaced once
+                if self._closed:
+                    return False
+                try:
+                    if self.pool is None:
+                        self.pool = self._make(self.workers)
+                    ticket.future = _submit(self.pool, ticket.spec,
+                                            ticket.run_id,
+                                            ticket.attempts + 1)
+                except BrokenProcessPool:
+                    self._discard(self.pool)
+                    continue
+                except Exception as exc:
+                    warnings.warn(f"process pool unavailable ({exc}); "
+                                  "running serially")
+                    return False
+                ticket.attempts += 1
+                ticket.pool = self.pool
+                self._live[ticket] = None
+                return True
+        return False
+
+    def result(self, ticket):
+        """Climb the ladder until ``ticket`` has a record."""
+        if self.workers <= 0:
+            ticket.attempts += 1
+            record = execute_spec(ticket.spec, ticket.run_id,
+                                  ticket.attempts)
+        else:
+            record = self._climb(ticket)
+        if ticket.run_id is not None:
+            status = _status(record)
+            telemetry.emit("failed" if status != "ok" else "finished",
+                           run=ticket.run_id, span=ticket.attempts,
+                           status=status)
+        return record
+
+    def close(self, wait=True, abandon=False):
+        """Shut the pools down and join the workers. ``wait=False``
+        cancels queued work and returns at once, letting idle workers
+        exit on their own (a closing service); ``abandon=True``
+        terminates them instead (an interrupt). A pool with a hung
+        worker is always abandoned."""
+        with self._lock:
+            self._closed = True
+            pool, self.pool = self.pool, None
+            retired, self._retired = self._retired, []
+        for old in retired:
+            _abandon(old)
+        if pool is None:
+            return
+        if abandon:
+            _abandon(pool)
+            return
+        try:
+            pool.shutdown(wait=wait, cancel_futures=not wait)
+        except Exception:
+            pass
+
+    # ---------------------------------------------------------- rungs
+
+    def _climb(self, ticket):
+        while ticket.future is not None:
+            future = ticket.future
+            try:
+                record = _await_result(future, self.deadline,
+                                       self.progress)
+            except FutureTimeout:
+                return self._hung(ticket)
+            except BrokenProcessPool as exc:
+                self._requeue(ticket, future, exc)
+            except Exception as exc:
+                self._retry(ticket, future, exc)
+            else:
+                self._leave(ticket)
+                return record
+        return self._in_process(ticket)
+
+    def _retry(self, ticket, future, exc):
+        """Rung 1: a worker exception is resubmitted with backoff while
+        the ticket has pool attempts left; then it runs in-process."""
+        error = f"{type(exc).__name__}: {exc}"
+        with self._lock:
+            if ticket.future is not future:
+                return           # requeued meanwhile
+            self._leave(ticket)
+        if ticket.attempts <= self.retry_limit:
+            _backoff_sleep(ticket.attempts)
+            if self.submit(ticket):
+                resilience().inc(RETRIES)
+                telemetry.emit("retry", run=ticket.run_id,
+                               span=ticket.attempts, error=error)
+                warnings.warn(
+                    f"pool failure on {ticket.spec.workload} ({error});"
+                    f" retrying with backoff (attempt {ticket.attempts}"
+                    f"/{self.retry_limit + 1})")
+                return
+        warnings.warn(f"pool failure on {ticket.spec.workload} "
+                      f"({error}); re-running serially")
+
+    def _requeue(self, ticket, future, exc):
+        """Rung 2: a dead worker broke the pool. The first holder to
+        notice replaces it and resubmits every unfinished ticket the
+        broken pool held; a ticket out of pool attempts runs
+        in-process instead."""
+        with self._lock:
+            if ticket.future is not future:
+                return           # another holder already requeued it
+            broken = ticket.pool
+            victims = [t for t in self._live
+                       if t.pool is broken and not _landed(t.future)]
+            self._discard(broken)
+            requeued = 0
+            for victim in victims:
+                self._leave(victim)
+                if victim.attempts <= self.retry_limit \
+                        and self.submit(victim):
+                    requeued += 1
+        if requeued:
+            resilience().inc(REQUEUED, requeued)
+            telemetry.emit("requeue", count=requeued,
+                           error=f"{type(exc).__name__}: {exc}")
+            warnings.warn(f"worker process died ({exc}); pool rebuilt, "
+                          f"{requeued} spec(s) requeued")
+        if requeued < len(victims):
+            warnings.warn(f"worker process died ({exc}); "
+                          f"{len(victims) - requeued} spec(s) "
+                          "re-running serially")
+
+    def _hung(self, ticket):
+        """The hang rung: retire the pool (it takes no new work and is
+        abandoned once nothing else is waiting on it), then one bounded
+        re-run in a fresh single-worker pool."""
+        with self._lock:
+            pool = ticket.pool
+            if pool is self.pool:
+                self.pool = None
+                self.generation += 1
+            if pool not in self._retired:
+                self._retired.append(pool)
+            self._leave(ticket)
+        warnings.warn(f"worker exceeded the {self.deadline:.0f}s "
+                      f"watchdog on {ticket.spec.workload}; "
+                      "re-running serially")
+        return self._serial_retry(ticket)
+
+    def _serial_retry(self, ticket):
+        """A second hang under ``REPRO_SERIAL_RETRY_TIMEOUT`` becomes a
+        ``status="timeout"`` record with its elapsed time: a hung spec
+        costs two deadlines, never the whole batch."""
+        spec = ticket.spec
+        limit = _serial_retry_deadline(self.deadline)
+        start = time.monotonic()
+        try:
+            pool = self._make(1)
+            future = _submit(pool, spec, ticket.run_id,
+                             ticket.attempts + 1)
+        except Exception as exc:
+            # the engine's own cycle/liveness watchdogs still apply
+            warnings.warn(f"serial-retry pool unavailable ({exc}); "
+                          f"running {spec.workload} in-process")
+            return self._in_process(ticket)
+        ticket.attempts += 1
+        try:
+            record = future.result(timeout=limit)
+        except FutureTimeout:
+            _abandon(pool)
+            elapsed = time.monotonic() - start
+            resilience().inc(TIMEOUTS)
+            telemetry.emit("timeout", run=ticket.run_id,
+                           span=ticket.attempts,
+                           elapsed=round(elapsed, 3), limit=limit)
+            warnings.warn(
+                f"{spec.workload} exceeded the {limit:.0f}s serial-retry"
+                f" deadline too; recording status=timeout")
+            record = _failure_record(
+                spec, "timeout",
+                f"serial retry exceeded {limit:.0f}s "
+                f"(elapsed {elapsed:.1f}s)", "hang")
+            if hasattr(record, "wall_seconds"):
+                record.wall_seconds = elapsed
+            return record
+        except Exception:
+            _abandon(pool)
+            return self._in_process(ticket)
+        pool.shutdown(wait=True)
+        return record
+
+    def _in_process(self, ticket):
+        """Rungs 3 and 4: run in this process; a spec that raises here
+        too is quarantined (classified infra failure)."""
+        if self._closed:
+            raise RuntimeError("executor closed")
+        ticket.attempts += 1
+        try:
+            return execute_spec(ticket.spec, ticket.run_id,
+                                ticket.attempts)
+        except Exception as exc:
+            error = f"{type(exc).__name__}: {exc}"
+            resilience().inc(QUARANTINED)
+            telemetry.emit("quarantine", run=ticket.run_id,
+                           span=ticket.attempts, error=error)
+            warnings.warn(f"{ticket.spec.workload} failed "
+                          f"{ticket.attempts} attempt(s) ({error}); "
+                          "quarantined")
+            return _failure_record(ticket.spec, "quarantined", error,
+                                   "infra")
+
+    # ---------------------------------------------------------- pools
+
+    def _leave(self, ticket):
+        """The pool no longer holds ``ticket``; a retired pool nothing
+        waits on any more is abandoned."""
+        with self._lock:
+            self._live.pop(ticket, None)
+            ticket.future = ticket.pool = None
+            for pool in [p for p in self._retired
+                         if not any(t.pool is p for t in self._live)]:
+                self._retired.remove(pool)
+                _abandon(pool)
+
+    def _discard(self, pool):
+        """Drop a broken pool (a fresh one is built on demand)."""
+        if pool is self.pool:
+            self.pool = None
+            self.generation += 1
+        try:
+            pool.shutdown(wait=False, cancel_futures=True)
+        except Exception:
+            pass
 
 
 @contextmanager
@@ -393,10 +669,11 @@ def run_specs(specs, jobs=None, timeout=None, journal=None,
     """Execute ``specs`` and return their records in input order.
 
     ``jobs`` > 1 shards across a process pool; 1 (the default without
-    ``REPRO_JOBS``) runs in-process. Every pool-level failure degrades
-    — retry with backoff, pool rebuild, serial re-execution, and as a
-    last resort a synthesized quarantine/timeout record — with a
-    warning; the result list always has one entry per spec.
+    ``REPRO_JOBS``) runs in-process. Every pending spec is submitted
+    up front and the :class:`Executor` ladder absorbs every pool-level
+    failure — retry with backoff, pool rebuild, serial re-execution,
+    and as a last resort a synthesized quarantine/timeout record —
+    with a warning; the result list always has one entry per spec.
 
     ``journal``: a path (or ``True`` for an auto-named file) enabling
     the write-ahead journal; ``resume=True`` replays previously
@@ -447,21 +724,32 @@ def run_specs(specs, jobs=None, timeout=None, journal=None,
     if progress is not None:
         progress.bind(bus)
         progress.poll()
+    # serial, or a lone pending spec: in-process, no pool
+    workers = min(jobs, len(pending))
+    executor = Executor(workers if workers > 1 else 0, timeout=timeout,
+                        retries=retries, progress=progress)
+    tickets = {index: Ticket(specs[index],
+                             None if run_ids is None else run_ids[index])
+               for index in pending}
     try:
         with _signal_guard(jrnl):
-            if jobs <= 1 or len(pending) <= 1:
-                for index in pending:
-                    records[index] = execute_spec(
-                        specs[index], _rid(run_ids, index), 1)
-                    _journal_put(jrnl, keys, index, records[index])
-                    _record_event(records[index],
-                                  _rid(run_ids, index), 1)
-                    if progress is not None:
-                        progress.poll()
-            else:
-                _run_pooled(specs, pending, records, jobs, timeout,
-                            retries, jrnl, keys, run_ids, progress)
+            for ticket in tickets.values():
+                executor.submit(ticket)
+            for index, ticket in tickets.items():
+                records[index] = executor.result(ticket)
+                if jrnl is not None \
+                        and jrnl.append(keys[index], records[index]):
+                    resilience().inc(JOURNAL_APPENDS)
+                if progress is not None:
+                    progress.poll()
+    except BaseException:
+        # interrupted mid-wait (e.g. SIGINT via the signal guard):
+        # terminate workers rather than leaking them, then let the
+        # journal drain below
+        executor.close(abandon=True)
+        raise
     finally:
+        executor.close()
         if jrnl is not None:
             jrnl.close()
         if bus is not None:
@@ -471,220 +759,6 @@ def run_specs(specs, jobs=None, timeout=None, journal=None,
         if progress is not None:
             progress.poll(force=True)
     return records
-
-
-def _run_pooled(specs, pending, records, jobs, timeout, retries,
-                jrnl, keys, run_ids=None, progress=None):
-    """The pool path of :func:`run_specs`: fill ``records[pending]``."""
-    try:
-        pool = _pool(min(jobs, len(pending)))
-        futures = {index: _submit(pool, specs[index],
-                                  _rid(run_ids, index), 1)
-                   for index in pending}
-    except (pickle.PicklingError, TypeError, OSError) as exc:
-        warnings.warn(f"process pool unavailable ({exc}); "
-                      "running serially")
-        for index in pending:
-            records[index] = execute_spec(
-                specs[index], _rid(run_ids, index), 1)
-            _journal_put(jrnl, keys, index, records[index])
-            _record_event(records[index], _rid(run_ids, index), 1)
-        return
-
-    deadline = _worker_timeout(timeout)
-    retry_limit = _retry_limit(retries)
-    attempts = {index: 1 for index in pending}
-    timed_out = set()     # hung under the watchdog -> bounded retry
-    serial_fill = set()   # pool gave up -> in-process execution
-    hung = False
-    reg = resilience()
-
-    try:
-        position = 0
-        while position < len(pending):
-            index = pending[position]
-            if records[index] is not None or index in timed_out \
-                    or index in serial_fill:
-                position += 1
-                continue
-            spec = specs[index]
-            try:
-                record = _await_result(futures[index], deadline,
-                                       progress)
-            except FutureTimeout:
-                # do NOT join this worker — abandon the pool below
-                hung = True
-                timed_out.add(index)
-                warnings.warn(
-                    f"worker exceeded the {deadline:.0f}s watchdog on "
-                    f"{spec.workload}; re-running serially")
-                continue
-            except BrokenProcessPool as exc:
-                # a worker died (SIGKILL, OOM). Blame the head-of-line
-                # spec for attempt accounting, rebuild the pool, and
-                # requeue everything still in flight.
-                attempts[index] += 1
-                if attempts[index] > retry_limit + 1:
-                    warnings.warn(
-                        f"pool failure on {spec.workload} "
-                        f"(BrokenProcessPool x{attempts[index] - 1}); "
-                        "re-running serially")
-                    serial_fill.add(index)
-                unfinished = [j for j in pending[position:]
-                              if records[j] is None
-                              and j not in timed_out
-                              and j not in serial_fill]
-                try:
-                    pool.shutdown(wait=False, cancel_futures=True)
-                except Exception:
-                    pass
-                if not unfinished:
-                    continue
-                try:
-                    pool = _pool(min(jobs, len(unfinished)))
-                    for j in unfinished:
-                        futures[j] = _submit(pool, specs[j],
-                                             _rid(run_ids, j),
-                                             attempts[j])
-                    reg.inc(REQUEUED, len(unfinished))
-                    telemetry.emit("requeue", count=len(unfinished),
-                                   error=f"{type(exc).__name__}: {exc}")
-                    warnings.warn(
-                        f"worker process died ({exc}); pool rebuilt, "
-                        f"{len(unfinished)} spec(s) requeued")
-                except Exception as rebuild_exc:
-                    warnings.warn(
-                        f"process pool unavailable after worker death "
-                        f"({rebuild_exc}); re-running serially")
-                    serial_fill.update(unfinished)
-                continue
-            except Exception as exc:
-                # a worker raised / an unpicklable result: transient
-                # until proven otherwise — bounded resubmission with
-                # backoff, then the serial path.
-                error = f"{type(exc).__name__}: {exc}"
-                if attempts[index] <= retry_limit:
-                    attempts[index] += 1
-                    _backoff_sleep(attempts[index] - 1)
-                    try:
-                        futures[index] = _submit(
-                            pool, spec, _rid(run_ids, index),
-                            attempts[index])
-                    except Exception:
-                        pass
-                    else:
-                        reg.inc(RETRIES)
-                        telemetry.emit("retry",
-                                       run=_rid(run_ids, index),
-                                       span=attempts[index],
-                                       error=error)
-                        warnings.warn(
-                            f"pool failure on {spec.workload} ({error});"
-                            f" retrying with backoff (attempt "
-                            f"{attempts[index]}/{retry_limit + 1})")
-                        continue
-                warnings.warn(f"pool failure on {spec.workload} "
-                              f"({error}); re-running serially")
-                serial_fill.add(index)
-                continue
-            records[index] = record
-            _journal_put(jrnl, keys, index, record)
-            _record_event(record, _rid(run_ids, index),
-                          attempts[index])
-            if progress is not None:
-                progress.poll()
-            position += 1
-    except BaseException:
-        # interrupted mid-wait (e.g. SIGINT via the signal guard):
-        # terminate workers rather than leaking them, then let the
-        # journal drain in run_specs' finally
-        _abandon(pool)
-        raise
-
-    if hung:
-        _abandon(pool)
-    else:
-        try:
-            pool.shutdown(wait=True)
-        except Exception:
-            pass
-
-    for index in pending:
-        if records[index] is not None:
-            continue
-        spec = specs[index]
-        span = attempts[index] + 1
-        try:
-            if index in timed_out:
-                records[index] = _serial_retry(
-                    spec, deadline, reg, _rid(run_ids, index), span)
-            else:
-                records[index] = execute_spec(
-                    spec, _rid(run_ids, index), span)
-        except Exception as exc:
-            records[index] = _quarantine(spec, attempts[index], exc,
-                                         _rid(run_ids, index))
-        _journal_put(jrnl, keys, index, records[index])
-        _record_event(records[index], _rid(run_ids, index), span)
-        if progress is not None:
-            progress.poll()
-
-
-def _serial_retry(spec, deadline, reg, run_id=None, span=None):
-    """Bounded re-run of a spec whose pool worker hung: a fresh
-    single-worker pool under its own deadline. A second timeout is
-    recorded as ``status="timeout"`` with the elapsed time — a hung
-    spec may cost two deadlines, never the whole sweep."""
-    limit = _serial_retry_deadline(deadline)
-    start = time.monotonic()
-    try:
-        retry_pool = _pool(1)
-        future = _submit(retry_pool, spec, run_id, span)
-    except Exception as exc:
-        # no pool available: unbounded in-process degradation — the
-        # engine's own cycle/liveness watchdogs still apply
-        warnings.warn(f"serial-retry pool unavailable ({exc}); "
-                      f"running {spec.workload} in-process")
-        return execute_spec(spec, run_id, span)
-    try:
-        record = future.result(timeout=limit)
-    except FutureTimeout:
-        _abandon(retry_pool)
-        elapsed = time.monotonic() - start
-        reg.inc(TIMEOUTS)
-        telemetry.emit("timeout", run=run_id, span=span,
-                       elapsed=round(elapsed, 3), limit=limit)
-        warnings.warn(
-            f"{spec.workload} exceeded the {limit:.0f}s serial-retry "
-            f"deadline too; recording status=timeout")
-        record = _failure_record(
-            spec, "timeout",
-            f"serial retry exceeded {limit:.0f}s "
-            f"(elapsed {elapsed:.1f}s)", "hang")
-        if hasattr(record, "wall_seconds"):
-            record.wall_seconds = elapsed
-        return record
-    except Exception:
-        _abandon(retry_pool)
-        return execute_spec(spec, run_id, span)
-    retry_pool.shutdown(wait=True)
-    return record
-
-
-def _abandon(pool):
-    """Tear down a pool with a hung worker without joining it (a
-    ``shutdown(wait=True)`` — or interpreter exit — would block on the
-    stuck process otherwise)."""
-    procs = list((getattr(pool, "_processes", None) or {}).values())
-    try:
-        pool.shutdown(wait=False, cancel_futures=True)
-    except Exception:
-        pass
-    for proc in procs:
-        try:
-            proc.terminate()
-        except Exception:
-            pass
 
 
 def aggregate_stats(records, deterministic=False):

@@ -1,22 +1,19 @@
-"""Single-run execution + caching for the experiment harness.
+"""Single-run execution for the experiment harness.
 
 Runs degrade gracefully: an engine exception, a liveness hang, or a
 cycle-budget timeout becomes ``RunRecord.status`` / ``RunRecord.error``
 instead of propagating, so one pathological (workload, config) cell can
-no longer abort a whole experiment sweep. Only clean, halted runs are
-cached (a truncated run must never satisfy a later full-budget
-request), the cache key includes the cycle budget **and a content hash
-of the workload's assembled program bytes** (an edited workload of the
-same name/scale can never alias a stale record), and the cache is
-LRU-bounded so long sweeps don't grow memory without limit.
+no longer abort a whole experiment sweep.
 
-Two cache tiers sit behind every run:
-
-* the process-local LRU below (``_CACHE``) — hits return the *same*
-  record object;
-* the optional persistent :mod:`repro.harness.diskcache` — shared
-  across processes and pytest invocations, consulted on a memory miss
-  and written through on every clean run. Traced runs bypass both.
+Every untraced run goes through the run store
+(:func:`repro.harness.diskcache.cached`): a process-local memory tier
+(hits return the *same* record object) in front of the optional
+persistent disk tier. The store keeps only clean, halted runs (a
+truncated run must never satisfy a later full-budget request). The run
+identity handed to it includes the cycle budget **and a content hash
+of the workload's assembled program bytes**, so an edited workload of
+the same name/scale can never alias a stale record. Traced runs bypass
+the store: a cached record would emit no events into the tracer.
 """
 
 import time
@@ -38,7 +35,6 @@ from repro.obs import (
     collect_diag,
     collect_ooo,
     export_throughput,
-    telemetry,
 )
 from repro.workloads import get_workload
 
@@ -107,11 +103,6 @@ class RunRecord:
         return self.status != "ok"
 
 
-_CACHE = OrderedDict()
-#: LRU bound on cached run records; sweeps touching more distinct
-#: (workload, config) cells than this re-run the oldest ones.
-CACHE_MAX_ENTRIES = 512
-
 #: built WorkloadInstances are reusable (setup/verify are idempotent —
 #: fault campaigns already rely on this), so memoize (class, scale,
 #: threads, simt) -> (instance, program digest) and hashing the program
@@ -123,10 +114,11 @@ BUILD_CACHE_MAX_ENTRIES = 128
 
 
 def clear_cache():
-    """Drop all cached run records and memoized workload builds (used
-    between benchmark sessions). The persistent disk cache is *not*
-    touched — use ``repro cache clear`` / ``DiskCache.clear``."""
-    _CACHE.clear()
+    """Drop the run store's memory tier and the memoized workload
+    builds (used between benchmark sessions). The persistent disk
+    cache is *not* touched — use ``repro cache clear`` /
+    ``DiskCache.clear``."""
+    diskcache.memory.clear()
     _BUILDS.clear()
 
 
@@ -143,47 +135,6 @@ def _built(cls, scale, threads, simt):
     while len(_BUILDS) > BUILD_CACHE_MAX_ENTRIES:
         _BUILDS.popitem(last=False)
     return built
-
-
-def _store(key, record):
-    _CACHE[key] = record
-    while len(_CACHE) > CACHE_MAX_ENTRIES:
-        _CACHE.popitem(last=False)
-
-
-def _cached(key, factory, bypass=False):
-    """``bypass=True`` (traced runs) always executes the factory and
-    never populates either cache — a cached record would have emitted
-    no events into the caller's tracer."""
-    if bypass:
-        return factory()
-    record = _CACHE.get(key)
-    if record is not None:
-        _CACHE.move_to_end(key)
-        telemetry.emit("cache_hit", tier="mem")
-        return record
-    disk = diskcache.active()
-    dkey = diskcache.key_for(key) if disk is not None else None
-    if disk is None:
-        # no second tier: this lookup is decided here (a disk tier
-        # emits its own hit/miss from DiskCache.get)
-        telemetry.emit("cache_miss", tier="mem")
-    if disk is not None:
-        record = disk.get(dkey)
-        # a persisted record is only trusted if it says "ok" — the
-        # cache layer never serves failed or truncated runs
-        if record is not None and record.status == "ok":
-            _store(key, record)
-            return record
-    record = factory()
-    # Never cache failed or truncated records: a later call must get a
-    # fresh attempt (and a truncated run must never impersonate a
-    # full-budget one).
-    if record.status == "ok":
-        _store(key, record)
-        if disk is not None:
-            disk.put(dkey, record)
-    return record
 
 
 def _status_of(result):
@@ -283,7 +234,9 @@ def run_diag(workload, config="F4C32", scale=1.0, threads=1, simt=False,
         record.failure_class = classify_failure(record.status)
         return record
 
-    return _cached(key, factory, bypass=tracer is not None)
+    if tracer is not None:
+        return factory()
+    return diskcache.cached(key, factory)
 
 
 def run_baseline(workload, scale=1.0, threads=1, max_cycles=None,
@@ -374,4 +327,6 @@ def run_baseline(workload, scale=1.0, threads=1, max_cycles=None,
         record.failure_class = classify_failure(record.status)
         return record
 
-    return _cached(key, factory, bypass=tracer is not None)
+    if tracer is not None:
+        return factory()
+    return diskcache.cached(key, factory)

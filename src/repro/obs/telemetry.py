@@ -55,7 +55,7 @@ DEFAULT_DIR = ".repro_telemetry"
 #: nothing else, so consumers can exhaustively match on ``ev``
 EVENTS = frozenset((
     "campaign_begin",     # run_specs entered: cells, jobs
-    "campaign_end",       # run_specs returning: completed, failed
+    "campaign_end",       # run_specs returning: cells, completed
     "plan",               # campaign-level metadata (faults/torture)
     "scheduled",          # a spec is pending execution this invocation
     "replayed",           # a spec's record came from the journal
@@ -66,7 +66,7 @@ EVENTS = frozenset((
     "requeue",            # pool died; unfinished specs resubmitted
     "quarantine",         # spec exhausted retries serially
     "timeout",            # serial retry classified a watchdog timeout
-    "cache_hit",          # run served from cache (tier=mem|disk)
+    "cache_hit",          # run served from cache (tier=mem|disk|remote)
     "cache_miss",         # cache consulted, run must simulate
     "checkpoint_save",    # simulator state captured (bytes, ms)
     "checkpoint_restore",  # simulator state reloaded
@@ -84,10 +84,10 @@ class TelemetryBus:
     """One append-mode handle on a telemetry JSONL stream.
 
     Safe to share across threads (a lock serialises writes) and across
-    ``fork()`` (the child detects the pid change and reopens its own
-    handle). Emission never raises: an unwritable stream counts
-    ``dropped`` and returns False — telemetry must not take down a
-    campaign.
+    ``fork()`` (a fork waits out a write in progress, and the child
+    detects the pid change and reopens its own handle). Emission never
+    raises: an unwritable stream counts ``dropped`` and returns False —
+    telemetry must not take down a campaign.
     """
 
     def __init__(self, path, campaign=None):
@@ -137,6 +137,28 @@ class TelemetryBus:
 
 
 _bus = None
+
+#: the bus whose lock is held across an ``os.fork()``
+_forking = None
+
+
+def _before_fork():
+    # a fork while another thread holds the bus lock would hand the
+    # child a lock nobody can release: its first emit would deadlock
+    global _forking
+    _forking = _bus
+    if _forking is not None:
+        _forking._lock.acquire()
+
+
+def _after_fork():
+    if _forking is not None:
+        _forking._lock.release()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(before=_before_fork, after_in_parent=_after_fork,
+                        after_in_child=_after_fork)
 
 #: thread-local default (run, span) identity for nested emissions —
 #: see :func:`run_scope`

@@ -50,12 +50,8 @@ from repro.core import CONFIG_PRESETS, EnergyModel
 from repro.core.lanes import ArchLanes
 from repro.core.ring import RingEngine
 from repro.core.watchdog import SimulationHang
-from repro.harness.runner import (
-    RunRecord,
-    _built,
-    _cached,
-    classify_failure,
-)
+from repro.harness import diskcache
+from repro.harness.runner import RunRecord, _built, classify_failure
 from repro.iss.simulator import ISS, HaltReason
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.obs import (
@@ -571,7 +567,7 @@ def run_sampled(workload, machine="diag", config=None, scale=1.0,
         record.failure_class = classify_failure(record.status)
         return record
 
-    return _cached(key, factory)
+    return diskcache.cached(key, factory)
 
 
 # ----------------------------------------------------------------- pool

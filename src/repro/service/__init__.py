@@ -9,9 +9,9 @@ asyncio HTTP/JSON fabric:
 * :mod:`repro.service.tenancy` — per-tenant token buckets and the
   round-robin fair queue (admission control)
 * :mod:`repro.service.scheduler` — job admission, in-flight dedup,
-  cache read-through, and the asyncio bridge onto the process pool
-  (with the PR-6 degradation ladder: retry, pool rebuild, serial
-  fallback, quarantine)
+  cache read-through, and the asyncio bridge onto the harness's
+  execution core (:class:`repro.harness.parallel.Executor`, the one
+  pool and degradation ladder ``run_specs`` also uses)
 * :mod:`repro.service.app` — the HTTP/1.1 server itself (health,
   OpenMetrics, the ``/v1/cache`` remote tier, chunked run streaming)
 * :mod:`repro.service.client` — a blocking :mod:`http.client` client

@@ -54,14 +54,6 @@ OPENMETRICS_TYPE = ("application/openmetrics-text; version=1.0.0; "
                     "charset=utf-8")
 
 
-def record_doc(record):
-    """JSON-shaped view of a completed record (dataclasses are
-    flattened; dict-shaped records from custom specs pass through)."""
-    if dataclasses.is_dataclass(record) and not isinstance(record, type):
-        return dataclasses.asdict(record)
-    return record
-
-
 class Service:
     """One bound service instance: scheduler + cache + telemetry fold
     + HTTP server."""
@@ -273,9 +265,9 @@ class Service:
             self._send_line(
                 writer,
                 {"event": "result", "key": job.key, "outcome": outcome,
-                 "status": self.scheduler._status(record),
-                 "attempts": job.attempts, "sharers": job.sharers,
-                 "record": record_doc(record)})
+                 "status": record.status,
+                 "attempts": job.ticket.attempts, "sharers": job.sharers,
+                 "record": dataclasses.asdict(record)})
         writer.write(b"0\r\n\r\n")
         await writer.drain()
 

@@ -13,8 +13,8 @@
   disk cache resolves immediately without queueing. Only the *local*
   cache tier is consulted on the submit path (the remote tier is a
   blocking HTTP probe — scheduled jobs retry it off-loop just before
-  execution), and only ``status == "ok"`` records are served, the
-  same read-side invariant ``runner.py`` enforces.
+  execution). The cache itself holds the ok-only rule: it serves and
+  stores only clean records (:mod:`repro.harness.diskcache`).
 * **Admission control** — per-tenant :class:`TokenBucket` rate limits
   and a bounded round-robin :class:`FairQueue`; both reject with
   :class:`RejectedRequest` (HTTP 429 + Retry-After) instead of
@@ -22,18 +22,12 @@
   they consume no worker, so they spend no tokens. Queue capacity is
   probed *before* the token bucket, so a bounce off a full queue
   costs the tenant nothing on retry.
-* **Pool bridge** — admitted jobs run through a persistent process
-  pool (``repro.harness.parallel.build_pool``) via
-  ``loop.run_in_executor``, with the PR-6 degradation ladder
-  reimplemented for a long-lived pool: a ``BrokenProcessPool``
-  (worker SIGKILL, OOM) rebuilds the pool once per failure generation
-  and resubmits the in-flight jobs (``requeue`` telemetry +
-  ``harness.requeued``); a worker exception is retried with backoff
-  (``retry`` + ``harness.retries``); a watchdog timeout abandons the
-  hung pool and synthesizes a ``timeout`` record; exhausted retries
-  fall back to an in-process thread execution, and a spec that fails
-  *there too* is quarantined (``status="quarantined"``) — a request
-  can degrade, never 500.
+* **Execution** — admitted jobs run through the harness's one
+  execution core (:class:`repro.harness.parallel.Executor`, which owns
+  a persistent process pool and the docs/RESILIENCE.md §3 degradation
+  ladder) via ``loop.run_in_executor``: the event loop never runs a
+  simulation or waits on a worker, and a request can degrade, never
+  500.
 
 ``inline=True`` swaps the process pool for a thread pool (no fork
 cost; the degradation ladder still applies minus worker death), which
@@ -41,26 +35,10 @@ is what the fast tests use.
 """
 
 import asyncio
-import dataclasses
-from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 
 from repro.harness.journal import spec_key
-from repro.harness.parallel import (
-    RunSpec,
-    abandon_pool,
-    build_pool,
-    default_worker_timeout,
-    execute_spec,
-)
+from repro.harness.parallel import Executor, RunSpec, Ticket
 from repro.obs import telemetry
-from repro.obs.resilience import (
-    QUARANTINED,
-    REQUEUED,
-    RETRIES,
-    TIMEOUTS,
-    resilience,
-)
 from repro.service.tenancy import FairQueue, TokenBucket
 
 
@@ -78,7 +56,7 @@ class Job:
     (and therefore the same asyncio future)."""
 
     __slots__ = ("spec", "key", "run_id", "tenant", "future", "state",
-                 "sharers", "attempts")
+                 "sharers", "ticket")
 
     def __init__(self, spec, key, tenant, future):
         self.spec = spec
@@ -88,31 +66,26 @@ class Job:
         self.future = future
         self.state = "queued"    # queued -> running -> done
         self.sharers = 1
-        self.attempts = 0
+        self.ticket = Ticket(spec, self.run_id)   # its ladder state
 
 
 class JobScheduler:
-    """Admission + fair dispatch onto a persistent worker pool."""
+    """Admission + fair dispatch onto the harness execution core."""
 
     def __init__(self, workers=2, cache=None, rate=None, burst=None,
-                 queue_depth=64, timeout=None, retries=1,
-                 backoff=0.05, inline=False):
+                 queue_depth=64, timeout=None, retries=1, inline=False):
         self.workers = max(1, int(workers))
-        self.cache = cache
+        self.cache = cache                     # a DiskCache, or None
         self.rate = rate                       # tokens/sec; None = off
         self.burst = burst if burst is not None \
             else max(2.0 * (rate or 0.0), 4.0)
-        self.timeout = timeout if timeout is not None \
-            else default_worker_timeout()
-        self.retries = max(0, int(retries))
-        self.backoff = backoff
-        self.inline = inline
+        self.executor = Executor(self.workers, timeout=timeout,
+                                 retries=retries, inline=inline)
         # counters surfaced on /metrics (service.* namespace)
         self.requests = 0
         self.executions = 0      # jobs dispatched to a worker
         self.dedup_shared = 0    # requests attached to an in-flight job
         self.cache_immediate = 0  # requests satisfied straight from cache
-        self.cache_stale = 0     # cached non-ok records skipped on read
         self.rejected_rate = 0
         self.rejected_depth = 0
         self.completed = 0
@@ -121,9 +94,7 @@ class JobScheduler:
         self._buckets = {}       # tenant -> TokenBucket
         self._inflight = {}      # key -> Job
         self._active = 0
-        self._generation = 0     # pool incarnation (rebuild guard)
         self._loop = None
-        self._pool = None
         self._wake = None
         self._dispatcher = None
         self._closed = False
@@ -133,17 +104,10 @@ class JobScheduler:
     def start(self, loop):
         """Bind to the running event loop and start dispatching."""
         self._loop = loop
-        self._pool = self._build_pool()
         self._wake = asyncio.Event()
         self._dispatcher = loop.create_task(self._dispatch(),
                                             name="repro-dispatch")
         return self
-
-    def _build_pool(self):
-        if self.inline:
-            return ThreadPoolExecutor(max_workers=self.workers,
-                                      thread_name_prefix="repro-job")
-        return build_pool(self.workers)
 
     async def aclose(self):
         self._closed = True
@@ -160,11 +124,7 @@ class JobScheduler:
                 job.future.set_exception(
                     RuntimeError("service shutting down"))
         self._inflight.clear()
-        if self._pool is not None:
-            try:
-                self._pool.shutdown(wait=False, cancel_futures=True)
-            except Exception:
-                pass
+        self.executor.close(wait=False)
 
     # ------------------------------------------------------- admission
 
@@ -200,19 +160,12 @@ class JobScheduler:
             # _run_job instead of stalling every connection here
             record = self.cache.get(key, remote=False)
             if record is not None:
-                # mirror runner.py's read-side invariant: only an
-                # "ok" record is trusted — a persisted failure (old
-                # writer, poisoned peer) must not short-circuit a
-                # fresh attempt
-                if self._status(record) != "ok":
-                    self.cache_stale += 1
-                else:
-                    self.cache_immediate += 1
-                    future = self._loop.create_future()
-                    job = Job(spec, key, tenant, future)
-                    job.state = "done"
-                    future.set_result(record)
-                    return job, "cached"
+                self.cache_immediate += 1
+                future = self._loop.create_future()
+                job = Job(spec, key, tenant, future)
+                job.state = "done"
+                future.set_result(record)
+                return job, "cached"
         # capacity before tokens: a bounce off a full queue admits no
         # work, so it must not also drain the tenant's rate budget
         if self._queue.full(tenant):
@@ -257,36 +210,31 @@ class JobScheduler:
 
     async def _run_job(self, job):
         job.state = "running"
-        record = await self._remote_lookup(job)
-        executed = record is None
-        if executed:
-            self.executions += 1
-            try:
-                record = await self._execute(job)
-            except Exception as exc:
-                record = self._quarantine(job, exc)
-        job.state = "done"
-        self._inflight.pop(job.key, None)
-        status = self._status(record)
-        # never cache failed or truncated records (runner.py's write
-        # invariant): a transient timeout or worker crash must not be
-        # served "cached" to every later post of this spec — or worse,
-        # spread to peers through the /v1/cache remote tier
-        if executed and status == "ok" and self.cache is not None \
-                and dataclasses.is_dataclass(record) \
-                and not isinstance(record, type):
-            self.cache.put(job.key, record)
-        telemetry.emit("failed" if status != "ok" else "finished",
-                       run=job.run_id, span=job.attempts,
-                       status=status)
-        if status == "ok":
-            self.completed += 1
-        else:
-            self.failed += 1
-        if not job.future.done():
-            job.future.set_result(record)
-        self._active -= 1
-        self._wake.set()
+        try:
+            record = await self._remote_lookup(job)
+            if record is None:
+                self.executions += 1
+                record = await self._loop.run_in_executor(
+                    None, self.executor.run, job.ticket)
+                if self.cache is not None:
+                    self.cache.put(job.key, record)
+            else:
+                telemetry.emit("finished", run=job.run_id, span=0,
+                               status="ok")
+            if record.failed:
+                self.failed += 1
+            else:
+                self.completed += 1
+            if not job.future.done():
+                job.future.set_result(record)
+        except Exception as exc:   # the executor closed under the job
+            if not job.future.done():
+                job.future.set_exception(exc)
+        finally:
+            job.state = "done"
+            self._inflight.pop(job.key, None)
+            self._active -= 1
+            self._wake.set()
 
     async def _remote_lookup(self, job):
         """Retry the cache's remote tier off-loop before paying for an
@@ -294,108 +242,13 @@ class JobScheduler:
         HTTP probe would stall the event loop — every connection,
         heartbeat and /metrics — for up to ``remote_timeout`` per
         miss, worst exactly when the peer is down), so scheduled jobs
-        probe the peer here, on an executor thread. Only an "ok"
-        record is trusted; anything else falls through to a fresh
-        execution."""
-        if self.cache is None or not getattr(self.cache, "remote", None):
+        probe the peer here, on an executor thread."""
+        if self.cache is None or not self.cache.remote:
             return None
-        probe = getattr(self.cache, "remote_probe", None)
-        if probe is None:
-            return None
-        try:
-            record = await self._loop.run_in_executor(None, probe,
-                                                      job.key)
-        except Exception:
-            return None
-        if record is None or self._status(record) != "ok":
-            return None
-        return record
-
-    async def _execute(self, job):
-        """The degradation ladder for one job (never raises except for
-        truly unexpected host errors — those quarantine upstream)."""
-        while True:
-            job.attempts += 1
-            generation = self._generation
-            future = self._loop.run_in_executor(
-                self._pool, execute_spec, job.spec, job.run_id,
-                job.attempts)
-            try:
-                return await asyncio.wait_for(future, self.timeout)
-            except asyncio.TimeoutError:
-                # the worker is hung: abandon the whole pool (joining
-                # would block on the stuck process) and rebuild
-                self._rebuild(generation, "watchdog timeout",
-                              abandon=True)
-                resilience().inc(TIMEOUTS)
-                telemetry.emit("timeout", run=job.run_id,
-                               span=job.attempts, limit=self.timeout)
-                return job.spec.failure_record(
-                    "timeout",
-                    f"exceeded the {self.timeout:.0f}s service "
-                    f"watchdog", "hang")
-            except BrokenProcessPool as exc:
-                # a worker died (SIGKILL, OOM): rebuild once per
-                # failure generation, then resubmit this job
-                self._rebuild(generation,
-                              f"{type(exc).__name__}: {exc}")
-                if job.attempts <= self.retries + 1:
-                    continue
-                return await self._serial(job)
-            except Exception as exc:
-                error = f"{type(exc).__name__}: {exc}"
-                if job.attempts <= self.retries:
-                    resilience().inc(RETRIES)
-                    telemetry.emit("retry", run=job.run_id,
-                                   span=job.attempts + 1, error=error)
-                    await asyncio.sleep(self.backoff * job.attempts)
-                    continue
-                return await self._serial(job)
-
-    async def _serial(self, job):
-        """Last resort before quarantine: execute on a plain thread
-        (never on the event loop — a simulation would stall every
-        other connection)."""
-        job.attempts += 1
         return await self._loop.run_in_executor(
-            None, execute_spec, job.spec, job.run_id, job.attempts)
-
-    def _rebuild(self, generation, error, abandon=False):
-        """Replace the pool, at most once per failure generation — when
-        a dying worker breaks N in-flight futures, N tasks race here
-        and only the first rebuilds (the rest resubmit onto its new
-        pool)."""
-        if generation != self._generation or self._closed:
-            return
-        self._generation += 1
-        old = self._pool
-        self._pool = self._build_pool()
-        if abandon:
-            abandon_pool(old)
-        else:
-            try:
-                old.shutdown(wait=False, cancel_futures=True)
-            except Exception:
-                pass
-        requeued = max(self._active, 1)
-        resilience().inc(REQUEUED, requeued)
-        telemetry.emit("requeue", count=requeued, error=str(error))
-
-    def _quarantine(self, job, exc):
-        resilience().inc(QUARANTINED)
-        error = f"{type(exc).__name__}: {exc}"
-        telemetry.emit("quarantine", run=job.run_id,
-                       span=job.attempts, error=error)
-        return job.spec.failure_record("quarantined", error, "infra")
+            None, self.cache.remote_probe, job.key)
 
     # ----------------------------------------------------------- stats
-
-    @staticmethod
-    def _status(record):
-        status = getattr(record, "status", None)
-        if status is None and isinstance(record, dict):
-            status = record.get("status")
-        return str(status) if status is not None else "ok"
 
     def snapshot(self):
         """Flat counters for the ``/metrics`` exposition."""
@@ -404,12 +257,13 @@ class JobScheduler:
             "service.executions": self.executions,
             "service.dedup.shared": self.dedup_shared,
             "service.cache.immediate": self.cache_immediate,
-            "service.cache.stale_skips": self.cache_stale,
+            "service.cache.stale_skips":
+                self.cache.stale_skips if self.cache is not None else 0,
             "service.rejected.rate": self.rejected_rate,
             "service.rejected.depth": self.rejected_depth,
             "service.completed": self.completed,
             "service.failed": self.failed,
             "service.queue.depth": len(self._queue),
             "service.active": self._active,
-            "service.pool.generation": self._generation,
+            "service.pool.generation": self.executor.generation,
         }

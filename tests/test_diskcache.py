@@ -599,3 +599,42 @@ class TestSharding:
         assert cache.stats()["entries"] == 2
         assert cache.get(keys[0]) is None
         assert cache.get(keys[-1]) is not None
+
+
+# =====================================================================
+# the ok-only rule and the remote read-through write path
+# =====================================================================
+
+class TestOkOnlyStore:
+    def test_put_refuses_non_ok_records(self, tmp_path):
+        cache = DiskCache(tmp_path)
+        for status in ("timed_out", "hang", "error", "timeout",
+                       "quarantined"):
+            assert cache.put("a" * 64, make_record(status=status)) \
+                is False
+        assert cache.stats()["writes"] == 0
+        assert cache.stats()["entries"] == 0
+
+    def test_peer_fed_cache_respects_its_lru_bound(self, tmp_path):
+        """A remote read-through write is a write: it is counted and
+        it evicts down to ``max_entries`` like a ``put``."""
+        from repro.obs import telemetry
+        from repro.service import serve_in_thread
+
+        peer = DiskCache(tmp_path / "peer")
+        keys = [c * 64 for c in "abc"]
+        for i, key in enumerate(keys):
+            assert peer.put(key, make_record(cycles=i))
+        handle = serve_in_thread(workers=1, inline=True, cache=peer,
+                                 telemetry_path=tmp_path / "t.jsonl")
+        try:
+            local = DiskCache(tmp_path / "local", max_entries=2,
+                              remote=handle.url)
+            for key in keys:
+                assert local.get(key) is not None
+        finally:
+            handle.close()
+            telemetry.reset()
+        assert local.remote_hits == 3
+        assert local.writes == 3
+        assert local.stats()["entries"] == 2

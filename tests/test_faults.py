@@ -354,12 +354,12 @@ class TestRunCache:
         assert "speedup" not in out
 
     def test_lru_bound(self, monkeypatch):
-        from repro.harness import runner
-        monkeypatch.setattr(runner, "CACHE_MAX_ENTRIES", 2)
+        from repro.harness import diskcache
+        monkeypatch.setattr(diskcache.memory, "max_entries", 2)
         a = run_diag("nn", config="F4C2", scale=0.2)
         run_diag("nn", config="F4C2", scale=0.21)
         run_diag("nn", config="F4C2", scale=0.22)
-        assert len(runner._CACHE) == 2
+        assert len(diskcache.memory) == 2
         # the oldest entry was evicted, so this is a fresh run
         assert run_diag("nn", config="F4C2", scale=0.2) is not a
 

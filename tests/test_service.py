@@ -358,8 +358,23 @@ class TestDedupAndCache:
             handle.close()
 
 
+def plant_raw_entry(cache, key, record):
+    """Write ``record`` under ``key`` as a well-formed entry file,
+    bypassing ``DiskCache.put`` the way an old writer or a poisoned
+    peer would."""
+    import dataclasses
+    import hashlib
+
+    doc = json.loads(diskcache._canonical(dataclasses.asdict(record)))
+    sha = hashlib.sha256(diskcache._canonical(doc).encode()).hexdigest()
+    path = cache._path(key)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps({"schema": diskcache.CACHE_SCHEMA,
+                                "key": key, "sha": sha, "record": doc}))
+
+
 class TestFailureRecordInvariant:
-    """runner.py's cache invariant holds through the service: failure
+    """The cache's ok-only rule holds through the service: failure
     records are never written under a spec's content-hash key, and a
     persisted failure (old writer, poisoned peer) is never served."""
 
@@ -373,7 +388,7 @@ class TestFailureRecordInvariant:
             cache = diskcache.DiskCache(tmp_path / "poisoned")
             spec = RunSpec.from_dict(SPEC)
             key = spec_key(spec)
-            assert cache.put(key, spec.failure_record(
+            plant_raw_entry(cache, key, spec.failure_record(
                 "timeout", "exceeded watchdog", "hang"))
             sched = JobScheduler(workers=1, cache=cache)
             sched._loop = asyncio.get_running_loop()
@@ -382,7 +397,7 @@ class TestFailureRecordInvariant:
             # a fresh attempt, not the stale failure "cached" forever
             assert outcome == "scheduled"
             assert sched.cache_immediate == 0
-            assert sched.cache_stale == 1
+            assert cache.stale_skips == 1
             assert "service.cache.stale_skips" in sched.snapshot()
 
         asyncio.run(main())
@@ -397,12 +412,12 @@ class TestFailureRecordInvariant:
             try:
                 # every execution "times out" (transient infra, not a
                 # property of the spec)
-                async def fake_execute(job):
-                    job.attempts += 1
-                    return job.spec.failure_record(
+                def fake_run(ticket):
+                    ticket.attempts += 1
+                    return ticket.spec.failure_record(
                         "timeout", "synthetic watchdog", "hang")
 
-                sched._execute = fake_execute
+                sched.executor.run = fake_run
                 job, outcome = sched.submit(SPEC, tenant="t")
                 assert outcome == "scheduled"
                 record = await asyncio.wait_for(job.future, 30)
@@ -556,8 +571,8 @@ class TestWorkerLoss:
             deadline = time.monotonic() + 30
             killed = False
             while time.monotonic() < deadline and not killed:
-                procs = list((getattr(scheduler._pool, "_processes",
-                                      None) or {}).values())
+                procs = list((getattr(scheduler.executor.pool,
+                                      "_processes", None) or {}).values())
                 if procs:
                     os.kill(procs[0].pid, signal.SIGKILL)
                     killed = True
@@ -569,7 +584,7 @@ class TestWorkerLoss:
             # no 500, no exception: a clean streamed result
             assert out.result is not None
             assert out.status == "ok"
-            assert scheduler._generation >= 1
+            assert scheduler.executor.generation >= 1
             events = telemetry.read_events(handle.service.bus.path)
             assert any(e["ev"] == "requeue" for e in events)
         finally:

@@ -11,6 +11,8 @@ regression gate over ``benchmarks/history.jsonl``.
 """
 
 import json
+import multiprocessing
+import threading
 import urllib.request
 from dataclasses import dataclass
 
@@ -137,6 +139,39 @@ class TestBus:
         bus = telemetry.TelemetryBus(tmp_path)  # a directory
         assert bus.emit("started") is False
         assert bus.dropped == 1 and bus.emitted == 0
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="needs the fork start method")
+    def test_fork_waits_out_a_write_in_another_thread(self, tmp_path):
+        """A process forked while another thread holds the bus lock (a
+        pool built off the service's event-loop thread) must not
+        inherit the held lock: its first emit would hang forever."""
+        bus = telemetry.configure(path=tmp_path / "t.jsonl")
+        held, release = threading.Event(), threading.Event()
+
+        def writer():
+            with bus._lock:      # a write in progress
+                held.set()
+                release.wait(10)
+
+        thread = threading.Thread(target=writer)
+        thread.start()
+        assert held.wait(10)
+        threading.Timer(0.2, release.set).start()
+        child = multiprocessing.get_context("fork").Process(
+            target=telemetry.emit, args=("started",),
+            kwargs={"run": "child"})
+        child.start()
+        child.join(5)
+        hung = child.is_alive()
+        if hung:
+            child.kill()
+            child.join()
+        release.set()
+        thread.join()
+        assert not hung and child.exitcode == 0
+        assert [ev["run"] for ev in read_events(bus.path)] == ["child"]
 
 
 # ---------------------------------------------------------------------

@@ -91,8 +91,8 @@ def chaos_monkey(scheduler, stop, kills):
     stop (the service-smoke job's fault injector)."""
     rng = random.Random(1234)
     while not stop.wait(0.15):
-        procs = [p for p in (getattr(scheduler._pool, "_processes",
-                                     None) or {}).values()
+        procs = [p for p in (getattr(scheduler.executor.pool,
+                                     "_processes", None) or {}).values()
                  if p.is_alive()]
         if procs:
             try:
