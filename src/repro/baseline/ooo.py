@@ -138,8 +138,8 @@ class OoOResult:
 
 
 class _RobEntry:
-    __slots__ = ("seq", "instr", "addr", "state", "sources", "value",
-                 "result", "done_cycle", "predicted_taken",
+    __slots__ = ("seq", "instr", "facts", "addr", "state", "sources",
+                 "value", "result", "done_cycle", "predicted_taken",
                  "predicted_target", "pending_producers", "waiters",
                  "ready_time", "dispatch_cycle", "store_drained",
                  "simt_region", "simt_latched", "store_addr")
@@ -153,6 +153,7 @@ class _RobEntry:
     def __init__(self, seq, instr, addr, dispatch_cycle):
         self.seq = seq
         self.instr = instr
+        self.facts = instr.facts
         self.addr = addr
         self.state = self.WAITING
         self.sources = []
@@ -173,6 +174,17 @@ class _RobEntry:
     @property
     def executed(self):
         return self.state == self.DONE
+
+    def __getstate__(self):
+        # ``facts`` is re-bound from ``instr`` on restore, as for the
+        # ring's PEEntry
+        return {name: getattr(self, name) for name in self.__slots__
+                if name != "facts"}
+
+    def __setstate__(self, state):
+        for name, value in state.items():
+            setattr(self, name, value)
+        self.facts = self.instr.facts
 
 
 class OoOCore:
@@ -563,7 +575,7 @@ class OoOCore:
             entry.predicted_target = None
             self._fetch_blocked = entry
             return pc  # unused while blocked
-        if instr.is_branch:
+        if entry.facts.is_branch:
             self.stats.branches += 1
             target = (pc + instr.imm) & MASK32
             take = self.predictor.predict(pc)
@@ -601,9 +613,11 @@ class OoOCore:
         return None
 
     def _resolve_sources(self, entry, ready_at):
-        for regfile, index in entry.instr.sources:
-            producer = self.lane_tail.get((regfile, index))
-            entry.sources.append((regfile, index, producer))
+        sources = entry.sources
+        lane_tail = self.lane_tail
+        for lane in entry.facts.sources:
+            producer = lane_tail.get(lane)
+            sources.append((lane[0], lane[1], producer))
             self.stats.regfile_reads += 1
             if producer is not None and not producer.executed:
                 entry.pending_producers += 1
@@ -619,18 +633,15 @@ class OoOCore:
                 simt_s.waiters.append(entry)
 
     def _register_dest(self, entry):
-        instr = entry.instr
-        dest = instr.dest
-        if instr.mnemonic == "simt_e":
-            dest = ("x", instr.rs1)
-        if dest is not None:
-            self.lane_tail[dest] = entry
-        if instr.is_store:
+        facts = entry.facts
+        if facts.lane is not None:
+            self.lane_tail[facts.lane] = entry
+        if facts.is_store:
             self.pending_stores.append(entry)
             self.stats.stores += 1
-        elif instr.is_load:
+        elif facts.is_load:
             self.stats.loads += 1
-        if instr.is_fp:
+        if facts.is_fp:
             self.stats.fp_ops += 1
 
     def _push_ready(self, entry):
@@ -655,7 +666,7 @@ class OoOCore:
             __, __, entry = heapq.heappop(self._ready_heap)
             if entry.state not in (_RobEntry.WAITING, _RobEntry.READY):
                 continue
-            fu = _FU_POOL_OF[entry.instr.fu_class]
+            fu = _FU_POOL_OF[entry.facts.fu_class]
             if pool[fu] <= 0:
                 deferred.append(entry)
                 continue
@@ -694,7 +705,7 @@ class OoOCore:
         consumed: only as many links exist as non-None slots."""
         resolved = iter(entry.sources)
         values = []
-        for slot in entry.instr.source_slots:
+        for slot in entry.facts.source_slots:
             if slot is None:
                 values.append(0)
                 continue
@@ -709,12 +720,13 @@ class OoOCore:
     def _start(self, entry):
         """Begin execution; returns False if the load must re-try."""
         instr = entry.instr
+        facts = entry.facts
         values = self._source_values(entry)
         rs1 = values[0] if values else 0
         rs2 = values[1] if len(values) > 1 else 0
         rs3 = values[2] if len(values) > 2 else 0
         mnem = instr.mnemonic
-        latency = instr.latency
+        latency = facts.latency
 
         if mnem == "simt_s":
             entry.simt_latched = (rs1, rs2)
@@ -723,12 +735,12 @@ class OoOCore:
             self._exec_simt_e(entry, rs1)
         elif mnem.startswith("csr"):
             entry.value = self._csr_read(instr.csr)
-        elif instr.is_load:
+        elif facts.is_load:
             outcome = self._exec_load(entry, instr, rs1)
             if outcome is None:
                 return False
             latency = outcome
-        elif instr.is_store:
+        elif facts.is_store:
             entry.result = compute(instr, entry.addr, rs1, rs2)
             latency = 1
         else:
@@ -739,9 +751,9 @@ class OoOCore:
                 entry.value = self.fault_hook.value("rob", entry.value)
         entry.state = _RobEntry.EXECUTING
         entry.done_cycle = self.cycle + max(1, latency)
-        if not instr.is_mem:
+        if not facts.is_mem:
             self.stats.fu_cycles += max(1, latency)
-            if instr.is_fp:
+            if facts.is_fp:
                 self.stats.fpu_cycles += max(1, latency)
         if self.tracer is not None:
             self.tracer.complete(mnem, self.cycle,
@@ -857,7 +869,7 @@ class OoOCore:
                 self.cycle + self.config.mispredict_penalty
             self.stats.taken_branches += 1
             return
-        if not (instr.is_control or instr.mnemonic == "simt_e"):
+        if not (entry.facts.is_control or instr.mnemonic == "simt_e"):
             return
         result = entry.result
         actual_taken = result.taken
@@ -865,7 +877,7 @@ class OoOCore:
             else (entry.addr + 4) & MASK32
         predicted_target = entry.predicted_target if entry.predicted_taken \
             else (entry.addr + 4) & MASK32
-        if instr.is_branch:
+        if entry.facts.is_branch:
             self.predictor.update(entry.addr, actual_taken)
         if actual_taken:
             self.stats.taken_branches += 1
@@ -897,11 +909,9 @@ class OoOCore:
         for e in self.rob:
             if e.state == _RobEntry.SQUASHED:
                 continue
-            dest = e.instr.dest
-            if e.instr.mnemonic == "simt_e":
-                dest = ("x", e.instr.rs1)
-            if dest is not None:
-                self.lane_tail[dest] = e
+            lane = e.facts.lane
+            if lane is not None:
+                self.lane_tail[lane] = e
         self._active_simt_s = {
             addr: ent for addr, ent in self._active_simt_s.items()
             if ent.state != _RobEntry.SQUASHED}
@@ -973,7 +983,7 @@ class OoOCore:
                 return StallReason.STRUCTURAL
             visited.add(id(entry))
             if entry.state == _RobEntry.EXECUTING:
-                return StallReason.MEMORY if entry.instr.is_mem else None
+                return StallReason.MEMORY if entry.facts.is_mem else None
             if entry.state == _RobEntry.DONE:
                 return None  # retires next cycle; not a stall source
             if entry in self._blocked_loads:
@@ -998,7 +1008,8 @@ class OoOCore:
         elif instr.mnemonic == "ecall":
             self.halted = True
             self.halt_reason = "ecall"
-        if instr.is_store and not entry.store_drained:
+        facts = entry.facts
+        if facts.is_store and not entry.store_drained:
             result = entry.result
             self.hierarchy.memory.store(result.mem_addr,
                                         result.store_value,
@@ -1008,15 +1019,13 @@ class OoOCore:
             entry.store_drained = True
             if entry in self.pending_stores:
                 self.pending_stores.remove(entry)
-        dest = instr.dest
-        if instr.mnemonic == "simt_e":
-            dest = ("x", instr.rs1)
-        if dest is not None and entry.value is not None:
+        lane = facts.lane
+        if lane is not None and entry.value is not None:
             if self.fault_hook is not None:
                 entry.value = self.fault_hook.value("regfile", entry.value)
-            self.arch.write(dest[0], dest[1], entry.value)
-            if self.lane_tail.get(dest) is entry:
-                del self.lane_tail[dest]
+            self.arch.write(lane[0], lane[1], entry.value)
+            if self.lane_tail.get(lane) is entry:
+                del self.lane_tail[lane]
 
 
 def run_ooo(program, config=None, max_cycles=None):

@@ -23,7 +23,7 @@ class Activation:
     """
 
     __slots__ = ("seq", "cluster", "arm_cycle", "ready_cycle", "entries",
-                 "entry_pc", "_drained")
+                 "entry_pc", "_scan")
 
     def __init__(self, seq, cluster, arm_cycle, ready_cycle, entry_pc):
         self.seq = seq
@@ -32,22 +32,29 @@ class Activation:
         self.ready_cycle = ready_cycle  # decoded; PEs may begin
         self.entry_pc = entry_pc
         self.entries = []
-        self._drained = False
+        #: entries[:_scan] are known finished
+        self._scan = 0
 
     @property
     def drained(self):
-        # PEEntry finished-states are absorbing, so a full activation
-        # that has drained once stays drained — memoize that verdict
-        # (busy checks in dispatch/arm scans hit this every cycle). An
-        # empty activation (mid-arm) reports drained without latching:
-        # its entries are still to come.
-        if self._drained:
-            return True
+        # Finished states are absorbing, so the scan only moves forward
+        # and each entry is passed once per activation: busy checks in
+        # dispatch/arm scans hit this every cycle. An empty activation
+        # (mid-arm) reports drained; entries appended later are scanned
+        # when they come.
         entries = self.entries
-        if entries and all(e.is_finished for e in entries):
-            self._drained = True
-            return True
-        return not entries
+        scan = self._scan
+        end = len(entries)
+        while scan < end and entries[scan].is_finished:
+            scan += 1
+        self._scan = scan
+        return scan == end
+
+
+def _plan(base_addr, instrs):
+    return tuple((base_addr + 4 * i, instr,
+                  instr.facts if instr is not None else None)
+                 for i, instr in enumerate(instrs))
 
 
 class Cluster:
@@ -56,7 +63,9 @@ class Cluster:
     def __init__(self, slot, base_addr, instrs, hierarchy, config):
         self.slot = slot               # physical position in the ring
         self.base_addr = base_addr     # line-aligned
-        self.instrs = instrs           # list of decoded Instruction/None
+        #: per PE slot, decoded once while the line is resident:
+        #: (addr, Instruction or None, its Facts or None)
+        self.plan = _plan(base_addr, instrs)
         self.lsu = LoadStoreUnit(
             hierarchy,
             line_bytes=config.line_bytes,
@@ -67,10 +76,23 @@ class Cluster:
         self.active_activation = None
         self.last_used_cycle = 0
         self.activation_count = 0
+        #: memory line of the last store drained through this cluster's
+        #: write path (same-line drains coalesce)
+        self.last_drain_line = None
+
+    def __getstate__(self):
+        # the plan's facts are re-bound on restore (see PEEntry)
+        state = dict(self.__dict__)
+        state["plan"] = [instr for __, instr, __ in self.plan]
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self.plan = _plan(self.base_addr, self.plan)
 
     @property
     def end_addr(self):
-        return self.base_addr + 4 * len(self.instrs)
+        return self.base_addr + 4 * len(self.plan)
 
     def contains(self, addr):
         return self.base_addr <= addr < self.end_addr

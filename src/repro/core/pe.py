@@ -19,11 +19,17 @@ class PEState(enum.Enum):
     RETIRED = "retired"      # PC lane swept past; stores drained
 
 
+_WAITING = PEState.WAITING
+_EXECUTING = PEState.EXECUTING
+_DONE = PEState.DONE
+_RETIRED = PEState.RETIRED
+
+
 class PEEntry:
     """One in-flight instruction instance in the window."""
 
     __slots__ = (
-        "seq", "instr", "addr", "activation", "pe_index", "state",
+        "seq", "instr", "facts", "addr", "activation", "pe_index", "state",
         "sources", "value", "result", "start_cycle", "done_cycle",
         "predicted_taken", "predicted_target", "waiting_on_memory",
         "simt_region", "simt_latched", "store_drained",
@@ -31,9 +37,11 @@ class PEEntry:
         "store_addr",
     )
 
-    def __init__(self, seq, instr, addr, activation, pe_index):
+    def __init__(self, seq, instr, facts, addr, activation, pe_index):
         self.seq = seq
         self.instr = instr
+        #: ``instr.facts`` (None for an undecodable slot)
+        self.facts = facts
         self.addr = addr
         self.activation = activation
         self.pe_index = pe_index
@@ -62,6 +70,18 @@ class PEEntry:
         #: is available, before the store's data arrives
         self.store_addr = None
 
+    def __getstate__(self):
+        # ``facts`` is re-bound from ``instr`` on restore: Facts objects
+        # are shared through a bounded table, and pickling them would
+        # make checkpoint bytes depend on that table's history
+        return {name: getattr(self, name) for name in self.__slots__
+                if name != "facts"}
+
+    def __setstate__(self, state):
+        for name, value in state.items():
+            setattr(self, name, value)
+        self.facts = self.instr.facts if self.instr is not None else None
+
     def apply_fault(self, injector, site):
         """Route this entry's value through a fault-injection hook.
 
@@ -76,14 +96,19 @@ class PEEntry:
     def position(self):
         return (self.activation.seq, self.pe_index)
 
+    # Identity tests against module-level members: hashing an Enum
+    # member runs Python code, so set membership would cost more than
+    # the drain scans these serve.
+
     @property
     def is_finished(self):
-        return self.state in (PEState.DONE, PEState.DISABLED,
-                              PEState.SQUASHED, PEState.RETIRED)
+        state = self.state
+        return state is not _WAITING and state is not _EXECUTING
 
     @property
     def executed(self):
-        return self.state in (PEState.DONE, PEState.RETIRED)
+        state = self.state
+        return state is _DONE or state is _RETIRED
 
     def __repr__(self):  # pragma: no cover - debug aid
         return (f"<PE #{self.seq} {self.instr.mnemonic}@{self.addr:#x} "

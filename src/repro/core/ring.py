@@ -31,7 +31,7 @@ from repro.core.pe import PEEntry, PEState
 from repro.core.simt import SimtExecutor, analyze_simt_regions
 from repro.core.stats import RingStats, StallReason
 from repro.core.watchdog import ProgressWatchdog
-from repro.iss.semantics import compute, finish_load
+from repro.iss.semantics import ExecResult, compute, finish_load
 from repro.memory.lsu import resolve_store_access
 from repro.isa.decoder import DecodeError, decode
 
@@ -388,7 +388,7 @@ class RingEngine:
         for __, __, entry in self._executing:
             if entry.state is PEState.EXECUTING:
                 executing += 1
-                if entry.instr.is_fp:
+                if entry.facts.is_fp:
                     fp += 1
         self.stats.pe_active_cycles += executing * span
         self.stats.fpu_active_cycles += fp * span
@@ -561,40 +561,37 @@ class RingEngine:
                                 args={"pc": entry_pc,
                                       "slot": cluster.slot})
         path_pc = entry_pc
-        stop_after = None
-        for pe_index, instr in enumerate(cluster.instrs):
-            addr = cluster.base_addr + 4 * pe_index
-            entry = PEEntry(next(self._entry_seq), instr, addr,
+        entries = activation.entries
+        window = self.window
+        entry_seq = self._entry_seq
+        for pe_index, (addr, instr, facts) in enumerate(cluster.plan):
+            entry = PEEntry(next(entry_seq), instr, facts, addr,
                             activation, pe_index)
-            activation.entries.append(entry)
-            disabled = (instr is None or addr != path_pc
-                        or stop_after is not None)
-            if disabled:
+            entries.append(entry)
+            window.append(entry)
+            if instr is None or addr != path_pc:
                 entry.state = PEState.DISABLED
-                self.window.append(entry)
                 self.stats.disabled_slots += 1
                 continue
-            self.window.append(entry)
-            path_pc, stop_after = self._wire_entry(entry, path_pc)
-            if stop_after == "halt-dispatch":
-                break
-        if stop_after is None or stop_after != "halt-dispatch":
-            if self._waiting_redirect is None and self.next_fetch_pc is None:
-                self.next_fetch_pc = path_pc
+            path_pc, halt_dispatch = self._wire_entry(entry, path_pc)
+            if halt_dispatch:
+                return
+        if self._waiting_redirect is None and self.next_fetch_pc is None:
+            self.next_fetch_pc = path_pc
 
     def _wire_entry(self, entry, path_pc):
         """Resolve lane producers + predict the path after this entry.
 
-        Returns (next_path_pc, stop_marker)."""
+        Returns (next_path_pc, halt_dispatch)."""
         instr = entry.instr
         self._resolve_sources(entry)
         self._register_dest(entry)
         next_pc = (path_pc + 4) & MASK32
-        stop = None
+        stop = False
 
         if instr.mnemonic in ("ebreak", "ecall"):
             self.next_fetch_pc = None
-            stop = "halt-dispatch"
+            stop = True
         elif instr.mnemonic == "jal":
             entry.predicted_taken = True
             entry.predicted_target = (entry.addr + instr.imm) & MASK32
@@ -616,8 +613,8 @@ class RingEngine:
                 entry.predicted_target = None
                 self._waiting_redirect = entry
                 self.next_fetch_pc = None
-                stop = "halt-dispatch"
-        elif instr.is_branch:
+                stop = True
+        elif entry.facts.is_branch:
             self.stats.branches += 1
             target = (entry.addr + instr.imm) & MASK32
             backward = instr.imm < 0
@@ -640,7 +637,7 @@ class RingEngine:
                 # over once this entry reaches the window head.
                 self._simt_pending_entry = entry
                 self.next_fetch_pc = None
-                stop = "halt-dispatch"
+                stop = True
         elif instr.mnemonic == "simt_e":
             region = self.simt_regions.get(entry.addr)
             start_addr = region.start_addr if region is not None else None
@@ -665,9 +662,11 @@ class RingEngine:
         return next_pc, stop
 
     def _resolve_sources(self, entry):
-        for regfile, index in entry.instr.sources:
-            producer = self.lane_tail.get((regfile, index))
-            entry.sources.append((regfile, index, producer))
+        sources = entry.sources
+        lane_tail = self.lane_tail
+        for lane in entry.facts.sources:
+            producer = lane_tail.get(lane)
+            sources.append((lane[0], lane[1], producer))
             if producer is not None and not producer.executed:
                 entry.pending_producers += 1
                 producer.waiters.append(entry)
@@ -676,16 +675,13 @@ class RingEngine:
                     entry.ready_time, self._value_arrival(producer, entry))
 
     def _register_dest(self, entry):
-        instr = entry.instr
-        dest = instr.dest
-        if instr.mnemonic == "simt_e":
-            dest = ("x", instr.rs1)  # simt_e steps the control register
-        if dest is not None:
-            self.lane_tail[dest] = entry
-        if instr.is_store:
+        facts = entry.facts
+        if facts.lane is not None:
+            self.lane_tail[facts.lane] = entry
+        if facts.is_store:
             self.pending_stores.append(entry)
             self.stats.stores += 1
-        elif instr.is_load:
+        elif facts.is_load:
             self.stats.loads += 1
 
     def _value_arrival(self, producer, consumer):
@@ -747,7 +743,7 @@ class RingEngine:
         consumed: only as many links exist as non-None slots."""
         resolved = iter(entry.sources)
         values = []
-        for slot in entry.instr.source_slots:
+        for slot in entry.facts.source_slots:
             if slot is None:
                 values.append(0)
                 continue
@@ -765,8 +761,7 @@ class RingEngine:
 
     def _try_start(self, entry):
         """Operands are lane-valid; attempt to begin execution."""
-        instr = entry.instr
-        if instr.is_mem:
+        if entry.facts.is_mem:
             self._start_memory(entry)
             return
         self._start_compute(entry)
@@ -778,7 +773,7 @@ class RingEngine:
         rs2 = values[1] if len(values) > 1 else 0
         rs3 = values[2] if len(values) > 2 else 0
         mnem = instr.mnemonic
-        latency = instr.latency
+        latency = entry.facts.latency
 
         if mnem == "simt_s":
             entry.simt_latched = (rs1, rs2)  # (step, end) at spawn time
@@ -822,7 +817,6 @@ class RingEngine:
         more = (next_rc < end_s) if step_s > 0 else \
                (next_rc > end_s) if step_s < 0 else False
         entry.value = next_rc & MASK32 if more else rc_value
-        from repro.iss.semantics import ExecResult
         entry.result = ExecResult(
             taken=more,
             target=entry.predicted_target
@@ -898,7 +892,7 @@ class RingEngine:
         rs2 = values[1] if len(values) > 1 else 0
         result = compute(instr, entry.addr, rs1, rs2)
         entry.result = result
-        if instr.is_store:
+        if entry.facts.is_store:
             self._start_store(entry)
             return
         self._start_load(entry)
@@ -1028,7 +1022,7 @@ class RingEngine:
         result = entry.result
         if result is None:
             return
-        if instr.is_control or instr.mnemonic == "simt_e":
+        if entry.facts.is_control or instr.mnemonic == "simt_e":
             actual_taken = result.taken
             actual_target = result.target if actual_taken \
                 else (entry.addr + 4) & MASK32
@@ -1069,11 +1063,9 @@ class RingEngine:
         for e in self.window:
             if e.state is PEState.SQUASHED or e.state is PEState.DISABLED:
                 continue
-            dest = e.instr.dest
-            if e.instr.mnemonic == "simt_e":
-                dest = ("x", e.instr.rs1)
-            if dest is not None:
-                self.lane_tail[dest] = e
+            lane = e.facts.lane
+            if lane is not None:
+                self.lane_tail[lane] = e
         self._active_simt_s = {
             addr: ent for addr, ent in self._active_simt_s.items()
             if ent.state is not PEState.SQUASHED}
@@ -1091,7 +1083,7 @@ class RingEngine:
 
     def _retire(self):
         # Apply any pending post-flush redirect.
-        redirect_at = getattr(self, "_redirect_at", None)
+        redirect_at = self._redirect_at
         if redirect_at is not None and self.cycle >= redirect_at:
             self.next_fetch_pc = self._redirect_pc
             self._redirect_at = None
@@ -1157,7 +1149,8 @@ class RingEngine:
         elif instr.mnemonic == "ecall":
             self.halted = True
             self.halt_reason = "ecall"
-        if instr.is_store and not entry.store_drained:
+        facts = entry.facts
+        if facts.is_store and not entry.store_drained:
             result = entry.result
             self.hierarchy.memory.store(result.mem_addr, result.store_value,
                                         result.mem_size)
@@ -1166,22 +1159,20 @@ class RingEngine:
             # L1D transaction (timing state + stats, non-blocking).
             cluster = entry.activation.cluster
             line = result.mem_addr // self.config.line_bytes
-            if getattr(cluster, "_last_drain_line", None) != line:
+            if cluster.last_drain_line != line:
                 self.hierarchy.data_access_latency(result.mem_addr,
                                                    self.cycle,
                                                    is_write=True)
-                cluster._last_drain_line = line
+                cluster.last_drain_line = line
             entry.store_drained = True
             if entry in self.pending_stores:
                 self.pending_stores.remove(entry)
-        dest = instr.dest
-        if instr.mnemonic == "simt_e":
-            dest = ("x", instr.rs1)
-        if dest is not None and entry.value is not None:
+        lane = facts.lane
+        if lane is not None and entry.value is not None:
             entry.apply_fault(self.fault_hook, "lane")
-            self.arch.write(dest[0], dest[1], entry.value)
-            if self.lane_tail.get(dest) is entry:
-                del self.lane_tail[dest]
+            self.arch.write(lane[0], lane[1], entry.value)
+            if self.lane_tail.get(lane) is entry:
+                del self.lane_tail[lane]
         if instr.mnemonic == "simt_s":
             region = self.simt_regions.get(entry.addr)
             if (entry is self._simt_pending_entry and region is not None
@@ -1258,7 +1249,7 @@ class RingEngine:
             return self._arm_stall_reason or StallReason.STRUCTURAL
         head = self.window[0]
         if head.state is PEState.EXECUTING:
-            if head.instr.is_mem:
+            if head.facts.is_mem:
                 return StallReason.MEMORY
             return None  # useful computation, not a stall
         if head.state is PEState.WAITING:
@@ -1282,7 +1273,7 @@ class RingEngine:
             if entry.waiting_on_memory or entry.blocked_on is not None:
                 return StallReason.MEMORY
             if entry.state is PEState.EXECUTING:
-                if entry.instr.is_mem:
+                if entry.facts.is_mem:
                     return StallReason.MEMORY
                 return None
             for __, __, producer in entry.sources:
@@ -1303,7 +1294,7 @@ class RingEngine:
         for __, __, entry in self._executing:
             if entry.state is PEState.EXECUTING:
                 executing += 1
-                if entry.instr.is_fp:
+                if entry.facts.is_fp:
                     fp += 1
         self.stats.pe_active_cycles += executing
         self.stats.fpu_active_cycles += fp

@@ -283,17 +283,17 @@ class SimtExecutor:
             if context.pc != addr:
                 continue  # nullified by the thread's PC lane
             start = enter_cycle
-            for regfile, index in instr.sources:
-                start = max(start, value_time.get((regfile, index),
-                                                  enter_cycle))
+            facts = instr.facts
+            for lane in facts.sources:
+                start = max(start, value_time.get(lane, enter_cycle))
             latency, dest_value, taken_target = self._execute(
                 context, instr, addr, start, lsu_key)
             finish = start + latency
             executed += 1
             pe_cycles += latency
-            if instr.is_fp:
+            if facts.is_fp:
                 fpu_cycles += latency
-            dest = instr.dest
+            dest = facts.dest
             if dest is not None:
                 value_time[dest] = finish + 1  # lane propagation
                 context.write(dest[0], dest[1], dest_value)
@@ -304,10 +304,11 @@ class SimtExecutor:
 
     def _execute(self, context, instr, addr, start, lsu_key=None):
         """Functional + timing execution of one instruction."""
-        # source_slots aligns operands positionally (instr.sources
+        # source_slots aligns operands positionally (facts.sources
         # elides x0 reads; elided slots read the hard-wired zero)
+        facts = instr.facts
         rs1, rs2, rs3 = (context.read(*slot) if slot is not None else 0
-                         for slot in instr.source_slots)
+                         for slot in facts.source_slots)
         result = compute(instr, addr, rs1, rs2, rs3)
         if result.mem_addr is not None:
             if result.store_value is not None:
@@ -333,7 +334,7 @@ class SimtExecutor:
                 self.stats.loads += 1
             return max(1, latency), finish_load(instr, raw), None
         target = result.target if result.taken else None
-        return instr.latency, result.value, target
+        return facts.latency, result.value, target
 
     def _mem_latency(self, addr, start, lsu_key=None, is_write=False):
         """Memory latency seen by a pipelined thread.

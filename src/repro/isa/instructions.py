@@ -9,6 +9,7 @@ latency column reproduces that style of modelling).
 
 import enum
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 class InstrFormat(enum.Enum):
@@ -250,6 +251,67 @@ def mnemonic_info(mnemonic):
     return MNEMONICS[mnemonic.lower()]
 
 
+class Facts(NamedTuple):
+    """The static, timing-relevant facts of one decoded instruction.
+
+    The cycle engines read these on every activation, so an
+    :class:`Instruction` binds them once (:attr:`Instruction.facts`).
+    Every field is immutable: one ``Facts`` may be shared by any number
+    of PE/ROB entries, decode clones and instructions with equal
+    operands."""
+
+    fu_class: FUClass
+    latency: int
+    is_load: bool
+    is_store: bool
+    is_mem: bool
+    is_control: bool
+    is_branch: bool
+    is_fp: bool
+    #: registers read, (regfile, index) pairs with x0 reads elided
+    sources: tuple
+    #: the (rs1, rs2, rs3) slots: a (regfile, index) pair or None
+    source_slots: tuple
+    #: register written, (regfile, index), or None
+    dest: tuple
+    #: register lane committed: ``dest``, or ``("x", rs1)`` for simt_e
+    lane: tuple
+
+
+#: (mnemonic, rd, rs1, rs2, rs3) -> Facts. The facts depend on nothing
+#: else, so instructions with equal operands share one object: decode
+#: clones and repeated operand tuples cost no copy. Every workload in
+#: the registry together has ~450 distinct keys; random torture
+#: programs churn through many more, so the table is bounded and
+#: cleared when full, like the decoder's word cache.
+_FACTS = {}
+_FACTS_MAX = 1 << 12
+
+
+def _derive_facts(instr):
+    info = MNEMONICS[instr.mnemonic]
+    fu = info.fu_class
+    slots = tuple(
+        None if regfile is None or (regfile == "x" and index == 0)
+        else (regfile, index)
+        for regfile, index in ((info.rs1_file, instr.rs1),
+                               (info.rs2_file, instr.rs2),
+                               (info.rs3_file, instr.rs3)))
+    if info.rd_file is None or (info.rd_file == "x" and instr.rd == 0):
+        dest = None
+    else:
+        dest = (info.rd_file, instr.rd)
+    return Facts(
+        fu_class=fu, latency=info.latency,
+        is_load=fu is FUClass.LOAD, is_store=fu is FUClass.STORE,
+        is_mem=fu is FUClass.LOAD or fu is FUClass.STORE,
+        is_control=fu is FUClass.BRANCH or fu is FUClass.JUMP,
+        is_branch=fu is FUClass.BRANCH, is_fp=info.is_fp,
+        sources=tuple(slot for slot in slots if slot is not None),
+        source_slots=slots, dest=dest,
+        lane=("x", instr.rs1) if instr.mnemonic == "simt_e" else dest)
+
+
 @dataclass
 class Instruction:
     """A decoded (or assembled) instruction.
@@ -269,32 +331,47 @@ class Instruction:
     raw: int = None
     label: str = field(default=None, compare=False)
 
+    def __post_init__(self):
+        # Reserve the facts binding among the construction-time
+        # attributes: CPython keeps an instance's attributes inline only
+        # while at most one more is added after __init__, and compute()
+        # adds ``_handler``. A second late attribute would cost every
+        # instruction a full dict (~830 bytes).
+        self._facts = None
+
     @property
     def info(self):
         return MNEMONICS[self.mnemonic]
 
     @property
+    def facts(self):
+        """This instruction's :class:`Facts`, looked up on first use and
+        bound as ``_facts`` (stripped on pickle, like ``_handler``).
+        Instructions are fully built before any engine reads them; a
+        field changed after that would leave the binding stale."""
+        facts = self._facts
+        if facts is None:
+            key = (self.mnemonic, self.rd, self.rs1, self.rs2, self.rs3)
+            facts = _FACTS.get(key)
+            if facts is None:
+                if len(_FACTS) >= _FACTS_MAX:
+                    _FACTS.clear()
+                facts = _FACTS[key] = _derive_facts(self)
+            self._facts = facts
+        return facts
+
+    @property
     def fu_class(self):
-        return self.info.fu_class
+        return self.facts.fu_class
 
     @property
     def latency(self):
-        return self.info.latency
+        return self.facts.latency
 
     @property
     def sources(self):
         """Registers read, as (regfile, index) pairs. x0 reads are elided."""
-        info = self.info
-        out = []
-        if info.rs1_file is not None:
-            if not (info.rs1_file == "x" and self.rs1 == 0):
-                out.append((info.rs1_file, self.rs1))
-        if info.rs2_file is not None:
-            if not (info.rs2_file == "x" and self.rs2 == 0):
-                out.append((info.rs2_file, self.rs2))
-        if info.rs3_file is not None:
-            out.append((info.rs3_file, self.rs3))
-        return out
+        return list(self.facts.sources)
 
     @property
     def source_slots(self):
@@ -308,62 +385,55 @@ class Instruction:
         positions, substituting zero for the elided slots — reading
         ``sources`` positionally as rs1/rs2/rs3 misassigns operands
         whenever rs1 or rs2 is x0 (e.g. ``sub rd, x0, rs``)."""
-        info = self.info
-        slots = []
-        for regfile, index in ((info.rs1_file, self.rs1),
-                               (info.rs2_file, self.rs2),
-                               (info.rs3_file, self.rs3)):
-            if regfile is None or (regfile == "x" and index == 0):
-                slots.append(None)
-            else:
-                slots.append((regfile, index))
-        return slots
+        return list(self.facts.source_slots)
 
     @property
     def dest(self):
         """Register written, as a (regfile, index) pair, or None."""
-        info = self.info
-        if info.rd_file is None:
-            return None
-        if info.rd_file == "x" and self.rd == 0:
-            return None
-        return (info.rd_file, self.rd)
+        return self.facts.dest
+
+    @property
+    def lane(self):
+        """Register lane this instruction's value is committed to, or
+        None: :attr:`dest`, except that ``simt_e`` steps its control
+        register ``rs1``."""
+        return self.facts.lane
 
     @property
     def is_load(self):
-        return self.fu_class is FUClass.LOAD
+        return self.facts.is_load
 
     @property
     def is_store(self):
-        return self.fu_class is FUClass.STORE
+        return self.facts.is_store
 
     @property
     def is_mem(self):
-        return self.fu_class in (FUClass.LOAD, FUClass.STORE)
+        return self.facts.is_mem
 
     @property
     def is_branch(self):
-        return self.fu_class is FUClass.BRANCH
+        return self.facts.is_branch
 
     @property
     def is_jump(self):
-        return self.fu_class is FUClass.JUMP
+        return self.facts.fu_class is FUClass.JUMP
 
     @property
     def is_control(self):
-        return self.fu_class in (FUClass.BRANCH, FUClass.JUMP)
+        return self.facts.is_control
 
     @property
     def is_fp(self):
-        return self.info.is_fp
+        return self.facts.is_fp
 
     @property
     def is_simt(self):
-        return self.fu_class is FUClass.SIMT
+        return self.facts.fu_class is FUClass.SIMT
 
     @property
     def is_system(self):
-        return self.fu_class is FUClass.SYSTEM
+        return self.facts.fu_class is FUClass.SYSTEM
 
     def __getstate__(self):
         # The decoder / compute() bind an execute thunk as ``_handler``;
@@ -373,6 +443,7 @@ class Instruction:
                 if not k.startswith("_")}
 
     def __setstate__(self, state):
+        self._facts = None
         self.__dict__.update(state)
 
     def __str__(self):
