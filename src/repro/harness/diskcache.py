@@ -60,10 +60,12 @@ from pathlib import Path
 
 from repro.obs import telemetry
 
-#: bump when the entry format or RunRecord semantics change; old
-#: entries then simply stop matching and age out via LRU eviction
-#: (2: RunRecord gained ``failure_class``)
-CACHE_SCHEMA = 2
+#: bump when the entry format, RunRecord semantics or key derivation
+#: change; old entries then simply stop matching and age out via LRU
+#: eviction (2: RunRecord gained ``failure_class``; 3: run specs are
+#: canonical before hashing, and ``code_version`` alone would keep a
+#: dirty tree's or a package install's old keys)
+CACHE_SCHEMA = 3
 
 #: default LRU bound on entry files
 MAX_ENTRIES = 4096

@@ -47,6 +47,8 @@ serial-retry deadline ``REPRO_SERIAL_RETRY_TIMEOUT`` (max(watchdog,
 60 s)).
 """
 
+import math
+import numbers
 import os
 import random
 import signal
@@ -57,8 +59,10 @@ from concurrent.futures import TimeoutError as FutureTimeout
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import partial
 
+from repro.core import CONFIG_PRESETS, DiAGConfig
 from repro.obs import deterministic_view, merge_flat
 from repro.obs import telemetry
 from repro.obs.resilience import (
@@ -70,6 +74,7 @@ from repro.obs.resilience import (
     TIMEOUTS,
     resilience,
 )
+from repro.workloads import all_workloads
 
 #: default per-spec wall-clock watchdog (seconds)
 WORKER_TIMEOUT = 900.0
@@ -80,12 +85,55 @@ RETRY_LIMIT = 2
 #: floor on the bounded serial-retry deadline (seconds)
 SERIAL_RETRY_FLOOR = 60.0
 
+#: how often a pool worker without a parent-death signal checks that
+#: the process that forked it is still alive (seconds)
+PARENT_POLL = 0.5
+
+#: prctl(2) option number
+PR_SET_PDEATHSIG = 1
+
+#: the config a spec that names none runs on, per machine: the one
+#: default-config rule
+DEFAULT_CONFIG = {"diag": "F4C32", "ooo": "ooo8"}
+
+_DIAG_KNOBS = frozenset(f.name for f in fields(DiAGConfig))
+
+
+def _positive_int(name, value):
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
+            or value <= 0:
+        raise ValueError(f"{name} must be a positive int, got {value!r}")
+    return int(value)
+
+
+def _overrides(value):
+    """``config_overrides`` in any accepted shape (a mapping, or
+    ``[knob, value]`` pairs in any order) as a validated dict."""
+    pairs = value.items() if isinstance(value, dict) else value
+    try:
+        pairs = [(knob, setting) for knob, setting in pairs]
+    except (TypeError, ValueError):
+        raise ValueError("config_overrides must be a mapping or a list "
+                         "of [knob, value] pairs") from None
+    knobs = [knob for knob, _ in pairs]
+    for knob in knobs:
+        if not isinstance(knob, str) or knob not in _DIAG_KNOBS:
+            raise ValueError(f"unknown config override {knob!r}")
+    if len(set(knobs)) != len(knobs):
+        raise ValueError("config_overrides names a knob twice")
+    return dict(pairs)
+
 
 @dataclass(frozen=True)
 class RunSpec:
     """One picklable run request: everything :func:`repro.harness.
     runner.run_diag` / ``run_baseline`` need to reproduce a run in
-    another process."""
+    another process.
+
+    Construction canonicalizes and validates (docs/SERVICE.md §2):
+    every spelling of one run becomes one spec, hence one
+    :func:`repro.harness.journal.spec_key`, and a spec no machine can
+    run raises ``ValueError`` here rather than inside a worker."""
 
     machine: str                 # 'diag' or 'ooo'
     workload: str
@@ -98,15 +146,55 @@ class RunSpec:
     config_overrides: tuple = ()  # sorted ((knob, value), ...) pairs
 
     def __post_init__(self):
-        if self.machine not in ("diag", "ooo"):
+        set_ = partial(object.__setattr__, self)
+        diag = self.machine == "diag"
+        if not (diag or self.machine == "ooo"):
             raise ValueError(f"unknown machine {self.machine!r}")
-        if isinstance(self.config_overrides, dict):
-            object.__setattr__(
-                self, "config_overrides",
-                tuple(sorted(self.config_overrides.items())))
+        cls = all_workloads().get(self.workload) \
+            if isinstance(self.workload, str) else None
+        if cls is None:
+            raise ValueError(f"unknown workload {self.workload!r}")
+        config = DEFAULT_CONFIG[self.machine] if self.config is None \
+            else self.config
+        if not isinstance(config, str) \
+                or diag and config not in CONFIG_PRESETS \
+                or not diag and config != DEFAULT_CONFIG["ooo"]:
+            raise ValueError(f"unknown {self.machine} config {config!r}")
+        set_("config", config)
+        scale = self.scale
+        if isinstance(scale, bool) or not isinstance(scale, numbers.Real) \
+                or not math.isfinite(scale) or scale <= 0:
+            raise ValueError(f"scale must be a positive finite number, "
+                             f"got {scale!r}")
+        set_("scale", float(scale))
+        threads = _positive_int("threads", self.threads)
+        set_("threads", threads if cls.MT_CAPABLE else 1)
+        if not isinstance(self.simt, bool):
+            raise ValueError(f"simt must be a bool, got {self.simt!r}")
+        set_("simt", self.simt and diag and cls.SIMT_CAPABLE)
+        if self.max_cycles is not None:
+            set_("max_cycles", _positive_int("max_cycles",
+                                             self.max_cycles))
+        overrides = _overrides(self.config_overrides)
+        if not diag and (overrides or self.num_clusters is not None):
+            raise ValueError("the ooo baseline takes no config_overrides "
+                             "or num_clusters")
+        # run_diag applies num_clusters as one more override: fold both
+        # spellings into the field
+        clusters = self.num_clusters
+        if "num_clusters" in overrides:
+            folded = overrides.pop("num_clusters")
+            if clusters is not None and folded != clusters:
+                raise ValueError("num_clusters and config_overrides"
+                                 "['num_clusters'] disagree")
+            clusters = folded
+        if clusters is not None:
+            clusters = _positive_int("num_clusters", clusters)
+        set_("num_clusters", clusters)
+        set_("config_overrides", tuple(sorted(overrides.items())))
 
     @classmethod
-    def diag(cls, workload, config="F4C32", **kwargs):
+    def diag(cls, workload, config=None, **kwargs):
         return cls(machine="diag", workload=workload, config=config,
                    **kwargs)
 
@@ -116,30 +204,20 @@ class RunSpec:
 
     @classmethod
     def from_dict(cls, doc):
-        """Canonicalize a JSON-shaped mapping (a service request body,
-        a saved sweep point) into a RunSpec. Unknown fields raise
+        """A RunSpec from a JSON-shaped mapping (a service request
+        body, a saved sweep point). Unknown fields raise
         ``ValueError`` — a typo'd knob must never silently alias the
         default-config run's cache identity."""
-        import dataclasses
         if not isinstance(doc, dict):
             raise ValueError(f"spec must be an object, got "
                              f"{type(doc).__name__}")
-        known = {f.name for f in dataclasses.fields(cls)}
+        known = {f.name for f in fields(cls)}
         unknown = set(doc) - known
         if unknown:
             raise ValueError(
                 f"unknown spec field(s): {', '.join(sorted(unknown))}")
-        kwargs = dict(doc)
-        overrides = kwargs.get("config_overrides")
-        if isinstance(overrides, list):
-            try:
-                kwargs["config_overrides"] = tuple(
-                    sorted((str(k), v) for k, v in overrides))
-            except (TypeError, ValueError):
-                raise ValueError("config_overrides must be a mapping "
-                                 "or a list of [knob, value] pairs")
         try:
-            return cls(**kwargs)
+            return cls(**doc)
         except TypeError as exc:
             raise ValueError(str(exc))
 
@@ -148,10 +226,8 @@ class RunSpec:
         execute (quarantine, serial-retry timeout) — same protocol any
         ``.execute()``-style spec may implement."""
         from repro.harness.runner import RunRecord
-        config = self.config or ("F4C32" if self.machine == "diag"
-                                 else "ooo8")
         return RunRecord(workload=self.workload, machine=self.machine,
-                         config=config, threads=self.threads,
+                         config=self.config, threads=self.threads,
                          simt=self.simt, status=status, error=error,
                          failure_class=failure_class)
 
@@ -189,7 +265,7 @@ def execute_spec(spec, run_id=None, span=None):
 
         if spec.machine == "diag":
             return run_diag(spec.workload,
-                            config=spec.config or "F4C32",
+                            config=spec.config,
                             scale=spec.scale, threads=spec.threads,
                             simt=spec.simt,
                             num_clusters=spec.num_clusters,
@@ -256,17 +332,58 @@ def _backoff_sleep(attempt):
     time.sleep(delay * (0.5 + random.random() / 2))
 
 
+def _set_pdeathsig():
+    """Ask Linux to SIGKILL this process when its parent thread dies
+    (``prctl(PR_SET_PDEATHSIG)``); False where there is no prctl."""
+    try:
+        import ctypes
+        prctl = ctypes.CDLL(None, use_errno=True).prctl
+    except (OSError, AttributeError):
+        return False
+    prctl.argtypes = [ctypes.c_int] + [ctypes.c_ulong] * 4
+    prctl.restype = ctypes.c_int
+    return prctl(PR_SET_PDEATHSIG, signal.SIGKILL, 0, 0, 0) == 0
+
+
+def _watch_parent(parent):
+    while os.getppid() == parent:
+        time.sleep(PARENT_POLL)
+    os._exit(1)
+
+
+def _die_with_parent(parent, pdeathsig):
+    """Pool-worker initializer: a worker must not outlive the process
+    that forked it. A SIGKILLed owner runs no cleanup, so its workers
+    would otherwise block on the call queue forever.
+
+    The kernel sends the parent-death signal when the *forking
+    thread* exits, so it is armed only for pools forked on the main
+    thread: a service forks from an executor thread that exits at
+    close, and must not take live workers down with it. Everywhere
+    else a daemon thread polls ``getppid()``."""
+    if pdeathsig and _set_pdeathsig():
+        if os.getppid() != parent:   # died before the signal was armed
+            os._exit(1)
+        return
+    threading.Thread(target=_watch_parent, args=(parent,), daemon=True,
+                     name="repro-parent-watch").start()
+
+
 def _pool(max_workers):
     """Prefer fork where the platform offers it (no re-import cost per
     worker; both engines are deterministic so inherited state is just
-    a warm cache), fall back to the platform default otherwise."""
+    a warm cache), fall back to the platform default otherwise. Forked
+    workers die with the process that built the pool."""
     import multiprocessing
 
     try:
         if "fork" in multiprocessing.get_all_start_methods():
+            main = threading.current_thread() is threading.main_thread()
             return ProcessPoolExecutor(
                 max_workers=max_workers,
-                mp_context=multiprocessing.get_context("fork"))
+                mp_context=multiprocessing.get_context("fork"),
+                initializer=_die_with_parent,
+                initargs=(os.getpid(), main))
     except (ValueError, OSError):
         pass
     return ProcessPoolExecutor(max_workers=max_workers)

@@ -175,8 +175,10 @@ def run_diag(workload, config="F4C32", scale=1.0, threads=1, simt=False,
         record.wall_seconds = time.time() - start
         record.failure_class = classify_failure(record.status)
         return record
-    key = ("diag", workload, config, scale, threads, simt, max_cycles,
-           tuple(sorted(overrides.items())), digest)
+    # the run's effective threads/simt: a spec's canonical spelling
+    # and a direct caller's raw one name the same slot
+    key = ("diag", workload, config, scale, use_threads, use_simt,
+           max_cycles, tuple(sorted(overrides.items())), digest)
 
     def factory():
         try:
@@ -264,7 +266,7 @@ def run_baseline(workload, scale=1.0, threads=1, max_cycles=None,
         return record
     # the full config contents, not just its name: a customized
     # OoOConfig must never alias the default's cache slot
-    key = ("ooo", workload, scale, threads, max_cycles,
+    key = ("ooo", workload, scale, use_threads, max_cycles,
            tuple(sorted(asdict(cfg).items())), digest)
 
     def factory():

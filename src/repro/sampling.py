@@ -51,6 +51,7 @@ from repro.core.lanes import ArchLanes
 from repro.core.ring import RingEngine
 from repro.core.watchdog import SimulationHang
 from repro.harness import diskcache
+from repro.harness.parallel import DEFAULT_CONFIG
 from repro.harness.runner import RunRecord, _built, classify_failure
 from repro.iss.simulator import ISS, HaltReason
 from repro.memory.hierarchy import MemoryHierarchy
@@ -406,7 +407,7 @@ def run_sampled(workload, machine="diag", config=None, scale=1.0,
     params = (params or SamplingParams()).validate()
     overrides = dict(config_overrides or {})
     if machine == "diag":
-        cfg = CONFIG_PRESETS[config or "F4C32"]
+        cfg = CONFIG_PRESETS[config or DEFAULT_CONFIG["diag"]]
         if overrides:
             cfg = cfg.with_overrides(**overrides)
     else:
@@ -616,9 +617,8 @@ class SampledSpec:
             config_overrides=dict(self.config_overrides))
 
     def failure_record(self, status, error, failure_class):
-        config = self.config or ("F4C32" if self.machine == "diag"
-                                 else "ooo8")
         return RunRecord(workload=self.workload, machine=self.machine,
-                         config=config, threads=1, simt=self.simt,
+                         config=self.config or DEFAULT_CONFIG[self.machine],
+                         threads=1, simt=self.simt,
                          status=status, error=error,
                          failure_class=failure_class)

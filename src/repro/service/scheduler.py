@@ -4,9 +4,11 @@
 (:mod:`repro.service.app`) and the synchronous harness:
 
 * **Canonicalization** — request bodies become :class:`RunSpec` via
-  ``RunSpec.from_dict`` and are named by :func:`repro.harness.journal.
-  spec_key`, the same content hash the write-ahead journal uses, so a
-  spec posted twice (by one client or two) has one identity.
+  ``RunSpec.from_dict``, which canonicalizes and validates them (a bad
+  spec is a ``ValueError``, a 400, before any admission work), and are
+  named by :func:`repro.harness.journal.spec_key`, the same content
+  hash the write-ahead journal uses, so every spelling of one run,
+  posted by one client or two, has one identity.
 * **Dedup before work** — a key already in flight attaches the new
   request to the existing job (shared asyncio future: duplicate
   concurrent posts cost zero extra executions); a key already in the
@@ -26,8 +28,8 @@
   execution core (:class:`repro.harness.parallel.Executor`, which owns
   a persistent process pool and the docs/RESILIENCE.md §3 degradation
   ladder) via ``loop.run_in_executor``: the event loop never runs a
-  simulation or waits on a worker, and a request can degrade, never
-  500.
+  simulation, waits on a worker or writes the cache, and a request
+  can degrade, never 500.
 
 ``inline=True`` swaps the process pool for a thread pool (no fork
 cost; the degradation ladder still applies minus worker death), which
@@ -215,9 +217,7 @@ class JobScheduler:
             if record is None:
                 self.executions += 1
                 record = await self._loop.run_in_executor(
-                    None, self.executor.run, job.ticket)
-                if self.cache is not None:
-                    self.cache.put(job.key, record)
+                    None, self._execute, job)
             else:
                 telemetry.emit("finished", run=job.run_id, span=0,
                                status="ok")
@@ -235,6 +235,15 @@ class JobScheduler:
             self._inflight.pop(job.key, None)
             self._active -= 1
             self._wake.set()
+
+    def _execute(self, job):
+        """Run ``job`` and store its record, on an executor thread: the
+        cache write (a file write plus an LRU scan) stays off the event
+        loop too."""
+        record = self.executor.run(job.ticket)
+        if self.cache is not None:
+            self.cache.put(job.key, record)
+        return record
 
     async def _remote_lookup(self, job):
         """Retry the cache's remote tier off-loop before paying for an

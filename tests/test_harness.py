@@ -1,4 +1,11 @@
-"""Experiment harness: runner caching, table experiments, rendering."""
+"""Experiment harness: runner caching, pool worker lifetime, table
+experiments, rendering."""
+
+import os
+import subprocess
+import sys
+import textwrap
+import time
 
 import pytest
 
@@ -54,6 +61,74 @@ class TestRunner:
     def test_threads_clamped_for_sequential_workloads(self):
         record = run_baseline("mcf", scale=0.2, threads=12)
         assert record.threads == 1
+
+
+    def test_effective_threads_share_a_cache_slot(self):
+        # lud is not MT-capable: a raw threads=4 call is the threads=1
+        # run, so a canonical spec's prewarm serves the raw caller
+        a = run_diag("lud", config="F4C2", scale=0.25, threads=4,
+                     simt=True)
+        b = run_diag("lud", config="F4C2", scale=0.25)
+        assert a is b
+        clear_cache()
+
+
+#: builds a pool (on the main thread or another one) and keeps it,
+#: prints its worker pids, then SIGKILLs itself: no cleanup runs in
+#: the owner
+ORPHAN_SCRIPT = textwrap.dedent("""
+    import os, signal, sys, threading
+    from repro.harness.parallel import _pool
+
+    pools = []
+
+    def build():
+        pools.append(_pool(2))
+        pools[0].submit(os.getpid).result()
+        print(*pools[0]._processes, flush=True)
+
+    if sys.argv[1] == "thread":
+        worker = threading.Thread(target=build)
+        worker.start()
+        worker.join()
+    else:
+        build()
+    os.kill(os.getpid(), signal.SIGKILL)
+""")
+
+
+def _running(pid):
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            state = handle.read().rsplit(")", 1)[1].split()[0]
+    except OSError:
+        return False
+    return state not in "ZX"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+@pytest.mark.parametrize("where", ["main", "thread"])
+def test_pool_workers_die_with_their_owner(where):
+    """A SIGKILLed owner's workers exit instead of blocking on the call
+    queue: by the parent-death signal for a pool forked on the main
+    thread, by the getppid() poll for one forked elsewhere."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in [os.path.abspath("src"), os.environ.get("PYTHONPATH")]
+        if p))
+    # the orphans would hold a captured stdout open: read one line
+    proc = subprocess.Popen([sys.executable, "-c", ORPHAN_SCRIPT, where],
+                            stdout=subprocess.PIPE, text=True, env=env)
+    with proc:
+        pids = [int(pid) for pid in proc.stdout.readline().split()]
+        proc.wait(timeout=60)
+    assert len(pids) == 2
+    deadline = time.monotonic() + 10
+    while any(map(_running, pids)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    alive = [pid for pid in pids if _running(pid)]
+    for pid in alive:
+        os.kill(pid, 9)
+    assert not alive
 
 
 class TestGeomean:

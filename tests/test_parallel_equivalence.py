@@ -61,10 +61,13 @@ class TestRunSpec:
             assert pickle.loads(pickle.dumps(spec)) == spec
 
     def test_dict_overrides_normalized(self):
-        a = RunSpec.diag("nn", config_overrides={"b": 2, "a": 1})
-        b = RunSpec.diag("nn", config_overrides=(("a", 1), ("b", 2)))
+        a = RunSpec.diag("nn", config_overrides={"lsu_queue_depth": 2,
+                                                 "flush_penalty": 1})
+        b = RunSpec.diag("nn", config_overrides=(("flush_penalty", 1),
+                                                 ("lsu_queue_depth", 2)))
         assert a == b
-        assert a.config_overrides == (("a", 1), ("b", 2))
+        assert a.config_overrides == (("flush_penalty", 1),
+                                      ("lsu_queue_depth", 2))
 
     def test_unknown_machine_rejected(self):
         with pytest.raises(ValueError):

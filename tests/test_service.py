@@ -358,6 +358,105 @@ class TestDedupAndCache:
             handle.close()
 
 
+    def test_config_omitted_alias_is_cached(self, tmp_path):
+        """Specs are canonical at the boundary: a post spelling its
+        config implicitly (and its scale as an int) is a cache hit on
+        its already-cached canonical twin, not a second execution."""
+        cache = diskcache.DiskCache(tmp_path / "svc-cache")
+        handle, client = start_service(tmp_path, cache=cache)
+        twin = {"machine": "diag", "workload": "nn", "config": "F4C32",
+                "scale": 0.2}
+        try:
+            first = client.run(twin)
+            alias = client.run({"machine": "diag", "workload": "nn",
+                                "scale": 0.2})
+            ooo = client.run({"machine": "ooo", "workload": "nn",
+                              "config": "ooo8", "scale": 0.2})
+            ooo_alias = client.run({"machine": "ooo", "workload": "nn",
+                                    "scale": 0.2, "simt": True})
+        finally:
+            handle.close()
+        assert first.outcome == "scheduled" and ooo.outcome == "scheduled"
+        assert alias.outcome == "cached" and ooo_alias.outcome == "cached"
+        assert alias.key == first.key and ooo_alias.key == ooo.key
+        assert alias.record["stats"] == first.record["stats"]
+        assert handle.service.scheduler.executions == 2
+
+
+class TestSpecBoundary:
+    INVALID = ({"machine": "diag", "workload": "nope"},
+               {"machine": "diag", "workload": "nn", "threads": -3},
+               {"machine": "diag", "workload": "nn", "scale": "1.0"},
+               {"machine": "diag", "workload": "nn", "config": "XX"},
+               {"machine": "ooo", "workload": "nn", "num_clusters": 4})
+
+    def test_invalid_post_is_400_and_costs_nothing(self, tmp_path):
+        """Bad input is refused at the boundary: no execution, no
+        retry ladder, no ``started`` event — not a quarantined/infra
+        record after the ladder has run."""
+        from repro.obs.resilience import RETRIES, resilience_snapshot
+
+        cache = diskcache.DiskCache(tmp_path / "svc-cache")
+        handle, client = start_service(tmp_path, cache=cache)
+        try:
+            for doc in self.INVALID:
+                with pytest.raises(ServiceError) as err:
+                    client.run(doc)
+                assert err.value.status == 400, doc
+            scheduler = handle.service.scheduler
+            assert scheduler.executions == 0
+            assert scheduler.requests == len(self.INVALID)
+        finally:
+            handle.close()
+        assert resilience_snapshot().get(RETRIES, 0) == 0
+        assert cache.writes == 0
+        events = telemetry.read_events(handle.service.bus.path)
+        assert not [e for e in events
+                    if e["ev"] in ("scheduled", "started")]
+
+
+class TestEventLoopNeverBlocks:
+    def test_slow_cache_put_does_not_stall_the_loop(self, tmp_path):
+        """The cache write runs on the executor thread with the run:
+        a ``put`` stuck on I/O must not stall ``/healthz`` or a
+        concurrent cached hit."""
+        entered, release = threading.Event(), threading.Event()
+
+        class SlowPutCache(diskcache.DiskCache):
+            blocking = False
+
+            def put(self, key, record):
+                if self.blocking:
+                    entered.set()
+                    release.wait(60)
+                return super().put(key, record)
+
+        cache = SlowPutCache(tmp_path / "svc-cache")
+        handle, client = start_service(tmp_path, cache=cache)
+        quick = type(client)(handle.url, timeout=10.0)
+        slow = {}
+        poster = threading.Thread(target=lambda: slow.update(
+            out=client.run(dict(SPEC, scale=0.1))))
+        try:
+            assert client.run(SPEC).outcome == "scheduled"
+            cache.blocking = True
+            poster.start()
+            assert entered.wait(60), "the fresh run never reached put"
+            start = time.monotonic()
+            assert quick.health()["status"] == "ok"
+            assert quick.run(SPEC).outcome == "cached"
+            assert time.monotonic() - start < 5.0
+            assert poster.is_alive()    # still parked in put
+        finally:
+            release.set()
+            if poster.ident is not None:
+                poster.join(60)
+            handle.close()
+        assert not poster.is_alive()
+        assert slow["out"].status == "ok"
+        assert cache.writes == 2
+
+
 def plant_raw_entry(cache, key, record):
     """Write ``record`` under ``key`` as a well-formed entry file,
     bypassing ``DiskCache.put`` the way an old writer or a poisoned

@@ -8,6 +8,12 @@ Runs a fixed-seed torture campaign three ways:
    moment the write-ahead journal holds at least one completed cell;
 3. **resume**    — same command with ``--resume``, stdout captured.
 
+The chaos run's pool workers must die with it: a worker of a SIGKILLed
+owner left blocked on the call queue is a leak (the pool's
+parent-death check, docs/RESILIENCE.md §3). Their pids are read from
+``/proc`` just before the kill; a note replaces the check where there
+is no ``/proc``.
+
 The resumed stdout must be **byte-identical** to the reference — the
 crash-safety contract of docs/RESILIENCE.md §2 (resilience counters go
 to stderr precisely so they cannot perturb this comparison). The
@@ -56,6 +62,44 @@ def journal_lines(path):
             return sum(1 for __ in handle)
     except OSError:
         return 0
+
+
+def proc_stat(pid):
+    """``(state, ppid, start time)`` of ``pid`` from ``/proc``, or None
+    once it is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            text = handle.read()
+    except OSError:
+        return None
+    fields = text[text.rindex(")") + 2:].split()
+    return fields[0], int(fields[1]), int(fields[19])
+
+
+def children(pid):
+    """``{child pid: start time}`` of ``pid``'s children."""
+    out = {}
+    for entry in os.listdir("/proc"):
+        stat = proc_stat(entry) if entry.isdigit() else None
+        if stat is not None and stat[1] == pid:
+            out[int(entry)] = stat[2]
+    return out
+
+
+def survivors(workers, timeout=10.0):
+    """The pids of ``workers`` still running after ``timeout`` s (a
+    zombie, or a pid reused by a process started later, is gone)."""
+    deadline = time.monotonic() + timeout
+    while True:
+        alive = []
+        for pid, start in workers.items():
+            stat = proc_stat(pid)
+            if stat is not None and stat[0] not in "ZX" \
+                    and stat[2] == start:
+                alive.append(pid)
+        if not alive or time.monotonic() > deadline:
+            return alive
+        time.sleep(0.05)
 
 
 def check_telemetry(path, killed_at):
@@ -147,9 +191,25 @@ def main(argv=None):
         time.sleep(0.02)
     killed_at = journal_lines(journal)
     if proc.poll() is None:
+        workers = children(proc.pid) if os.path.isdir("/proc") else None
         proc.send_signal(signal.SIGKILL)
         proc.wait()
         print(f"killed campaign with {killed_at} cells journaled")
+        if workers is None:
+            print("note: no /proc; pool-worker survival not checked")
+        elif not workers and args.jobs > 1:
+            failures.append("killed campaign had no pool workers to "
+                            "check")
+        else:
+            alive = survivors(workers)
+            print(f"pool workers of the killed campaign: {len(workers)}"
+                  f", surviving: {len(alive)}")
+            if alive:
+                failures.append(
+                    "pool workers outlived the killed campaign: "
+                    + ", ".join(str(pid) for pid in sorted(alive)))
+                for pid in alive:
+                    os.kill(pid, signal.SIGKILL)
     else:
         # tiny campaign raced to completion; the resume check below
         # still validates replay, just without a real crash
