@@ -85,30 +85,68 @@ RETRY_LIMIT = 2
 #: floor on the bounded serial-retry deadline (seconds)
 SERIAL_RETRY_FLOOR = 60.0
 
-#: how often a pool worker without a parent-death signal checks that
-#: the process that forked it is still alive (seconds)
+#: how often a pool worker checks that the process that forked it is
+#: still alive (seconds)
 PARENT_POLL = 0.5
-
-#: prctl(2) option number
-PR_SET_PDEATHSIG = 1
 
 #: the config a spec that names none runs on, per machine: the one
 #: default-config rule
 DEFAULT_CONFIG = {"diag": "F4C32", "ooo": "ooo8"}
 
-_DIAG_KNOBS = frozenset(f.name for f in fields(DiAGConfig))
+#: each override knob's type, read from the DiAGConfig defaults
+_KNOB_TYPES = {f.name: type(getattr(DiAGConfig(), f.name))
+               for f in fields(DiAGConfig)}
+
+#: int knobs that size a structure: at 0 the machine hangs or cannot
+#: be built, so they take a positive int (every other int knob, e.g. a
+#: latency or ``watchdog_window``, takes a non-negative one)
+_SIZE_KNOBS = frozenset({"pes_per_cluster", "num_clusters", "line_bytes",
+                         "lane_buffer_every", "lsu_queue_depth",
+                         "l1i_size", "l1d_size"})
+
+
+def _is_int(value):
+    return isinstance(value, numbers.Integral) \
+        and not isinstance(value, bool)
+
+
+def _positive_real(value):
+    return isinstance(value, numbers.Real) \
+        and not isinstance(value, bool) \
+        and math.isfinite(value) and value > 0
 
 
 def _positive_int(name, value):
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
-            or value <= 0:
+    if not _is_int(value) or value <= 0:
         raise ValueError(f"{name} must be a positive int, got {value!r}")
     return int(value)
 
 
+def _knob_value(knob, value):
+    """An override value checked against its knob's declared type: a
+    value no machine can run raises here, not inside a worker."""
+    kind = _KNOB_TYPES[knob]
+    if kind is bool:
+        ok = isinstance(value, bool)
+    elif kind is int:
+        floor = 1 if knob in _SIZE_KNOBS else 0
+        ok = _is_int(value) and value >= floor
+        value = int(value) if ok else value
+    elif kind is float:
+        ok = _positive_real(value)
+        value = float(value) if ok else value
+    else:   # str knobs; a nested knob (mem_timings) is not overridable
+        ok = kind is str and isinstance(value, str)
+    if not ok:
+        raise ValueError(f"bad value {value!r} for config override "
+                         f"{knob!r}")
+    return value
+
+
 def _overrides(value):
     """``config_overrides`` in any accepted shape (a mapping, or
-    ``[knob, value]`` pairs in any order) as a validated dict."""
+    ``[knob, value]`` pairs in any order) as a validated dict: every
+    knob a ``DiAGConfig`` field, every value of that field's type."""
     pairs = value.items() if isinstance(value, dict) else value
     try:
         pairs = [(knob, setting) for knob, setting in pairs]
@@ -117,11 +155,11 @@ def _overrides(value):
                          "of [knob, value] pairs") from None
     knobs = [knob for knob, _ in pairs]
     for knob in knobs:
-        if not isinstance(knob, str) or knob not in _DIAG_KNOBS:
+        if not isinstance(knob, str) or knob not in _KNOB_TYPES:
             raise ValueError(f"unknown config override {knob!r}")
     if len(set(knobs)) != len(knobs):
         raise ValueError("config_overrides names a knob twice")
-    return dict(pairs)
+    return {knob: _knob_value(knob, setting) for knob, setting in pairs}
 
 
 @dataclass(frozen=True)
@@ -162,8 +200,7 @@ class RunSpec:
             raise ValueError(f"unknown {self.machine} config {config!r}")
         set_("config", config)
         scale = self.scale
-        if isinstance(scale, bool) or not isinstance(scale, numbers.Real) \
-                or not math.isfinite(scale) or scale <= 0:
+        if not _positive_real(scale):
             raise ValueError(f"scale must be a positive finite number, "
                              f"got {scale!r}")
         set_("scale", float(scale))
@@ -332,39 +369,20 @@ def _backoff_sleep(attempt):
     time.sleep(delay * (0.5 + random.random() / 2))
 
 
-def _set_pdeathsig():
-    """Ask Linux to SIGKILL this process when its parent thread dies
-    (``prctl(PR_SET_PDEATHSIG)``); False where there is no prctl."""
-    try:
-        import ctypes
-        prctl = ctypes.CDLL(None, use_errno=True).prctl
-    except (OSError, AttributeError):
-        return False
-    prctl.argtypes = [ctypes.c_int] + [ctypes.c_ulong] * 4
-    prctl.restype = ctypes.c_int
-    return prctl(PR_SET_PDEATHSIG, signal.SIGKILL, 0, 0, 0) == 0
-
-
 def _watch_parent(parent):
     while os.getppid() == parent:
         time.sleep(PARENT_POLL)
     os._exit(1)
 
 
-def _die_with_parent(parent, pdeathsig):
+def _die_with_parent(parent):
     """Pool-worker initializer: a worker must not outlive the process
     that forked it. A SIGKILLed owner runs no cleanup, so its workers
-    would otherwise block on the call queue forever.
-
-    The kernel sends the parent-death signal when the *forking
-    thread* exits, so it is armed only for pools forked on the main
-    thread: a service forks from an executor thread that exits at
-    close, and must not take live workers down with it. Everywhere
-    else a daemon thread polls ``getppid()``."""
-    if pdeathsig and _set_pdeathsig():
-        if os.getppid() != parent:   # died before the signal was armed
-            os._exit(1)
-        return
+    would otherwise block on the call queue forever. A daemon thread
+    polls ``getppid()``; it gets the GIL while the worker simulates or
+    waits on the call queue, so it fires mid-task too. (A kernel
+    parent-death signal would follow the forking *thread*, and the
+    service forks from executor threads that exit at close.)"""
     threading.Thread(target=_watch_parent, args=(parent,), daemon=True,
                      name="repro-parent-watch").start()
 
@@ -378,12 +396,11 @@ def _pool(max_workers):
 
     try:
         if "fork" in multiprocessing.get_all_start_methods():
-            main = threading.current_thread() is threading.main_thread()
             return ProcessPoolExecutor(
                 max_workers=max_workers,
                 mp_context=multiprocessing.get_context("fork"),
                 initializer=_die_with_parent,
-                initargs=(os.getpid(), main))
+                initargs=(os.getpid(),))
     except (ValueError, OSError):
         pass
     return ProcessPoolExecutor(max_workers=max_workers)

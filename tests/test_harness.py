@@ -110,8 +110,8 @@ def _running(pid):
 @pytest.mark.parametrize("where", ["main", "thread"])
 def test_pool_workers_die_with_their_owner(where):
     """A SIGKILLed owner's workers exit instead of blocking on the call
-    queue: by the parent-death signal for a pool forked on the main
-    thread, by the getppid() poll for one forked elsewhere."""
+    queue, whether the pool was forked on the main thread or on
+    another one (the service's executor threads)."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in [os.path.abspath("src"), os.environ.get("PYTHONPATH")]
         if p))

@@ -388,7 +388,11 @@ class TestSpecBoundary:
                {"machine": "diag", "workload": "nn", "threads": -3},
                {"machine": "diag", "workload": "nn", "scale": "1.0"},
                {"machine": "diag", "workload": "nn", "config": "XX"},
-               {"machine": "ooo", "workload": "nn", "num_clusters": 4})
+               {"machine": "ooo", "workload": "nn", "num_clusters": 4},
+               {"machine": "diag", "workload": "nn",
+                "config_overrides": {"lsu_queue_depth": "x"}},
+               {"machine": "diag", "workload": "nn",
+                "config_overrides": {"pes_per_cluster": 0}})
 
     def test_invalid_post_is_400_and_costs_nothing(self, tmp_path):
         """Bad input is refused at the boundary: no execution, no

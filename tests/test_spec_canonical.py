@@ -202,6 +202,30 @@ INVALID = [
     ("override knob twice",
      dict(VALID, config_overrides=[["flush_penalty", 1],
                                    ["flush_penalty", 3]])),
+    ("override value a string",
+     dict(VALID, config_overrides={"lsu_queue_depth": "x"})),
+    ("override value null",
+     dict(VALID, config_overrides={"watchdog_window": None})),
+    ("override latency negative",
+     dict(VALID, config_overrides={"flush_penalty": -1})),
+    ("override size zero",
+     dict(VALID, config_overrides={"pes_per_cluster": 0})),
+    ("override queue depth zero",
+     dict(VALID, config_overrides={"lsu_queue_depth": 0})),
+    ("override int as float",
+     dict(VALID, config_overrides={"flush_penalty": 3.0})),
+    ("override int as bool",
+     dict(VALID, config_overrides={"flush_penalty": True})),
+    ("override bool as int",
+     dict(VALID, config_overrides={"enable_reuse": 0})),
+    ("override float nan",
+     dict(VALID, config_overrides={"freq_ghz": math.nan})),
+    ("override float zero",
+     dict(VALID, config_overrides={"freq_ghz": 0})),
+    ("override str knob not a str",
+     dict(VALID, config_overrides={"isa": 32})),
+    ("override nested knob",
+     dict(VALID, config_overrides={"mem_timings": {"l1d_hit": 2}})),
     ("overrides on ooo", dict(VALID, machine="ooo",
                               config_overrides={"flush_penalty": 1})),
     ("num_clusters on ooo", dict(VALID, machine="ooo", num_clusters=4)),
@@ -213,3 +237,20 @@ INVALID = [
 def test_invalid_spec_raises(doc):
     with pytest.raises(ValueError):
         RunSpec.from_dict(doc)
+
+
+def test_override_values_in_range_are_accepted():
+    # 0 is a real setting for a latency or the watchdog (0 disables it)
+    spec = RunSpec.from_dict(dict(VALID, config_overrides={
+        "watchdog_window": 0, "flush_penalty": 0, "enable_reuse": False,
+        "freq_ghz": 1}))
+    assert dict(spec.config_overrides) == {
+        "watchdog_window": 0, "flush_penalty": 0, "enable_reuse": False,
+        "freq_ghz": 1.0}
+    assert type(dict(spec.config_overrides)["freq_ghz"]) is float
+    numpy_int = RunSpec.diag(
+        "nn", config_overrides={"lsu_queue_depth": np.int64(4)})
+    assert spec_key(numpy_int) == spec_key(
+        RunSpec.diag("nn", config_overrides={"lsu_queue_depth": 4}))
+    assert type(dict(numpy_int.config_overrides)["lsu_queue_depth"]) \
+        is int
