@@ -34,13 +34,16 @@ also available as a library; see README.md.
 import argparse
 import json
 import sys
+from dataclasses import replace
+
+from repro.core import CONFIG_PRESETS
+from repro.machines import MACHINES
 
 EXPERIMENTS = ("table1", "table2", "table3", "fig9a", "fig9b", "fig10a",
                "fig10b", "fig11", "fig12", "stalls", "headline")
 
 
 def _cmd_list(args):
-    from repro.core import CONFIG_PRESETS
     from repro.workloads import all_workloads
 
     print("workloads:")
@@ -146,25 +149,10 @@ def _sampling_params(args):
         warm_lines=args.warm_lines).validate()
 
 
-def _run_sampled_machines(args):
-    """``repro run --sampled``: sampled execution on the selected
-    machine(s) (ISS fast path + detailed windows, repro.sampling)."""
-    from repro.sampling import run_sampled
-
-    if args.threads != 1:
-        raise SystemExit("--sampled models one hardware thread; "
-                         "drop --threads")
-    params = _sampling_params(args)
-    records = {}
-    if args.machine in ("both", "ooo"):
-        records["ooo"] = run_sampled(args.workload, machine="ooo",
-                                     scale=args.scale, params=params)
-    if args.machine in ("both", "diag"):
-        records["diag"] = run_sampled(
-            args.workload, machine="diag", config=args.config,
-            scale=args.scale, simt=getattr(args, "simt", False),
-            params=params)
-    return records
+def _machines(choice):
+    """``--machine``'s selection: one name, or every machine in the
+    table (in table order) for ``both``."""
+    return list(MACHINES) if choice == "both" else [choice]
 
 
 def _sampled_line(record):
@@ -180,26 +168,38 @@ def _sampled_line(record):
 
 
 def _run_machines(args, tracer=None):
-    """Run the workload on the machine(s) ``args.machine`` selects;
-    returns ``{machine_name: RunRecord}`` in run order."""
-    from repro.harness import run_baseline, run_diag
+    """Run the workload on the machine(s) ``args.machine`` selects,
+    sampled with ``--sampled`` (ISS fast path + detailed windows,
+    repro.sampling); returns ``{machine_name: RunRecord}`` in run
+    order, the baseline first."""
+    from repro.harness import run_machine
+    from repro.sampling import run_sampled
 
-    if getattr(args, "sampled", False):
-        return _run_sampled_machines(args)
+    sampled = getattr(args, "sampled", False)
+    if sampled and args.threads != 1:
+        raise SystemExit("--sampled models one hardware thread; "
+                         "drop --threads")
+    params = _sampling_params(args) if sampled else None
+    simt = getattr(args, "simt", False)
     no_ff = getattr(args, "no_fast_forward", False)
     records = {}
-    if args.machine in ("both", "ooo"):
-        from repro.baseline.ooo import OoOConfig
-        records["ooo"] = run_baseline(
-            args.workload, scale=args.scale, threads=args.threads,
-            max_cycles=args.max_cycles, tracer=tracer,
-            config=OoOConfig(fast_forward=False) if no_ff else None)
-    if args.machine in ("both", "diag"):
-        records["diag"] = run_diag(
-            args.workload, config=args.config, scale=args.scale,
-            threads=args.threads, simt=getattr(args, "simt", False),
-            max_cycles=args.max_cycles, tracer=tracer,
-            config_overrides={"fast_forward": False} if no_ff else None)
+    for name in sorted(_machines(args.machine),
+                       key=lambda name: not MACHINES[name].baseline):
+        entry = MACHINES[name]
+        if sampled:
+            records[name] = run_sampled(
+                args.workload, machine=name, config=args.config,
+                scale=args.scale, simt=simt, params=params)
+            continue
+        config, overrides = args.config, None
+        if no_ff and entry.overridable:
+            overrides = {"fast_forward": False}
+        elif no_ff:   # the baseline takes a whole config object
+            config = replace(entry.config(), fast_forward=False)
+        records[name] = run_machine(
+            name, args.workload, config=config, scale=args.scale,
+            threads=args.threads, simt=simt, max_cycles=args.max_cycles,
+            config_overrides=overrides, tracer=tracer)
     return records
 
 
@@ -210,8 +210,6 @@ def _cmd_run(args):
         doc = next(iter(docs.values())) if len(docs) == 1 else docs
         _emit_json(doc, args.json)
         return 0 if all(r.verified for r in records.values()) else 1
-    base = records.get("ooo")
-    diag = records.get("diag")
     sampled = getattr(args, "sampled", False)
     mode = " [sampled]" if sampled else ""
     print(f"workload {args.workload} (scale {args.scale}, "
@@ -232,14 +230,15 @@ def _cmd_run(args):
         print(f"             {_cache_line(rec)}")
         print(f"             {_host_line(rec)}")
 
-    if base is not None:
-        print(f"  baseline : {_describe(base)}")
-        detail(base)
-    if diag is not None:
-        print(f"  DiAG {args.config:5s}: {_describe(diag)}")
-        detail(diag)
-    if base is not None and diag is not None and diag.cycles \
-            and not (base.failed or diag.failed):
+    for name, rec in records.items():
+        baseline = MACHINES[name].baseline
+        label = "baseline " if baseline else f"DiAG {args.config:5s}"
+        print(f"  {label}: {_describe(rec)}")
+        detail(rec)
+    runs = list(records.values())
+    if len(runs) == 2 and runs[1].cycles and not any(r.failed
+                                                     for r in runs):
+        base, diag = runs
         print(f"  speedup {base.cycles / diag.cycles:.2f}x   "
               f"energy efficiency "
               f"{base.energy_j / diag.energy_j:.2f}x")
@@ -554,14 +553,11 @@ def _verify_lockstep(args):
               f"{', '.join(sorted(all_workloads()))}", file=sys.stderr)
         return 2
     inst = get_workload(args.workload)().build(scale=args.scale)
-    machines = ("diag", "ooo") if args.machine == "both" \
-        else (args.machine,)
     failed = False
-    for machine in machines:
-        config = args.config if machine == "diag" else None
+    for machine in _machines(args.machine):
         try:
             result = run_lockstep(
-                inst.program, machine=machine, config=config,
+                inst.program, machine=machine, config=args.config,
                 fast_forward=not args.no_fast_forward,
                 max_cycles=args.max_cycles, setup=inst.setup)
         except Divergence as exc:
@@ -582,8 +578,7 @@ def _verify_torture(args):
     from repro.verify import run_torture
     from repro.verify.campaign import shrink_failures
 
-    machines = ("diag", "ooo") if args.machine == "both" \
-        else (args.machine,)
+    machines = _machines(args.machine)
     ff_modes = {"both": (True, False), "on": (True,),
                 "off": (False,)}[args.ff]
     simt_modes = {"both": (False, True), "on": (True,),
@@ -708,6 +703,7 @@ def build_parser():
         prog="repro",
         description="DiAG (ASPLOS 2021) reproduction toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
+    machines, configs = tuple(MACHINES), tuple(CONFIG_PRESETS)
 
     sub.add_parser("list", help="list workloads / configs / experiments")
 
@@ -718,11 +714,11 @@ def build_parser():
         else:
             p.add_argument("workload")
         p.add_argument("--machine", default=default_machine,
-                       choices=("both", "diag", "ooo"),
+                       choices=("both", *machines),
                        help="engine(s) to run "
                             f"(default: {default_machine})")
         p.add_argument("--config", default="F4C16",
-                       choices=("I4C2", "F4C2", "F4C16", "F4C32"))
+                       choices=configs)
         p.add_argument("--scale", type=float, default=0.5)
         p.add_argument("--threads", type=int, default=1)
         if simt:
@@ -861,9 +857,9 @@ def build_parser():
         "faults", help="seed-driven transient fault-injection campaign")
     faults_p.add_argument("workload", nargs="?", default="nn")
     faults_p.add_argument("--machine", default="diag",
-                          choices=("diag", "ooo"))
+                          choices=machines)
     faults_p.add_argument("--config", default="F4C2",
-                          choices=("I4C2", "F4C2", "F4C16", "F4C32"))
+                          choices=configs)
     faults_p.add_argument("--scale", type=float, default=0.25)
     faults_p.add_argument("--trials", type=int, default=20)
     faults_p.add_argument("--seed", type=int, default=0)
@@ -928,9 +924,9 @@ def build_parser():
         "lockstep", help="run one workload in lockstep with the ISS")
     vl.add_argument("workload")
     vl.add_argument("--machine", default="both",
-                    choices=("both", "diag", "ooo"))
+                    choices=("both", *machines))
     vl.add_argument("--config", default="F4C2",
-                    choices=("I4C2", "F4C2", "F4C16", "F4C32"))
+                    choices=configs)
     vl.add_argument("--scale", type=float, default=0.25)
     vl.add_argument("--max-cycles", type=int, default=None)
     vl.add_argument("--no-fast-forward", action="store_true")
@@ -944,7 +940,7 @@ def build_parser():
     vt.add_argument("--ops", type=int, default=40,
                     help="op groups per program (default 40)")
     vt.add_argument("--machine", default="both",
-                    choices=("both", "diag", "ooo"))
+                    choices=("both", *machines))
     vt.add_argument("--ff", default="both", choices=("both", "on", "off"),
                     help="fast-forward modes to cover (default both)")
     vt.add_argument("--simt", default="both",
@@ -965,7 +961,7 @@ def build_parser():
                     help="campaign base seed of the failing cell")
     vs.add_argument("--index", type=int, default=0)
     vs.add_argument("--machine", default="diag",
-                    choices=("diag", "ooo"))
+                    choices=machines)
     vs.add_argument("--ops", type=int, default=40)
     vs.add_argument("--simt", action="store_true")
     vs.add_argument("--no-fast-forward", action="store_true")

@@ -23,8 +23,6 @@ from repro.faults.campaign import (
 )
 from repro.faults.injector import (
     ALL_SITES,
-    DIAG_SITES,
-    OOO_SITES,
     FaultInjector,
     FaultSpec,
     InjectionEvent,
@@ -34,11 +32,9 @@ __all__ = [
     "ALL_SITES",
     "CampaignError",
     "CampaignReport",
-    "DIAG_SITES",
     "FaultInjector",
     "FaultSpec",
     "InjectionEvent",
-    "OOO_SITES",
     "OUTCOMES",
     "SimulationHang",
     "TrialResult",

@@ -38,16 +38,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.baseline import OoOConfig, OoOCore
-from repro.core import CONFIG_PRESETS, DiAGProcessor, SimulationHang
-from repro.faults.injector import (
-    DIAG_SITES,
-    OOO_SITES,
-    FaultInjector,
-    FaultSpec,
-)
+from repro.core import SimulationHang
+from repro.faults.injector import FaultInjector, FaultSpec
 from repro.iss import ISS
-from repro.obs import collect_diag, collect_ooo
+from repro.machines import MACHINES, machine as machine_entry
 from repro.workloads import get_workload
 
 OUTCOMES = ("masked", "sdc", "detected", "hang", "timed_out")
@@ -128,10 +122,6 @@ class CampaignReport:
         return "\n".join(lines)
 
 
-def _machine_sites(machine):
-    return DIAG_SITES if machine == "diag" else OOO_SITES
-
-
 def _execute(machine, config, program, inst, injector, max_cycles):
     """One run with ``injector`` attached; returns (stats, memory,
     x-regs, f-regs) where ``stats`` is the run's flat registry dump.
@@ -140,20 +130,14 @@ def _execute(machine, config, program, inst, injector, max_cycles):
     ``core.cycles``, ``core.instructions``) out of ``stats`` rather
     than engine-private result fields, so both machines are handled by
     identical downstream code."""
-    if machine == "diag":
-        proc = DiAGProcessor(config, program)
-        inst.setup(proc.memory)
-        injector.attach(proc.rings[0], proc.hierarchy)
-        result = proc.run(max_cycles=max_cycles)
-        stats = collect_diag(result, proc.hierarchy).as_dict()
-        arch = proc.rings[0].arch
-        return stats, proc.memory, arch.x, arch.f
-    core = OoOCore(config, program)
-    inst.setup(core.hierarchy.memory)
-    injector.attach(core, core.hierarchy)
-    result = core.run(max_cycles=max_cycles)
-    stats = collect_ooo(result, core.hierarchy).as_dict()
-    return stats, core.hierarchy.memory, core.arch.x, core.arch.f
+    entry = MACHINES[machine]
+    built = entry.build(config, program)
+    engine = built.engines[0]
+    inst.setup(built.memory)
+    injector.attach(engine, built.hierarchies[0])
+    result = built.sim.run(max_cycles=max_cycles)
+    stats = entry.collect(result, built.hierarchies).as_dict()
+    return stats, built.memory, engine.arch.x, engine.arch.f
 
 
 def _golden(program, inst):
@@ -347,8 +331,7 @@ def run_campaign(workload, machine="diag", config="F4C2", scale=0.25,
     :class:`repro.obs.progress.ProgressRenderer`) tracks the pooled
     path live; chunks — the journal's unit of work — are its cells.
     """
-    if machine not in ("diag", "ooo"):
-        raise ValueError(f"unknown machine {machine!r}")
+    entry = machine_entry(machine)
     cls = get_workload(workload)
     inst = cls().build(scale=scale, threads=1, simt=False)
     program = inst.program
@@ -356,8 +339,7 @@ def run_campaign(workload, machine="diag", config="F4C2", scale=0.25,
 
     # Fault-free profiling run: learns the per-site event population
     # and the cycle budget, and proves the baseline is sound.
-    base_cfg = CONFIG_PRESETS[config] if machine == "diag" \
-        else OoOConfig()
+    base_cfg = entry.config(config)
     profiler = FaultInjector(spec=None)
     stats, memory, x, f = _execute(
         machine, base_cfg, program, inst, profiler, None)
@@ -375,7 +357,7 @@ def run_campaign(workload, machine="diag", config="F4C2", scale=0.25,
     run_cfg = replace(base_cfg, watchdog_window=window)
     budget = 4 * clean_cycles + 2000
 
-    sites = _machine_sites(machine)
+    sites = entry.sites
     population = {site: profiler.counts.get(site, 0) for site in sites}
     specs = plan_campaign(population, sites, trials, seed)
 

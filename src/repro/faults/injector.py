@@ -28,9 +28,8 @@ from dataclasses import dataclass
 
 MASK32 = 0xFFFFFFFF
 
-#: value sites per machine (the cache site is shared)
-DIAG_SITES = ("pe", "lane", "cache")
-OOO_SITES = ("rob", "regfile", "cache")
+#: every value site; a machine's own (the cache site is shared) are
+#: the ``sites`` of its ``repro.machines.MACHINES`` entry
 ALL_SITES = ("pe", "lane", "rob", "regfile", "cache")
 
 

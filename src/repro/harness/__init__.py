@@ -15,6 +15,7 @@ from repro.harness.runner import (
     classify_failure,
     run_baseline,
     run_diag,
+    run_machine,
     clear_cache,
 )
 from repro.harness.parallel import (
@@ -57,6 +58,7 @@ __all__ = [
     "render_experiment",
     "run_baseline",
     "run_diag",
+    "run_machine",
     "run_fig10a",
     "run_fig10b",
     "run_fig11",

@@ -62,7 +62,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from functools import partial
 
-from repro.core import CONFIG_PRESETS, DiAGConfig
+from repro.core import DiAGConfig
+from repro.machines import machine as machine_entry
 from repro.obs import deterministic_view, merge_flat
 from repro.obs import telemetry
 from repro.obs.resilience import (
@@ -88,10 +89,6 @@ SERIAL_RETRY_FLOOR = 60.0
 #: how often a pool worker checks that the process that forked it is
 #: still alive (seconds)
 PARENT_POLL = 0.5
-
-#: the config a spec that names none runs on, per machine: the one
-#: default-config rule
-DEFAULT_CONFIG = {"diag": "F4C32", "ooo": "ooo8"}
 
 #: each override knob's type, read from the DiAGConfig defaults
 _KNOB_TYPES = {f.name: type(getattr(DiAGConfig(), f.name))
@@ -162,20 +159,49 @@ def _overrides(value):
     return {knob: _knob_value(knob, setting) for knob, setting in pairs}
 
 
+def canonical_run_fields(spec):
+    """Validate and fold, in place, the fields every run spec shares
+    (``RunSpec``, ``SampledSpec``): machine, workload, config (None:
+    the machine's default), scale, simt and config_overrides. Returns
+    the machine entry, the workload class and the overrides dict."""
+    set_ = partial(object.__setattr__, spec)
+    entry = machine_entry(spec.machine)
+    cls = all_workloads().get(spec.workload) \
+        if isinstance(spec.workload, str) else None
+    if cls is None:
+        raise ValueError(f"unknown workload {spec.workload!r}")
+    config = entry.default_config if spec.config is None else spec.config
+    if not isinstance(config, str) or config not in entry.presets:
+        raise ValueError(f"unknown {entry.name} config {config!r}")
+    set_("config", config)
+    if not _positive_real(spec.scale):
+        raise ValueError(f"scale must be a positive finite number, "
+                         f"got {spec.scale!r}")
+    set_("scale", float(spec.scale))
+    if not isinstance(spec.simt, bool):
+        raise ValueError(f"simt must be a bool, got {spec.simt!r}")
+    set_("simt", spec.simt and entry.simt and cls.SIMT_CAPABLE)
+    overrides = _overrides(spec.config_overrides)
+    if overrides and not entry.overridable:
+        raise ValueError(f"the {entry.name} machine takes no "
+                         f"config_overrides")
+    set_("config_overrides", tuple(sorted(overrides.items())))
+    return entry, cls, overrides
+
+
 @dataclass(frozen=True)
 class RunSpec:
     """One picklable run request: everything :func:`repro.harness.
-    runner.run_diag` / ``run_baseline`` need to reproduce a run in
-    another process.
+    runner.run_machine` needs to reproduce a run in another process.
 
     Construction canonicalizes and validates (docs/SERVICE.md §2):
     every spelling of one run becomes one spec, hence one
     :func:`repro.harness.journal.spec_key`, and a spec no machine can
     run raises ``ValueError`` here rather than inside a worker."""
 
-    machine: str                 # 'diag' or 'ooo'
+    machine: str                 # a repro.machines.MACHINES name
     workload: str
-    config: str = None           # Table 2 preset name (diag only)
+    config: str = None           # a preset name; None: the default
     scale: float = 1.0
     threads: int = 1
     simt: bool = False
@@ -185,47 +211,22 @@ class RunSpec:
 
     def __post_init__(self):
         set_ = partial(object.__setattr__, self)
-        diag = self.machine == "diag"
-        if not (diag or self.machine == "ooo"):
-            raise ValueError(f"unknown machine {self.machine!r}")
-        cls = all_workloads().get(self.workload) \
-            if isinstance(self.workload, str) else None
-        if cls is None:
-            raise ValueError(f"unknown workload {self.workload!r}")
-        config = DEFAULT_CONFIG[self.machine] if self.config is None \
-            else self.config
-        if not isinstance(config, str) \
-                or diag and config not in CONFIG_PRESETS \
-                or not diag and config != DEFAULT_CONFIG["ooo"]:
-            raise ValueError(f"unknown {self.machine} config {config!r}")
-        set_("config", config)
-        scale = self.scale
-        if not _positive_real(scale):
-            raise ValueError(f"scale must be a positive finite number, "
-                             f"got {scale!r}")
-        set_("scale", float(scale))
+        entry, cls, overrides = canonical_run_fields(self)
         threads = _positive_int("threads", self.threads)
         set_("threads", threads if cls.MT_CAPABLE else 1)
-        if not isinstance(self.simt, bool):
-            raise ValueError(f"simt must be a bool, got {self.simt!r}")
-        set_("simt", self.simt and diag and cls.SIMT_CAPABLE)
         if self.max_cycles is not None:
             set_("max_cycles", _positive_int("max_cycles",
                                              self.max_cycles))
-        overrides = _overrides(self.config_overrides)
-        if not diag and (overrides or self.num_clusters is not None):
-            raise ValueError("the ooo baseline takes no config_overrides "
-                             "or num_clusters")
-        # run_diag applies num_clusters as one more override: fold both
-        # spellings into the field
-        clusters = self.num_clusters
-        if "num_clusters" in overrides:
-            folded = overrides.pop("num_clusters")
-            if clusters is not None and folded != clusters:
-                raise ValueError("num_clusters and config_overrides"
-                                 "['num_clusters'] disagree")
-            clusters = folded
+        # run_machine applies num_clusters as one more override: fold
+        # both spellings into the field
+        clusters = overrides.pop("num_clusters", self.num_clusters)
+        if self.num_clusters is not None and clusters != self.num_clusters:
+            raise ValueError("num_clusters and config_overrides"
+                             "['num_clusters'] disagree")
         if clusters is not None:
+            if not entry.overridable:
+                raise ValueError(f"the {self.machine} machine takes no "
+                                 f"num_clusters")
             clusters = _positive_int("num_clusters", clusters)
         set_("num_clusters", clusters)
         set_("config_overrides", tuple(sorted(overrides.items())))
@@ -298,19 +299,14 @@ def execute_spec(spec, run_id=None, span=None):
         if callable(execute):
             return execute()
 
-        from repro.harness.runner import run_baseline, run_diag
+        from repro.harness.runner import run_machine
 
-        if spec.machine == "diag":
-            return run_diag(spec.workload,
-                            config=spec.config,
-                            scale=spec.scale, threads=spec.threads,
-                            simt=spec.simt,
-                            num_clusters=spec.num_clusters,
-                            max_cycles=spec.max_cycles,
-                            config_overrides=dict(spec.config_overrides))
-        return run_baseline(spec.workload, scale=spec.scale,
-                            threads=spec.threads,
-                            max_cycles=spec.max_cycles)
+        return run_machine(spec.machine, spec.workload,
+                           config=spec.config, scale=spec.scale,
+                           threads=spec.threads, simt=spec.simt,
+                           num_clusters=spec.num_clusters,
+                           max_cycles=spec.max_cycles,
+                           config_overrides=dict(spec.config_overrides))
 
 
 def resolve_jobs(jobs=None):

@@ -18,24 +18,12 @@ the store: a cached record would emit no events into the tracer.
 
 import time
 from collections import OrderedDict
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
-from repro.baseline import (
-    BaselinePowerModel,
-    MulticoreCPU,
-    OoOConfig,
-    OoOCore,
-)
-from repro.core import CONFIG_PRESETS, DiAGProcessor, EnergyModel
 from repro.core.watchdog import SimulationHang
 from repro.harness import diskcache
-from repro.obs import (
-    PhaseProfiler,
-    attach_tracer_names,
-    collect_diag,
-    collect_ooo,
-    export_throughput,
-)
+from repro.machines import machine as machine_entry
+from repro.obs import PhaseProfiler, attach_tracer_names, export_throughput
 from repro.workloads import get_workload
 
 #: RunRecord.status values: "ok" = ran to halt (verified says whether
@@ -65,7 +53,7 @@ class RunRecord:
     """Outcome of one (workload, machine, configuration) run."""
 
     workload: str
-    machine: str            # 'diag' or 'ooo'
+    machine: str            # a repro.machines.MACHINES name
     config: str
     threads: int
     simt: bool
@@ -141,6 +129,104 @@ def _status_of(result):
     return "ok" if result.halted else "timed_out"
 
 
+def _close(record, start, exc=None):
+    """Stamp a finished run: the failure ``exc`` (a hang, else an
+    error) ended it with, if any; its wall time; its failure class."""
+    if isinstance(exc, SimulationHang):
+        record.status = "hang"
+        record.error = str(exc)
+        record.cycles = exc.cycle
+    elif exc is not None:
+        record.status = "error"
+        record.error = f"{type(exc).__name__}: {exc}"
+    record.wall_seconds = time.time() - start
+    record.failure_class = classify_failure(record.status)
+    return record
+
+
+def run_machine(machine, workload, config=None, scale=1.0, threads=1,
+                simt=False, num_clusters=None, max_cycles=None,
+                config_overrides=None, tracer=None):
+    """Run ``workload`` on ``machine`` (a :data:`repro.machines.
+    MACHINES` name); returns a :class:`RunRecord`. The one run body
+    behind :func:`run_diag`, :func:`run_baseline` and
+    :func:`repro.harness.parallel.execute_spec`.
+
+    ``config`` is resolved by the machine's entry (None: its default);
+    ``num_clusters`` is one more config override. ``threads``/``simt``
+    fold to what the workload and machine honour. ``tracer`` is an
+    optional :class:`repro.obs.EventTracer`; traced runs bypass the
+    run cache."""
+    entry = machine_entry(machine)
+    overrides = dict(config_overrides or {})
+    if num_clusters is not None:
+        overrides["num_clusters"] = num_clusters
+    cfg = entry.config(config, overrides)
+    cls = get_workload(workload)
+    use_simt = simt and entry.simt and cls.SIMT_CAPABLE
+    use_threads = threads if cls.MT_CAPABLE else 1
+    record = RunRecord(workload=workload, machine=machine,
+                       config=cfg.name, threads=use_threads,
+                       simt=use_simt)
+    profiler = PhaseProfiler()
+    start = time.time()
+    try:
+        with profiler.phase("build"):
+            inst, digest = _built(cls, scale, use_threads, use_simt)
+    except Exception as exc:
+        return _close(record, start, exc)
+    # the run's effective threads/simt and a float scale: a spec's
+    # canonical spelling and a direct caller's raw one name one slot
+    key = entry.run_key(workload, config or entry.default_config, cfg,
+                        float(scale), use_threads, use_simt, max_cycles,
+                        tuple(sorted(overrides.items())), digest)
+
+    def factory():
+        try:
+            with profiler.phase("build"):
+                built = entry.build(cfg, inst.program, use_threads,
+                                    tracer)
+                inst.setup(built.memory)
+            if tracer is not None:
+                attach_tracer_names(tracer, machine, use_threads)
+            with profiler.phase("run"):
+                result = built.sim.run(max_cycles=max_cycles)
+            record.cycles = result.cycles
+            record.instructions = result.instructions
+            record.status = _status_of(result)
+            energy = entry.energy(cfg, result, built.hierarchies,
+                                  use_threads)
+            record.energy_j = energy.total_j
+            record.energy_breakdown = energy.breakdown()
+            record.stall_fractions = {
+                k.value: v for k, v in
+                result.stats.stall_fractions().items()}
+            record.extra = dict(entry.extra(result.stats),
+                                params=inst.params)
+            with profiler.phase("verify"):
+                record.verified = result.halted \
+                    and bool(inst.verify(built.memory))
+            registry = entry.collect(result, built.hierarchies)
+            profiler.export(registry)
+            engines = built.engines
+            export_throughput(registry, result.cycles,
+                              result.instructions,
+                              profiler.seconds("run"),
+                              tracer.emitted if tracer is not None
+                              else 0,
+                              ff_skips=sum(e.ff_skips for e in engines),
+                              ff_skipped_cycles=sum(e.ff_skipped_cycles
+                                                    for e in engines))
+            record.stats = registry.as_dict()
+        except Exception as exc:
+            return _close(record, start, exc)
+        return _close(record, start)
+
+    if tracer is not None:
+        return factory()
+    return diskcache.cached(key, factory)
+
+
 def run_diag(workload, config="F4C32", scale=1.0, threads=1, simt=False,
              num_clusters=None, max_cycles=None, config_overrides=None,
              tracer=None):
@@ -152,183 +238,19 @@ def run_diag(workload, config="F4C32", scale=1.0, threads=1, simt=False,
     Section 7.2.1's "16-by-2 format"). ``tracer`` is an optional
     :class:`repro.obs.EventTracer`; traced runs bypass the run cache.
     """
-    overrides = dict(config_overrides or {})
-    if num_clusters is not None:
-        overrides["num_clusters"] = num_clusters
-    cfg = CONFIG_PRESETS[config]
-    if overrides:
-        cfg = cfg.with_overrides(**overrides)
-    cls = get_workload(workload)
-    use_simt = simt and cls.SIMT_CAPABLE
-    use_threads = threads if cls.MT_CAPABLE else 1
-    record = RunRecord(workload=workload, machine="diag",
-                       config=cfg.name, threads=use_threads,
-                       simt=use_simt)
-    profiler = PhaseProfiler()
-    start = time.time()
-    try:
-        with profiler.phase("build"):
-            inst, digest = _built(cls, scale, use_threads, use_simt)
-    except Exception as exc:
-        record.status = "error"
-        record.error = f"{type(exc).__name__}: {exc}"
-        record.wall_seconds = time.time() - start
-        record.failure_class = classify_failure(record.status)
-        return record
-    # the run's effective threads/simt: a spec's canonical spelling
-    # and a direct caller's raw one name the same slot
-    key = ("diag", workload, config, scale, use_threads, use_simt,
-           max_cycles, tuple(sorted(overrides.items())), digest)
-
-    def factory():
-        try:
-            with profiler.phase("build"):
-                proc = DiAGProcessor(cfg, inst.program,
-                                     num_threads=use_threads,
-                                     tracer=tracer)
-                inst.setup(proc.memory)
-            if tracer is not None:
-                attach_tracer_names(tracer, "diag", use_threads)
-            with profiler.phase("run"):
-                result = proc.run(max_cycles=max_cycles)
-            record.cycles = result.cycles
-            record.instructions = result.instructions
-            record.status = _status_of(result)
-            energy = EnergyModel(cfg).energy_report(result,
-                                                    proc.hierarchy)
-            record.energy_j = energy.total_j
-            record.energy_breakdown = energy.breakdown()
-            record.stall_fractions = {
-                k.value: v for k, v in
-                result.stats.stall_fractions().items()}
-            record.extra = {
-                "reuse_hits": result.stats.reuse_hits,
-                "lines_fetched": result.stats.lines_fetched,
-                "mispredicts": result.stats.mispredicts,
-                "simt_regions": result.stats.simt_regions,
-                "simt_threads": result.stats.simt_threads,
-                "params": inst.params,
-            }
-            with profiler.phase("verify"):
-                record.verified = result.halted \
-                    and bool(inst.verify(proc.memory))
-            registry = collect_diag(result, proc.hierarchy)
-            profiler.export(registry)
-            export_throughput(registry, result.cycles,
-                              result.instructions,
-                              profiler.seconds("run"),
-                              tracer.emitted if tracer is not None
-                              else 0,
-                              ff_skips=sum(r.ff_skips
-                                           for r in proc.rings),
-                              ff_skipped_cycles=sum(
-                                  r.ff_skipped_cycles
-                                  for r in proc.rings))
-            record.stats = registry.as_dict()
-        except SimulationHang as exc:
-            record.status = "hang"
-            record.error = str(exc)
-            record.cycles = exc.cycle
-        except Exception as exc:
-            record.status = "error"
-            record.error = f"{type(exc).__name__}: {exc}"
-        record.wall_seconds = time.time() - start
-        record.failure_class = classify_failure(record.status)
-        return record
-
-    if tracer is not None:
-        return factory()
-    return diskcache.cached(key, factory)
+    return run_machine("diag", workload, config=config, scale=scale,
+                       threads=threads, simt=simt,
+                       num_clusters=num_clusters, max_cycles=max_cycles,
+                       config_overrides=config_overrides, tracer=tracer)
 
 
 def run_baseline(workload, scale=1.0, threads=1, max_cycles=None,
                  config=None, tracer=None):
     """Run ``workload`` on the out-of-order baseline (multicore if
-    ``threads`` > 1); returns a :class:`RunRecord`. ``tracer`` is an
-    optional :class:`repro.obs.EventTracer`; traced runs bypass the
-    run cache."""
-    cfg = config or OoOConfig()
-    cls = get_workload(workload)
-    use_threads = threads if cls.MT_CAPABLE else 1
-    record = RunRecord(workload=workload, machine="ooo",
-                       config=cfg.name, threads=use_threads,
-                       simt=False)
-    profiler = PhaseProfiler()
-    start = time.time()
-    try:
-        with profiler.phase("build"):
-            inst, digest = _built(cls, scale, use_threads, False)
-    except Exception as exc:
-        record.status = "error"
-        record.error = f"{type(exc).__name__}: {exc}"
-        record.wall_seconds = time.time() - start
-        record.failure_class = classify_failure(record.status)
-        return record
-    # the full config contents, not just its name: a customized
-    # OoOConfig must never alias the default's cache slot
-    key = ("ooo", workload, scale, use_threads, max_cycles,
-           tuple(sorted(asdict(cfg).items())), digest)
-
-    def factory():
-        try:
-            with profiler.phase("build"):
-                if use_threads == 1:
-                    core = OoOCore(cfg, inst.program)
-                    cores = [core]
-                    runner = core
-                    inst.setup(core.hierarchy.memory)
-                    memory = core.hierarchy.memory
-                else:
-                    cpu = MulticoreCPU(cfg, inst.program, use_threads)
-                    cores = cpu.cores
-                    runner = cpu
-                    inst.setup(cpu.memory)
-                    memory = cpu.memory
-            if tracer is not None:
-                attach_tracer_names(tracer, "ooo", use_threads)
-                for core in cores:
-                    core.tracer = tracer
-            hierarchies = [c.hierarchy for c in cores]
-            with profiler.phase("run"):
-                result = runner.run(max_cycles=max_cycles)
-            halted = result.halted if use_threads > 1 \
-                else cores[0].halted
-            record.cycles = result.cycles
-            record.instructions = result.instructions
-            record.status = "ok" if halted else "timed_out"
-            power = BaselinePowerModel(cfg, num_cores=use_threads)
-            energy = power.energy_report(result, hierarchies)
-            record.energy_j = energy.total_j
-            record.energy_breakdown = energy.breakdown()
-            record.stall_fractions = {
-                k.value: v for k, v in
-                result.stats.stall_fractions().items()}
-            record.extra = {"mispredicts": result.stats.mispredicts,
-                            "params": inst.params}
-            with profiler.phase("verify"):
-                record.verified = halted and bool(inst.verify(memory))
-            registry = collect_ooo(result, hierarchies)
-            profiler.export(registry)
-            export_throughput(registry, result.cycles,
-                              result.instructions,
-                              profiler.seconds("run"),
-                              tracer.emitted if tracer is not None
-                              else 0,
-                              ff_skips=sum(c.ff_skips for c in cores),
-                              ff_skipped_cycles=sum(
-                                  c.ff_skipped_cycles for c in cores))
-            record.stats = registry.as_dict()
-        except SimulationHang as exc:
-            record.status = "hang"
-            record.error = str(exc)
-            record.cycles = exc.cycle
-        except Exception as exc:
-            record.status = "error"
-            record.error = f"{type(exc).__name__}: {exc}"
-        record.wall_seconds = time.time() - start
-        record.failure_class = classify_failure(record.status)
-        return record
-
-    if tracer is not None:
-        return factory()
-    return diskcache.cached(key, factory)
+    ``threads`` > 1); returns a :class:`RunRecord`. ``config`` is an
+    optional :class:`repro.baseline.OoOConfig`; ``tracer`` an optional
+    :class:`repro.obs.EventTracer` (traced runs bypass the run
+    cache)."""
+    return run_machine("ooo", workload, config=config, scale=scale,
+                       threads=threads, max_cycles=max_cycles,
+                       tracer=tracer)

@@ -232,10 +232,11 @@ def collect_iss(iss, registry=None):
 
 
 def attach_tracer_names(tracer, machine, num_threads=1):
-    """Label the trace's process/thread tracks for one machine."""
-    pid = 0 if machine == "diag" else 1
-    tracer.set_process(pid, machine)
-    label = "ring" if machine == "diag" else "core"
+    """Label the trace's tracks for one machine (from its table entry)."""
+    from repro.machines import MACHINES
+
+    entry = MACHINES[machine]
+    tracer.set_process(entry.pid, machine)
     for tid in range(num_threads):
-        tracer.set_thread(pid, tid, f"{label}{tid}")
-    return pid
+        tracer.set_thread(entry.pid, tid, f"{entry.track}{tid}")
+    return entry.pid

@@ -44,16 +44,13 @@ import time
 from collections import OrderedDict
 from dataclasses import asdict, dataclass
 
-from repro.baseline import BaselinePowerModel, OoOConfig, OoOCore
 from repro.checkpoint import restore_state, save_state
-from repro.core import CONFIG_PRESETS, EnergyModel
 from repro.core.lanes import ArchLanes
-from repro.core.ring import RingEngine
-from repro.core.watchdog import SimulationHang
 from repro.harness import diskcache
-from repro.harness.parallel import DEFAULT_CONFIG
-from repro.harness.runner import RunRecord, _built, classify_failure
+from repro.harness.parallel import canonical_run_fields
+from repro.harness.runner import RunRecord, _built, _close
 from repro.iss.simulator import ISS, HaltReason
+from repro.machines import MACHINES, machine as machine_entry
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.obs import (
     PhaseProfiler,
@@ -63,8 +60,6 @@ from repro.obs import (
     telemetry,
 )
 from repro.workloads import get_workload
-
-MACHINES = ("diag", "ooo")
 
 #: functional-path instruction bound (mirrors ISS.run's default)
 DEFAULT_MAX_STEPS = 5_000_000
@@ -277,8 +272,7 @@ def warm_engine(machine, cfg, program, clone):
     the trace's trained gshare/BTB/RAS (cold front-end state biases
     branch-heavy windows the same way cold caches do). Cache stats are
     reset afterwards so priming is invisible."""
-    if machine not in MACHINES:
-        raise ValueError(f"unknown machine {machine!r}")
+    entry = machine_entry(machine)
     arch = ArchLanes()
     arch.x = list(clone.x)
     arch.f = list(clone.f)
@@ -292,16 +286,7 @@ def warm_engine(machine, cfg, program, clone):
         l1d.stats.reset()
         hierarchy.l1i.stats.reset()
         hierarchy.l2.stats.reset()
-    if machine == "diag":
-        engine = RingEngine(cfg, hierarchy, program,
-                            entry_pc=clone.pc, arch=arch)
-    else:
-        engine = OoOCore(cfg, program, hierarchy=hierarchy, arch=arch,
-                         load_image=False, entry_pc=clone.pc)
-        if warm is not None:
-            engine.predictor = warm.predictor_copy()
-            engine.btb = dict(warm.btb)
-            engine.ras = list(warm.ras)
+    engine = entry.warm(cfg, program, hierarchy, arch, clone.pc, warm)
     engine.csrs = dict(clone.csrs)
     return engine, hierarchy
 
@@ -310,13 +295,8 @@ def _energy_total(machine, cfg, engine, hierarchy):
     """Cumulative energy of the engine so far. Both models are linear
     in cumulative counters (+ static power linear in cycles), so two
     calls bracket a window exactly."""
-    if machine == "diag":
-        view = _EnergyView(engine.cycle, engine.stats,
-                           [engine.stats])
-        return EnergyModel(cfg).energy_report(view, hierarchy).total_j
-    view = _EnergyView(engine.cycle, engine.stats)
-    return BaselinePowerModel(cfg, num_cores=1).energy_report(
-        view, [hierarchy]).total_j
+    view = _EnergyView(engine.cycle, engine.stats, [engine.stats])
+    return MACHINES[machine].energy(cfg, view, [hierarchy]).total_j
 
 
 class _EnergyView:
@@ -325,10 +305,10 @@ class _EnergyView:
 
     __slots__ = ("cycles", "stats", "ring_stats")
 
-    def __init__(self, cycles, stats, ring_stats=None):
+    def __init__(self, cycles, stats, ring_stats):
         self.cycles = cycles
         self.stats = stats
-        self.ring_stats = ring_stats if ring_stats is not None else []
+        self.ring_stats = ring_stats
 
 
 def measure_window(machine, cfg, program, iss, warm_to, window):
@@ -402,21 +382,12 @@ def run_sampled(workload, machine="diag", config=None, scale=1.0,
     Only ``threads=1`` workloads are samplable (the ISS models one
     hardware thread); SIMT is supported on the DiAG engine with
     windows pinned to SIMT region boundaries."""
-    if machine not in MACHINES:
-        raise ValueError(f"unknown machine {machine!r}")
+    entry = machine_entry(machine)
     params = (params or SamplingParams()).validate()
     overrides = dict(config_overrides or {})
-    if machine == "diag":
-        cfg = CONFIG_PRESETS[config or DEFAULT_CONFIG["diag"]]
-        if overrides:
-            cfg = cfg.with_overrides(**overrides)
-    else:
-        if overrides:
-            raise ValueError("config_overrides apply to diag presets "
-                             "only; pass an OoOConfig field instead")
-        cfg = OoOConfig()
+    cfg = entry.config(config, overrides)
     cls = get_workload(workload)
-    use_simt = simt and cls.SIMT_CAPABLE and machine == "diag"
+    use_simt = simt and entry.simt and cls.SIMT_CAPABLE
     bound = max_steps if max_steps is not None else DEFAULT_MAX_STEPS
     record = RunRecord(workload=workload, machine=machine,
                        config=cfg.name, threads=1, simt=use_simt)
@@ -426,14 +397,10 @@ def run_sampled(workload, machine="diag", config=None, scale=1.0,
         with profiler.phase("build"):
             inst, digest = _built(cls, scale, 1, use_simt)
     except Exception as exc:
-        record.status = "error"
-        record.error = f"{type(exc).__name__}: {exc}"
-        record.wall_seconds = time.time() - start_wall
-        record.failure_class = classify_failure(record.status)
-        return record
-    key = ("sampled", machine, workload, cfg.name, scale, use_simt,
-           bound, params.key(), tuple(sorted(overrides.items())),
-           digest)
+        return _close(record, start_wall, exc)
+    key = ("sampled", machine, workload, cfg.name, float(scale),
+           use_simt, bound, params.key(),
+           tuple(sorted(overrides.items())), digest)
 
     def factory():
         try:
@@ -501,9 +468,7 @@ def run_sampled(workload, machine="diag", config=None, scale=1.0,
                     f"schedule (period={params.period}, "
                     f"window={params.window}, warmup={params.warmup}, "
                     f"phase={params.phase}) fit none of them")
-                record.failure_class = classify_failure(record.status)
-                record.wall_seconds = time.time() - start_wall
-                return record
+                return _close(record, start_wall)
             mean, ci, std = estimate([w.ipc for w in windows],
                                      params.ci_floor_rel)
             detail = sum(w.instructions for w in windows)
@@ -557,16 +522,9 @@ def run_sampled(workload, machine="diag", config=None, scale=1.0,
             export_iss_throughput(registry, iss.stats.instructions,
                                   profiler.seconds("ff"))
             record.stats = registry.as_dict()
-        except SimulationHang as exc:
-            record.status = "hang"
-            record.error = str(exc)
-            record.cycles = exc.cycle
         except Exception as exc:
-            record.status = "error"
-            record.error = f"{type(exc).__name__}: {exc}"
-        record.wall_seconds = time.time() - start_wall
-        record.failure_class = classify_failure(record.status)
-        return record
+            return _close(record, start_wall, exc)
+        return _close(record, start_wall)
 
     return diskcache.cached(key, factory)
 
@@ -578,7 +536,9 @@ class SampledSpec:
     """A picklable sampled-run cell for :func:`repro.harness.parallel.
     run_specs` — same ``.execute()`` / ``.failure_record()`` protocol
     as ``RunSpec``/``TortureSpec``, and the journal's content-hash
-    ``spec_key`` covers every field below automatically."""
+    ``spec_key`` covers every field below automatically. Construction
+    canonicalizes and validates the fields shared with ``RunSpec``
+    (:func:`repro.harness.parallel.canonical_run_fields`)."""
 
     workload: str
     machine: str = "diag"
@@ -596,8 +556,7 @@ class SampledSpec:
     config_overrides: tuple = ()
 
     def __post_init__(self):
-        if self.machine not in MACHINES:
-            raise ValueError(f"unknown machine {self.machine!r}")
+        canonical_run_fields(self)
         self.params  # validate the schedule at construction time
 
     @property
@@ -618,7 +577,6 @@ class SampledSpec:
 
     def failure_record(self, status, error, failure_class):
         return RunRecord(workload=self.workload, machine=self.machine,
-                         config=self.config or DEFAULT_CONFIG[self.machine],
-                         threads=1, simt=self.simt,
+                         config=self.config, threads=1, simt=self.simt,
                          status=status, error=error,
                          failure_class=failure_class)

@@ -36,13 +36,11 @@ nothing retires, so observing commits is FF-safe and the oracle runs
 with skipping on or off.
 """
 
-import dataclasses
 from collections import deque
+from dataclasses import dataclass, replace
 
-from repro.baseline.ooo import OoOConfig, OoOCore
-from repro.core.config import CONFIG_PRESETS
-from repro.core.processor import DiAGProcessor
 from repro.iss.simulator import ISS, SimError
+from repro.machines import machine as machine_entry
 
 MASK32 = 0xFFFFFFFF
 
@@ -52,14 +50,12 @@ HISTORY_DEPTH = 16
 #: ISS instruction budget for one pipelined-SIMT catch-up
 CATCH_UP_LIMIT = 2_000_000
 
-MACHINES = ("diag", "ooo")
-
 
 class Divergence(Exception):
     """The engine and the ISS disagree on architectural state.
 
     Attributes:
-        machine:   "diag" or "ooo"
+        machine:   a repro.machines.MACHINES name
         kind:      "pc" | "reg" | "mem" | "count" | "halt" | "iss-error"
         index:     ordinal of the diverging commit (0-based)
         addr:      address of the first bad instruction (or None)
@@ -127,7 +123,7 @@ def _rebuild_divergence(state):
     return exc
 
 
-@dataclasses.dataclass
+@dataclass
 class LockstepResult:
     """Outcome of a divergence-free lockstep run."""
 
@@ -266,17 +262,6 @@ class _Oracle:
             iss_x=self.iss.x, iss_f=self.iss.f, history=self.history)
 
 
-def _diag_config(config, fast_forward):
-    cfg = CONFIG_PRESETS[config] if isinstance(config, str) else config
-    return cfg.with_overrides(fast_forward=fast_forward)
-
-
-def _ooo_config(config, fast_forward):
-    if config is None:
-        config = OoOConfig()
-    return dataclasses.replace(config, fast_forward=fast_forward)
-
-
 class LockstepSession:
     """A lockstep run as one picklable, *checkpointable* object graph.
 
@@ -293,21 +278,13 @@ class LockstepSession:
     def __init__(self, program, machine="diag", config="F4C2",
                  fast_forward=True, setup=None, fault_spec=None,
                  history_depth=HISTORY_DEPTH):
-        if machine not in MACHINES:
-            raise ValueError(f"unknown machine {machine!r}")
+        entry = machine_entry(machine)
         self.machine = machine
-        if machine == "diag":
-            cfg = _diag_config(config, fast_forward)
-            self.sim = DiAGProcessor(cfg, program, num_threads=1)
-            self.engine = self.sim.rings[0]
-            memory = self.sim.memory
-        else:
-            cfg = _ooo_config(
-                config if not isinstance(config, str) else None,
-                fast_forward)
-            self.sim = OoOCore(cfg, program)
-            self.engine = self.sim
-            memory = self.sim.hierarchy.memory
+        cfg = replace(entry.config(config), fast_forward=fast_forward)
+        built = entry.build(cfg, program)
+        self.sim = built.sim
+        self.engine = built.engines[0]
+        memory = built.memory
 
         self.iss = ISS(program)
         if setup is not None:
@@ -316,7 +293,7 @@ class LockstepSession:
         if fault_spec is not None:
             from repro.faults.injector import FaultInjector
             FaultInjector(fault_spec).attach(self.engine,
-                                             self.sim.hierarchy)
+                                             built.hierarchies[0])
 
         self.engine_rec = _StoreRecorder(memory)
         self.iss_rec = _StoreRecorder(self.iss.memory)
@@ -376,9 +353,10 @@ def run_lockstep(program, machine="diag", config="F4C2", max_cycles=None,
                  history_depth=HISTORY_DEPTH):
     """Run ``program`` on ``machine`` with the ISS oracle attached.
 
-    ``config``: a DiAG preset name / DiAGConfig for "diag", an
-    OoOConfig (or None for defaults) for "ooo".  ``setup(memory)`` is
-    applied to *both* memories before execution (workload inputs).
+    ``config`` is resolved by the machine's :mod:`repro.machines`
+    entry: a DiAG preset name or DiAGConfig; an OoOConfig (a name
+    means the baseline's default).  ``setup(memory)`` is applied to
+    *both* memories before execution (workload inputs).
     ``fault_spec`` optionally attaches a :class:`repro.faults.injector.
     FaultInjector` to the engine only — used by tests to manufacture a
     guaranteed divergence.

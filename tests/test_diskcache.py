@@ -18,7 +18,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.asm import assemble
-from repro.harness import clear_cache, run_diag
+from repro.harness import (
+    RunSpec,
+    clear_cache,
+    execute_spec,
+    run_diag,
+    run_machine,
+)
 from repro.harness import diskcache
 from repro.harness.diskcache import (
     CACHE_SCHEMA,
@@ -286,6 +292,26 @@ class TestRunnerIntegration:
         assert deterministic_view(cached.stats) \
             == deterministic_view(fresh.stats)
         assert cache.stats()["hits"] == 1
+
+    @pytest.mark.parametrize("spec", [RunSpec.diag("nn", config="F4C2"),
+                                      RunSpec.ooo("nn")],
+                             ids=["diag", "ooo"])
+    def test_int_scale_direct_run_is_a_float_spec_disk_hit(self, tmp_path,
+                                                          spec):
+        # the spec's scale is the float 1.0; a Python caller's int 1
+        # must name the same disk entry, not a second one
+        cache = diskcache.configure(tmp_path)
+        direct = run_machine(spec.machine, "nn", config=spec.config,
+                             scale=1)
+        assert direct.status == "ok"
+        assert cache.stats()["writes"] == 1
+        clear_cache()
+        served = execute_spec(spec)
+        assert served is not direct
+        assert cache.stats()["hits"] == 1
+        assert cache.stats()["entries"] == 1
+        assert deterministic_view(served.stats) \
+            == deterministic_view(direct.stats)
 
     def test_failed_runs_never_persisted(self, tmp_path):
         cache = diskcache.configure(tmp_path)

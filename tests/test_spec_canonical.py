@@ -11,7 +11,9 @@ run one ``spec_key``, and a spec no machine can run raises
   default config, override order and shape, ``simt``/``threads`` on
   incapable workloads, the ``num_clusters`` spelling, the front door);
 * a table of invalid specs, each a ``ValueError``;
-* the named aliases that used to hash apart.
+* the named aliases that used to hash apart;
+* the same rules for :class:`repro.sampling.SampledSpec`, which shares
+  the machine, workload, config, scale, simt and override checks.
 """
 
 import math
@@ -23,7 +25,8 @@ from hypothesis import strategies as st
 
 from repro.harness import RunSpec
 from repro.harness.journal import spec_key
-from repro.harness.parallel import DEFAULT_CONFIG
+from repro.machines import MACHINES
+from repro.sampling import SampledSpec
 from repro.workloads import get_workload
 
 #: MT- and SIMT-capable, MT only, and neither
@@ -65,7 +68,7 @@ def spellings(draw, run):
     """``(front door, arguments)``: one way of asking for ``run``."""
     cls = get_workload(run["workload"])
     doc = {"machine": run["machine"], "workload": run["workload"]}
-    if run["config"] != DEFAULT_CONFIG[run["machine"]] \
+    if run["config"] != MACHINES[run["machine"]].default_config \
             or draw(st.booleans()):
         doc["config"] = run["config"]
     scale = run["scale"]
@@ -153,7 +156,7 @@ def test_named_aliases():
     ooo = RunSpec.from_dict({"machine": "ooo", "workload": "nn"})
     assert ooo == RunSpec.from_dict({"machine": "ooo", "workload": "nn",
                                      "config": "ooo8"})
-    assert ooo.config == DEFAULT_CONFIG["ooo"]
+    assert ooo.config == MACHINES["ooo"].default_config
     assert ooo.failure_record("timeout", "x", "hang").config == "ooo8"
 
 
@@ -254,3 +257,72 @@ def test_override_values_in_range_are_accepted():
         RunSpec.diag("nn", config_overrides={"lsu_queue_depth": 4}))
     assert type(dict(numpy_int.config_overrides)["lsu_queue_depth"]) \
         is int
+
+
+# ------------------------------------------------------------ sampled
+
+#: (name, spelling, the canonical spelling it must equal)
+SAMPLED_ALIASES = [
+    ("omitted vs explicit default config",
+     {"config": "F4C32"}, {}),
+    ("int vs float scale", {"scale": 1}, {"scale": 1.0}),
+    ("numpy scale", {"scale": np.float64(0.5)}, {"scale": 0.5}),
+    ("omitted vs explicit ooo config",
+     {"machine": "ooo", "config": "ooo8"}, {"machine": "ooo"}),
+    ("simt on ooo", {"machine": "ooo", "simt": True},
+     {"machine": "ooo"}),
+    ("simt on a non-SIMT workload", {"workload": "lud", "simt": True},
+     {"workload": "lud"}),
+    ("override shapes",
+     {"config_overrides": [["lsu_queue_depth", 4], ["flush_penalty", 6]]},
+     {"config_overrides": {"flush_penalty": 6, "lsu_queue_depth": 4}}),
+]
+
+
+@pytest.mark.parametrize("spelling,canonical",
+                         [(a, b) for _, a, b in SAMPLED_ALIASES],
+                         ids=[name for name, _, _ in SAMPLED_ALIASES])
+def test_sampled_aliases_share_one_key(spelling, canonical):
+    a = SampledSpec(**dict({"workload": "nn"}, **spelling))
+    b = SampledSpec(**dict({"workload": "nn"}, **canonical))
+    assert a == b
+    assert spec_key(a) == spec_key(b)
+    assert type(a.scale) is float
+
+
+def test_sampled_spec_canonical_fields():
+    spec = SampledSpec("nn")
+    assert spec.config == "F4C32" and spec.machine == "diag"
+    assert spec.failure_record("timeout", "x", "hang").config == "F4C32"
+    assert SampledSpec("nn", machine="ooo").config == "ooo8"
+    assert SampledSpec("nn", simt=True).simt is True
+    assert len({spec_key(SampledSpec("nn")),
+                spec_key(SampledSpec("nn", config="F4C2")),
+                spec_key(SampledSpec("nn", machine="ooo")),
+                spec_key(SampledSpec("nn", simt=True))}) == 4
+
+
+SAMPLED_INVALID = [
+    ("unknown workload", {"workload": "nope"}),
+    ("workload not a name", {"workload": 3}),
+    ("unknown machine", {"machine": "vliw"}),
+    ("unknown diag config", {"config": "XX"}),
+    ("diag preset on ooo", {"machine": "ooo", "config": "F4C32"}),
+    ("scale zero", {"scale": 0}),
+    ("scale string", {"scale": "1.0"}),
+    ("simt not a bool", {"simt": "yes"}),
+    ("unknown override knob", {"config_overrides": {"bogus": 1}}),
+    ("override value a string",
+     {"config_overrides": {"lsu_queue_depth": "x"}}),
+    ("overrides on ooo",
+     {"machine": "ooo", "config_overrides": {"flush_penalty": 1}}),
+    ("window outside the period",
+     {"period": 100, "window": 90, "warmup": 20}),
+]
+
+
+@pytest.mark.parametrize("doc", [doc for _, doc in SAMPLED_INVALID],
+                         ids=[name for name, _ in SAMPLED_INVALID])
+def test_invalid_sampled_spec_raises(doc):
+    with pytest.raises(ValueError):
+        SampledSpec(**dict({"workload": "nn"}, **doc))

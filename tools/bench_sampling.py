@@ -31,15 +31,11 @@ sys.path.insert(
                     os.pardir, "src"))
 
 from repro.harness import diskcache  # noqa: E402
-from repro.harness.runner import (  # noqa: E402
-    clear_cache,
-    run_baseline,
-    run_diag,
-)
+from repro.harness.runner import clear_cache, run_machine  # noqa: E402
+from repro.machines import MACHINES  # noqa: E402
 from repro.sampling import SamplingParams, run_sampled  # noqa: E402
 
 WORKLOADS = ("bfs", "streamcluster")
-MACHINES = ("diag", "ooo")
 DIAG_CONFIG = "F4C2"
 
 #: ~8% detail coverage: windows every 25k instructions, each 1k
@@ -56,19 +52,14 @@ def _timed(fn):
 
 def run_cell(workload, machine, scale):
     """One (workload, machine) cell: full-detail vs. sampled, timed."""
-    if machine == "diag":
-        full, full_s = _timed(
-            lambda: run_diag(workload, config=DIAG_CONFIG, scale=scale))
-        sampled, sampled_s = _timed(
-            lambda: run_sampled(workload, machine="diag",
-                                config=DIAG_CONFIG, scale=scale,
-                                params=PARAMS))
-    else:
-        full, full_s = _timed(
-            lambda: run_baseline(workload, scale=scale))
-        sampled, sampled_s = _timed(
-            lambda: run_sampled(workload, machine="ooo", scale=scale,
-                                params=PARAMS))
+    config = DIAG_CONFIG if DIAG_CONFIG in MACHINES[machine].presets \
+        else None
+    full, full_s = _timed(
+        lambda: run_machine(machine, workload, config=config,
+                            scale=scale))
+    sampled, sampled_s = _timed(
+        lambda: run_sampled(workload, machine=machine, config=config,
+                            scale=scale, params=PARAMS))
     return full, full_s, sampled, sampled_s
 
 
