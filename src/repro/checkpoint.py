@@ -46,8 +46,9 @@ from repro.obs.resilience import (
 
 #: bump when the checkpoint container format changes; payload
 #: compatibility across code versions is additionally guarded by
-#: ``code_version`` in the header (a mismatch warns via ``strict``)
-CKPT_SCHEMA = 1
+#: ``code_version`` in the header (a mismatch warns via ``strict``).
+#: 2: a pickled Cache holds only the sets it has touched
+CKPT_SCHEMA = 2
 
 #: on-disk magic prefix
 MAGIC = b"DIAGCKPT"

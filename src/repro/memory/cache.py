@@ -6,6 +6,7 @@ paper uses for its RTL testbench, Section 7.1). Write policy is
 write-back / write-allocate.
 """
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 
@@ -64,7 +65,10 @@ class Cache:
         #: extra latency to reach the lower level when lower is None (DRAM)
         self.lower_latency = lower_latency
         self.stats = CacheStats()
-        self._sets = [dict() for _ in range(self.num_sets)]
+        #: set index -> {tag: _Line}; a set's dict is made on its first
+        #: access, so a large, barely touched cache (an L2 under a short
+        #: program, every checkpoint of one) holds only the sets in use
+        self._sets = defaultdict(dict)
         self._tick = 0
         #: optional callable(addr, is_write) observing each demand
         #: access — the transient-fault injection point for cache lines
@@ -104,7 +108,8 @@ class Cache:
     def probe(self, addr):
         """True if ``addr`` is resident (no state change, no stats)."""
         set_index, tag = self._locate(addr)
-        return tag in self._sets[set_index]
+        cache_set = self._sets.get(set_index)
+        return cache_set is not None and tag in cache_set
 
     def _fill_from_lower(self, addr):
         if self.lower is not None:
@@ -124,15 +129,15 @@ class Cache:
 
     def flush(self):
         """Drop all lines (counts dirty writebacks)."""
-        for cache_set in self._sets:
+        for cache_set in self._sets.values():
             for line in cache_set.values():
                 if line.dirty:
                     self.stats.writebacks += 1
-            cache_set.clear()
+        self._sets.clear()
 
     @property
     def resident_lines(self):
-        return sum(len(s) for s in self._sets)
+        return sum(len(s) for s in self._sets.values())
 
 
 class NullCache:

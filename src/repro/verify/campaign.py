@@ -27,6 +27,50 @@ SEED_STRIDE = 1_000_003
 SIMT_CONFIG = "F4C16"
 
 
+#: one campaign's built programs: (program seed, ops, simt) -> the
+#: assembled Program, or the assembler's error text; ``_campaign`` is
+#: the base seed they belong to (see :func:`campaign_program`)
+_programs = {}
+_campaign = None
+
+
+def campaign_program(seed, index, ops, simt):
+    """``(assembled, asm_error)`` for program ``index`` of campaign
+    ``seed``: generated and assembled at most once per campaign,
+    however many cells run it. Exactly one of the pair is None.
+
+    The prescreen fills the memo before ``run_specs`` forks its pool,
+    so forked workers inherit every program; a process that misses
+    (no prescreen, spawn start method) fills its own entry. A new
+    campaign seed drops the previous campaign's programs, and
+    :func:`run_torture` clears the memo when it returns. The key
+    fully determines the program, and the simulators attach only pure
+    caches to a Program, so sharing one across cells changes no
+    outcome."""
+    global _campaign
+    if seed != _campaign:
+        _programs.clear()
+        _campaign = seed
+    program_seed = seed * SEED_STRIDE + index
+    key = (program_seed, ops, simt)
+    built = _programs.get(key)
+    if built is None:
+        source = generate(program_seed, ops=ops, simt=simt).source
+        try:
+            built = (assemble(source), None)
+        except Exception as exc:
+            built = (None, str(exc))
+        _programs[key] = built
+    return built
+
+
+def clear_programs():
+    """Drop the memoized campaign programs."""
+    global _campaign
+    _programs.clear()
+    _campaign = None
+
+
 @dataclass(frozen=True)
 class TortureSpec:
     """One torture cell: (program seed, engine, FF mode, SIMT mode)."""
@@ -62,12 +106,11 @@ class TortureSpec:
 
     def execute(self):
         """Run this cell; returns a picklable :class:`TortureOutcome`."""
-        program = self.program()
-        try:
-            assembled = assemble(program.source)
-        except Exception as exc:
+        assembled, asm_error = campaign_program(
+            self.seed, self.index, self.ops, self.simt)
+        if asm_error is not None:
             return TortureOutcome(spec=self, status="asm-error",
-                                  detail=str(exc))
+                                  detail=asm_error)
         try:
             result = run_lockstep(assembled, machine=self.machine,
                                   config=self.config,
@@ -153,12 +196,13 @@ def prescreen_programs(seed, count, simt_modes=(False, True), ops=40,
     lanes, labels, anomalies = [], [], []
     for index in range(count):
         for simt in simt_modes:
-            spec_seed = seed * SEED_STRIDE + index
             try:
-                assembled = assemble(
-                    generate(spec_seed, ops=ops, simt=simt).source)
+                assembled, asm_error = campaign_program(
+                    seed, index, ops, simt)
             except Exception as exc:
-                anomalies.append((index, simt, f"asm-error: {exc}"))
+                asm_error = str(exc)
+            if asm_error is not None:
+                anomalies.append((index, simt, f"asm-error: {asm_error}"))
                 continue
             lanes.append(ISS(assembled))
             labels.append((index, simt))
@@ -246,16 +290,19 @@ def run_torture(seed, count, machines=tuple(MACHINES),
                    cells=len(specs), machines=list(machines),
                    ops=ops)
     pre = None
-    if prescreen:
-        pre = prescreen_programs(seed, count, simt_modes=simt_modes,
-                                 ops=ops)
-        telemetry.emit("prescreen", kind="torture",
-                       programs=pre.programs,
-                       instructions=pre.instructions,
-                       kips=round(pre.kips, 1),
-                       anomalies=len(pre.anomalies))
-    outcomes = run_specs(specs, jobs=jobs, journal=journal,
-                         resume=resume, progress=progress)
+    try:
+        if prescreen:
+            pre = prescreen_programs(seed, count, simt_modes=simt_modes,
+                                     ops=ops)
+            telemetry.emit("prescreen", kind="torture",
+                           programs=pre.programs,
+                           instructions=pre.instructions,
+                           kips=round(pre.kips, 1),
+                           anomalies=len(pre.anomalies))
+        outcomes = run_specs(specs, jobs=jobs, journal=journal,
+                             resume=resume, progress=progress)
+    finally:
+        clear_programs()
     return TortureReport(outcomes=list(outcomes), prescreen=pre)
 
 

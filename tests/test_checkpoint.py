@@ -232,7 +232,7 @@ class TestDisk:
 
     @pytest.mark.parametrize("damage", [
         "not_magic", "truncated", "header_garbage", "payload_flip",
-        "schema",
+        "schema", "old_schema",
     ])
     def test_damage_raises(self, tmp_path, damage):
         _, ckpt = self.make_ckpt()
@@ -247,12 +247,14 @@ class TestDisk:
             blob[10] = (blob[10] + 1) % 256
         elif damage == "payload_flip":
             blob[-1] ^= 0xFF
-        elif damage == "schema":
-            # rewrite the JSON header with a future schema number
+        elif damage in ("schema", "old_schema"):
+            # rewrite the JSON header with a future schema number, or
+            # the one before the Cache layout changed
             hlen = struct.unpack("<I", bytes(blob[8:12]))[0]
             header = json.loads(bytes(blob[12:12 + hlen]))
             assert header["schema"] == CKPT_SCHEMA
-            header["schema"] = CKPT_SCHEMA + 1
+            header["schema"] = (CKPT_SCHEMA + 1 if damage == "schema"
+                                else CKPT_SCHEMA - 1)
             raw = json.dumps(header, sort_keys=True).encode()
             blob = bytearray(bytes(blob[:8]) + struct.pack("<I", len(raw))
                              + raw + bytes(blob[12 + hlen:]))

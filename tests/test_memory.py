@@ -115,6 +115,42 @@ class TestCache:
         with pytest.raises(ValueError):
             Cache("bad", 1000, 3, 64, 1)
 
+    def test_seeded_stream_golden(self):
+        """Sets are allocated on first touch; LRU order, victims and
+        every counter match the eagerly allocated cache this pins."""
+        import random
+
+        cache = Cache("G", 32 * 1024, 2, 64, hit_latency=2,
+                      lower_latency=50)  # 256 sets x 2 ways
+        rng = random.Random(2021)
+        latency = 0
+        for _ in range(20_000):
+            # a hot 16 KiB region plus a cold 1 MiB sweep
+            if rng.random() < 0.7:
+                addr = rng.randrange(16 * 1024)
+            else:
+                addr = rng.randrange(1 << 20)
+            latency += cache.access(addr, is_write=rng.random() < 0.3)
+        stats = cache.stats
+        assert (stats.hits, stats.misses, stats.evictions,
+                stats.writebacks) == (12734, 7266, 6754, 2617)
+        assert cache.resident_lines == 512
+        assert latency == 403300
+        cache.flush()
+        assert stats.writebacks == 2893
+        assert cache.resident_lines == 0
+
+    def test_sets_allocated_on_first_touch(self):
+        cache = self.make(size=64 * 1024, ways=2)  # 512 sets
+        assert not cache.probe(0x40)
+        assert len(cache._sets) == 0  # a probe allocates nothing
+        cache.access(0x40)
+        cache.access(0x40 + 512 * 64, is_write=True)  # same set
+        assert len(cache._sets) == 1
+        assert cache.resident_lines == 2
+        cache.flush()
+        assert len(cache._sets) == 0 and cache.stats.writebacks == 1
+
     def test_prefetch_counts_separately(self):
         cache = self.make()
         cache.access(0, prefetch=True)

@@ -1,6 +1,8 @@
 """Torture generator and campaign runner tests (repro.verify)."""
 
 import pickle
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -8,6 +10,7 @@ from repro.asm import assemble
 from repro.harness.parallel import run_specs
 from repro.iss.simulator import ISS, HaltReason
 from repro.verify import TortureSpec, build_specs, generate, run_torture
+from repro.verify import campaign
 from repro.verify.campaign import SEED_STRIDE, SIMT_CONFIG, TortureOutcome
 
 
@@ -100,3 +103,88 @@ class TestCampaign:
         assert report.ok
         assert report.counts() == {"ok": 1}
         assert "1 cells" in report.summary()
+
+
+def _cell_view(report):
+    return [(o.spec, o.status, o.detail, o.retired, o.cycles,
+             o.failure_class) for o in report.outcomes]
+
+
+class TestProgramMemo:
+    """Each campaign program is generated and assembled once, however
+    many cells (and the prescreen) run it; outcomes never depend on
+    which path built the program."""
+
+    def test_serial_campaign_builds_each_program_once(self, monkeypatch):
+        generated, assembled = Counter(), Counter()
+        real_generate, real_assemble = campaign.generate, campaign.assemble
+
+        def counting_generate(seed, ops=40, simt=False):
+            generated[(seed, simt)] += 1
+            return real_generate(seed, ops=ops, simt=simt)
+
+        def counting_assemble(source):
+            assembled[source] += 1
+            return real_assemble(source)
+
+        monkeypatch.setattr(campaign, "generate", counting_generate)
+        monkeypatch.setattr(campaign, "assemble", counting_assemble)
+        report = run_torture(seed=5, count=3, ops=15, jobs=1)
+        assert report.ok
+        assert len(report.outcomes) == 3 * 8
+        # 3 programs x {simt off, on}: one build each, not 1 + 4
+        assert sorted(generated) == sorted(
+            (5 * SEED_STRIDE + i, simt) for i in range(3)
+            for simt in (False, True))
+        assert set(generated.values()) == {1}
+        assert len(assembled) == 6 and set(assembled.values()) == {1}
+        assert campaign._programs == {}
+
+    def test_new_campaign_seed_drops_the_old_programs(self):
+        spec = TortureSpec(seed=1, index=0, machine="diag", ops=15)
+        try:
+            spec.execute()
+            assert set(campaign._programs) == {(spec.program_seed, 15,
+                                                False)}
+            replace(spec, seed=2).execute()
+            assert set(campaign._programs) == {(2 * SEED_STRIDE, 15,
+                                                False)}
+        finally:
+            campaign.clear_programs()
+
+    @pytest.mark.parametrize("broken", (False, True))
+    def test_outcomes_identical_across_build_paths(self, monkeypatch,
+                                                   broken):
+        bad_seed = 7 * SEED_STRIDE + 1
+        if broken:
+            real_generate = campaign.generate
+
+            def unassemblable(seed, ops=40, simt=False):
+                program = real_generate(seed, ops=ops, simt=simt)
+                if seed == bad_seed and not simt:
+                    program = replace(program, epilogue=program.epilogue
+                                      + ("    frobnicate x1, x2",))
+                return program
+
+            monkeypatch.setattr(campaign, "generate", unassemblable)
+        views, summaries = [], set()
+        for prescreen in (True, False):
+            for jobs in (1, 2):
+                report = run_torture(seed=7, count=2, ops=15, jobs=jobs,
+                                     prescreen=prescreen)
+                views.append(_cell_view(report))
+                summaries.add(report.summary())
+        assert all(view == views[0] for view in views[1:])
+        assert len(summaries) == 1
+        failed = [cell for cell in views[0] if cell[1] != "ok"]
+        if not broken:
+            assert not failed
+            return
+        # every cell of the unassemblable program reports the
+        # assembler's message, and no other cell fails
+        assert summaries == {"16 cells, asm-error=4, ok=12"}
+        assert [cell[0].program_seed for cell in failed] == [bad_seed] * 4
+        for _, status, detail, retired, cycles, failure_class in failed:
+            assert (status, detail, retired, cycles, failure_class) == (
+                "asm-error", "line 57: unknown instruction 'frobnicate'",
+                0, 0, "crash")
