@@ -14,7 +14,6 @@ Commands:
 * ``serve``                     — HTTP/JSON run service (docs/SERVICE.md)
 * ``verify lockstep|torture|shrink|corpus`` — differential lockstep
   verification against the ISS golden model (docs/VERIFICATION.md)
-* ``bench history``             — bench-trend history / regression gate
 
 ``sweep`` and ``faults`` accept ``--jobs N`` (or the ``REPRO_JOBS``
 environment variable) to shard runs across worker processes; output is
@@ -660,44 +659,6 @@ def _cmd_verify(args):
             "corpus": _verify_corpus}[args.action](args)
 
 
-def _cmd_bench(args):
-    """``repro bench history``: append BENCH_*.json documents to the
-    bench-trend history and/or gate the tracked metrics against their
-    rolling median (also ``tools/bench_history.py``)."""
-    from repro.obs import benchtrend
-
-    history = args.history if args.history is not None \
-        else str(benchtrend.HISTORY_PATH)
-    status = 0
-    for path in args.files:
-        entry = benchtrend.append_entry(path, history, sha=args.sha)
-        if entry is None:
-            print(f"not a readable BENCH_*.json document: {path}",
-                  file=sys.stderr)
-            status = 1
-            continue
-        print(f"appended {entry['bench']} ({len(entry['metrics'])} "
-              f"metrics, sha {str(entry['sha'])[:12]}) -> {history}")
-    if args.check:
-        report = benchtrend.check(
-            history,
-            window=args.window if args.window is not None
-            else benchtrend.WINDOW,
-            tolerance=args.tolerance if args.tolerance is not None
-            else benchtrend.TOLERANCE)
-        for line in benchtrend.format_report(report):
-            stream = sys.stderr if line.startswith("REGRESSION") \
-                else sys.stdout
-            print(line, file=stream)
-        if report["regressions"]:
-            status = 1
-    elif not args.files:
-        print("bench history: nothing to do (pass BENCH_*.json "
-              "files, --check, or both)", file=sys.stderr)
-        return 2
-    return status
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -972,27 +933,6 @@ def build_parser():
         "corpus", help="replay every reproducer in tests/regressions/")
     vc.add_argument("--dir", default=None, metavar="DIR")
 
-    bench_p = sub.add_parser(
-        "bench", help="benchmark bookkeeping (bench-trend history)")
-    bench_sub = bench_p.add_subparsers(dest="action", required=True)
-    bh = bench_sub.add_parser(
-        "history", help="append BENCH_*.json to benchmarks/"
-                        "history.jsonl and gate trend regressions")
-    bh.add_argument("files", nargs="*",
-                    help="BENCH_*.json documents to append")
-    bh.add_argument("--history", default=None, metavar="PATH",
-                    help="history JSONL (default benchmarks/"
-                         "history.jsonl)")
-    bh.add_argument("--check", action="store_true",
-                    help="gate tracked metrics against the rolling "
-                         "median (exit 1 on regression)")
-    bh.add_argument("--window", type=int, default=None,
-                    help="rolling-median window (default 8)")
-    bh.add_argument("--tolerance", type=float, default=None,
-                    help="relative tolerance band (default 0.25)")
-    bh.add_argument("--sha", default=None,
-                    help="override the git sha recorded on appended "
-                         "entries")
     return parser
 
 
@@ -1010,7 +950,6 @@ def main(argv=None):
         "cache": _cmd_cache,
         "serve": _cmd_serve,
         "verify": _cmd_verify,
-        "bench": _cmd_bench,
     }[args.command]
     try:
         return handler(args)

@@ -2,7 +2,10 @@
 
 from dataclasses import dataclass, field, replace
 
-from repro.memory.hierarchy import HierarchyConfig, MemTimings
+from repro.memory.hierarchy import HierarchyConfig, MemoryHierarchy, MemTimings
+
+#: bytes per RV32 instruction (no compressed extension)
+INSTRUCTION_BYTES = 4
 
 
 @dataclass
@@ -103,6 +106,21 @@ class DiAGConfig:
             line_bytes=self.line_bytes,
             timings=self.mem_timings,
         )
+
+    def check_geometry(self):
+        """Raise ``ValueError`` for a geometry no run can use: a cache
+        that is not a whole number of sets (building the hierarchy,
+        whose caches are made on first touch, runs each cache's own
+        check), or a cluster with fewer PEs than one I-cache line has
+        instructions (Section 5.1.1: a cluster takes one line, 16 PEs
+        for 64 B of 4 B instructions; a smaller one never finishes its
+        line and hangs)."""
+        MemoryHierarchy(self.hierarchy_config())
+        if self.pes_per_cluster * INSTRUCTION_BYTES < self.line_bytes:
+            raise ValueError(
+                f"{self.pes_per_cluster} PEs per cluster cannot hold a "
+                f"{self.line_bytes}B line of {INSTRUCTION_BYTES}B "
+                f"instructions")
 
     def with_overrides(self, **kwargs):
         """A copy of this config with fields replaced."""

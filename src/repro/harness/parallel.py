@@ -159,11 +159,15 @@ def _overrides(value):
     return {knob: _knob_value(knob, setting) for knob, setting in pairs}
 
 
-def canonical_run_fields(spec):
+def canonical_run_fields(spec, num_clusters=None):
     """Validate and fold, in place, the fields every run spec shares
     (``RunSpec``, ``SampledSpec``): machine, workload, config (None:
-    the machine's default), scale, simt and config_overrides. Returns
-    the machine entry, the workload class and the overrides dict."""
+    the machine's default), scale, simt and config_overrides.
+    ``num_clusters`` (``RunSpec``'s own field) is one more override.
+    An override equal to the preset's own value is dropped, so it
+    names the preset's run, and the resulting config must pass
+    ``DiAGConfig.check_geometry``. Returns the workload class and the
+    overrides dict, ``num_clusters`` included."""
     set_ = partial(object.__setattr__, spec)
     entry = machine_entry(spec.machine)
     cls = all_workloads().get(spec.workload) \
@@ -182,11 +186,22 @@ def canonical_run_fields(spec):
         raise ValueError(f"simt must be a bool, got {spec.simt!r}")
     set_("simt", spec.simt and entry.simt and cls.SIMT_CAPABLE)
     overrides = _overrides(spec.config_overrides)
-    if overrides and not entry.overridable:
-        raise ValueError(f"the {entry.name} machine takes no "
-                         f"config_overrides")
+    if num_clusters is not None:
+        num_clusters = _knob_value("num_clusters", num_clusters)
+        if overrides.setdefault("num_clusters", num_clusters) \
+                != num_clusters:
+            raise ValueError("num_clusters and config_overrides"
+                             "['num_clusters'] disagree")
+    if overrides:
+        if not entry.overridable:
+            raise ValueError(f"the {entry.name} machine takes no "
+                             f"config_overrides")
+        preset = entry.config(config)
+        overrides = {knob: value for knob, value in overrides.items()
+                     if value != getattr(preset, knob)}
+        entry.config(config, overrides).check_geometry()
     set_("config_overrides", tuple(sorted(overrides.items())))
-    return entry, cls, overrides
+    return cls, overrides
 
 
 @dataclass(frozen=True)
@@ -211,7 +226,7 @@ class RunSpec:
 
     def __post_init__(self):
         set_ = partial(object.__setattr__, self)
-        entry, cls, overrides = canonical_run_fields(self)
+        cls, overrides = canonical_run_fields(self, self.num_clusters)
         threads = _positive_int("threads", self.threads)
         set_("threads", threads if cls.MT_CAPABLE else 1)
         if self.max_cycles is not None:
@@ -219,16 +234,7 @@ class RunSpec:
                                              self.max_cycles))
         # run_machine applies num_clusters as one more override: fold
         # both spellings into the field
-        clusters = overrides.pop("num_clusters", self.num_clusters)
-        if self.num_clusters is not None and clusters != self.num_clusters:
-            raise ValueError("num_clusters and config_overrides"
-                             "['num_clusters'] disagree")
-        if clusters is not None:
-            if not entry.overridable:
-                raise ValueError(f"the {self.machine} machine takes no "
-                                 f"num_clusters")
-            clusters = _positive_int("num_clusters", clusters)
-        set_("num_clusters", clusters)
+        set_("num_clusters", overrides.pop("num_clusters", None))
         set_("config_overrides", tuple(sorted(overrides.items())))
 
     @classmethod

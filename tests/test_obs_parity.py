@@ -3,7 +3,9 @@
 The contract: a DiAG run and an OoO run of the same workload both
 emit :data:`repro.obs.SHARED_CORE_COUNTERS` with identical names, so
 experiments and fault campaigns can read either machine's stats
-document without knowing which engine produced it.
+document without knowing which engine produced it. The parity records
+are traced runs of two workloads on both engines, so a traced run
+must also finish ``ok`` and verified with every shared counter.
 """
 
 import json
@@ -14,15 +16,28 @@ from repro.harness.runner import clear_cache, run_baseline, run_diag
 from repro.obs import SHARED_CORE_COUNTERS, EventTracer
 
 WORKLOAD = "nn"
+#: the workloads of the parity records
+WORKLOADS = ("nn", "hotspot")
 SCALE = 0.25
 
 
 @pytest.fixture(scope="module")
-def records():
+def traced():
+    """``{(workload, machine): (record, tracer)}``: every run traced."""
     clear_cache()
-    diag = run_diag(WORKLOAD, config="F4C2", scale=SCALE)
-    ooo = run_baseline(WORKLOAD, scale=SCALE)
-    return {"diag": diag, "ooo": ooo}
+    runs = {}
+    for workload in WORKLOADS:
+        for machine, run in (("diag", run_diag), ("ooo", run_baseline)):
+            tracer = EventTracer()
+            kwargs = {"config": "F4C2"} if machine == "diag" else {}
+            record = run(workload, scale=SCALE, tracer=tracer, **kwargs)
+            runs[workload, machine] = (record, tracer)
+    return runs
+
+
+@pytest.fixture(scope="module")
+def records(traced):
+    return {key: record for key, (record, _) in traced.items()}
 
 
 class TestCounterParity:
@@ -45,8 +60,9 @@ class TestCounterParity:
 
     def test_same_program_same_retired_count(self, records):
         # both engines execute the identical binary to completion
-        assert records["diag"].stat("core.instructions") == \
-            records["ooo"].stat("core.instructions")
+        for workload in WORKLOADS:
+            assert records[workload, "diag"].stat("core.instructions") \
+                == records[workload, "ooo"].stat("core.instructions")
 
     def test_stall_total_is_sum_of_reasons(self, records):
         for rec in records.values():
@@ -55,14 +71,18 @@ class TestCounterParity:
             assert rec.stat("core.stall.total") == total
 
     def test_engine_detail_is_namespaced(self, records):
-        assert any(k.startswith("diag.ring0.")
-                   for k in records["diag"].stats)
-        assert not any(k.startswith("ooo.")
-                       for k in records["diag"].stats)
-        assert any(k.startswith("ooo.")
-                   for k in records["ooo"].stats)
-        assert not any(k.startswith("diag.")
-                       for k in records["ooo"].stats)
+        for workload in WORKLOADS:
+            diag = records[workload, "diag"].stats
+            ooo = records[workload, "ooo"].stats
+            assert any(k.startswith("diag.ring0.") for k in diag)
+            assert not any(k.startswith("ooo.") for k in diag)
+            assert any(k.startswith("ooo.") for k in ooo)
+            assert not any(k.startswith("diag.") for k in ooo)
+
+    def test_every_parity_run_was_traced(self, traced):
+        for record, tracer in traced.values():
+            assert tracer.emitted > 0
+            assert record.stat("sim.host.events_per_sec") > 0
 
     def test_profiling_gauges_present(self, records):
         for rec in records.values():

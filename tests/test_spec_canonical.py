@@ -10,8 +10,10 @@ run one ``spec_key``, and a spec no machine can run raises
   map to one spec and one key (``scale`` type, omitted vs explicit
   default config, override order and shape, ``simt``/``threads`` on
   incapable workloads, the ``num_clusters`` spelling, the front door);
-* a table of invalid specs, each a ``ValueError``;
-* the named aliases that used to hash apart;
+* a table of invalid specs, each a ``ValueError``, cache and cluster
+  geometry included;
+* the named aliases that used to hash apart, overrides equal to the
+  preset's own value included;
 * the same rules for :class:`repro.sampling.SampledSpec`, which shares
   the machine, workload, config, scale, simt and override checks.
 """
@@ -23,8 +25,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import CONFIG_PRESETS
 from repro.harness import RunSpec
 from repro.harness.journal import spec_key
+from repro.harness.parallel import execute_spec
 from repro.machines import MACHINES
 from repro.sampling import SampledSpec
 from repro.workloads import get_workload
@@ -38,7 +42,8 @@ KNOBS = {"lsu_queue_depth": (2, 4, 8), "flush_penalty": (1, 3, 6)}
 
 @st.composite
 def runs(draw):
-    """One run, as its canonical field values."""
+    """One run, as its canonical field values: an override equal to
+    the preset's own value (``num_clusters`` included) is no override."""
     machine = draw(st.sampled_from(("diag", "ooo")))
     workload = draw(st.sampled_from(WORKLOADS))
     cls = get_workload(workload)
@@ -50,16 +55,21 @@ def runs(draw):
            "threads": draw(st.sampled_from((1, 2, 4)))
            if cls.MT_CAPABLE else 1,
            "simt": draw(st.booleans()) and diag and cls.SIMT_CAPABLE,
-           "num_clusters": draw(st.sampled_from((None, 2, 8)))
-           if diag else None,
+           "num_clusters": None,
            "max_cycles": draw(st.sampled_from((None, 10_000_000))),
            "config_overrides": ()}
     if diag:
+        preset = CONFIG_PRESETS[run["config"]]
+        clusters = draw(st.sampled_from((None, 2, 8)))
+        if clusters != preset.num_clusters:
+            run["num_clusters"] = clusters
         chosen = draw(st.lists(st.sampled_from(sorted(KNOBS)),
                                unique=True))
+        pairs = [(knob, draw(st.sampled_from(KNOBS[knob])))
+                 for knob in chosen]
         run["config_overrides"] = tuple(sorted(
-            (knob, draw(st.sampled_from(KNOBS[knob])))
-            for knob in chosen))
+            (knob, value) for knob, value in pairs
+            if value != getattr(preset, knob)))
     return run
 
 
@@ -93,6 +103,14 @@ def spellings(draw, run):
         doc["max_cycles"] = run["max_cycles"]
     pairs = list(run["config_overrides"])
     clusters = run["num_clusters"]
+    if run["machine"] == "diag":
+        # knobs the run leaves at the preset's value may be spelled out
+        preset = CONFIG_PRESETS[run["config"]]
+        for knob in sorted(set(KNOBS) - dict(pairs).keys()):
+            if draw(st.booleans()):
+                pairs.append((knob, getattr(preset, knob)))
+        if clusters is None and draw(st.booleans()):
+            clusters = preset.num_clusters
     if clusters is not None:
         where = draw(st.sampled_from(("field", "override", "both")))
         if where != "override":
@@ -143,12 +161,21 @@ def test_distinct_runs_keep_distinct_keys():
 
 
 def test_named_aliases():
-    # the three spellings of one run that used to be three keys
+    # the spellings of one run that used to be several keys
     canonical = RunSpec.diag("nn")
     for doc in ({"machine": "diag", "workload": "nn", "scale": 1},
                 {"machine": "diag", "workload": "nn", "scale": 1.0},
                 {"machine": "diag", "workload": "nn",
-                 "config": "F4C32"}):
+                 "config": "F4C32"},
+                # overrides equal to F4C32's own values
+                {"machine": "diag", "workload": "nn", "config": "F4C32",
+                 "num_clusters": 32},
+                {"machine": "diag", "workload": "nn",
+                 "config_overrides": {"enable_reuse": True}},
+                {"machine": "diag", "workload": "nn",
+                 "config_overrides": {"num_clusters": 32,
+                                      "lsu_queue_depth": 8,
+                                      "line_bytes": 64}}):
         spec = RunSpec.from_dict(doc)
         assert spec == canonical
         assert spec_key(spec) == spec_key(canonical)
@@ -158,6 +185,15 @@ def test_named_aliases():
                                      "config": "ooo8"})
     assert ooo.config == MACHINES["ooo"].default_config
     assert ooo.failure_record("timeout", "x", "hang").config == "ooo8"
+
+
+def test_no_op_override_beside_a_real_one():
+    # only the override that changes the preset stays in the spec
+    spec = RunSpec("diag", "nn", config="F4C32", num_clusters=8,
+                   config_overrides={"enable_reuse": True,
+                                     "flush_penalty": 6})
+    assert spec.num_clusters == 8
+    assert spec.config_overrides == (("flush_penalty", 6),)
 
 
 VALID = {"machine": "diag", "workload": "nn", "scale": 0.5}
@@ -232,6 +268,23 @@ INVALID = [
     ("overrides on ooo", dict(VALID, machine="ooo",
                               config_overrides={"flush_penalty": 1})),
     ("num_clusters on ooo", dict(VALID, machine="ooo", num_clusters=4)),
+    # geometry: every cache a whole number of sets, and a cluster at
+    # least one I-cache line of instructions wide (4 B each)
+    ("line size not dividing the caches",
+     dict(VALID, config_overrides={"line_bytes": 48})),
+    ("L1D size not a whole number of sets",
+     dict(VALID, config_overrides={"l1d_size": 1000})),
+    ("L1I size not a whole number of sets",
+     dict(VALID, config_overrides={"l1i_size": 100})),
+    ("cluster narrower than a line",
+     dict(VALID, config="F4C2", config_overrides={"pes_per_cluster": 12})),
+    ("one-PE cluster",
+     dict(VALID, config="F4C2", config_overrides={"pes_per_cluster": 1})),
+    ("line wider than a 16-PE cluster",
+     dict(VALID, config_overrides={"pes_per_cluster": 16,
+                                   "line_bytes": 128})),
+    ("no-op num_clusters disagreeing with the field",
+     dict(VALID, num_clusters=4, config_overrides={"num_clusters": 32})),
 ]
 
 
@@ -259,6 +312,17 @@ def test_override_values_in_range_are_accepted():
         is int
 
 
+@pytest.mark.parametrize("pes,line", [(8, 32), (4, 16), (32, 128)])
+def test_cluster_holding_one_line_is_accepted_and_runs(pes, line):
+    spec = RunSpec.diag("nn", config="F4C2", scale=0.25,
+                        config_overrides={"pes_per_cluster": pes,
+                                          "line_bytes": line})
+    assert dict(spec.config_overrides) == {"pes_per_cluster": pes,
+                                           "line_bytes": line}
+    record = execute_spec(spec)
+    assert record.status == "ok" and record.verified
+
+
 # ------------------------------------------------------------ sampled
 
 #: (name, spelling, the canonical spelling it must equal)
@@ -276,6 +340,9 @@ SAMPLED_ALIASES = [
     ("override shapes",
      {"config_overrides": [["lsu_queue_depth", 4], ["flush_penalty", 6]]},
      {"config_overrides": {"flush_penalty": 6, "lsu_queue_depth": 4}}),
+    ("override equal to the preset's value",
+     {"config_overrides": {"enable_reuse": True, "flush_penalty": 6}},
+     {"config_overrides": {"flush_penalty": 6}}),
 ]
 
 
@@ -318,6 +385,10 @@ SAMPLED_INVALID = [
      {"machine": "ooo", "config_overrides": {"flush_penalty": 1}}),
     ("window outside the period",
      {"period": 100, "window": 90, "warmup": 20}),
+    ("line size not dividing the caches",
+     {"config_overrides": {"line_bytes": 48}}),
+    ("cluster narrower than a line",
+     {"config_overrides": {"pes_per_cluster": 8}}),
 ]
 
 

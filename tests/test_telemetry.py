@@ -1,13 +1,12 @@
 """Fleet telemetry: event bus, campaign progress, OpenMetrics export,
-campaign Chrome trace, and bench-trend history.
+and campaign Chrome trace.
 
 Pins down the docs/OBSERVABILITY.md §6 contracts: the event schema and
 its multi-process append discipline, the golden lifecycle sequence a
 serial campaign emits, serial/pooled event-set equality (modulo
 timestamps and pids), ``--resume`` marking journal hits ``replayed``
-rather than ``started``, the exposition-format sanity of
-``repro stats --format openmetrics``, and the rolling-median
-regression gate over ``benchmarks/history.jsonl``.
+rather than ``started``, and the exposition-format sanity of
+``repro stats --format openmetrics``.
 """
 
 import json
@@ -518,88 +517,3 @@ class TestCli:
 
         assert main(["trace"]) == 2
         assert "workload" in capsys.readouterr().err
-
-
-# ---------------------------------------------------------------------
-# bench-trend history
-# ---------------------------------------------------------------------
-
-class TestBenchHistory:
-    def test_bench_name(self):
-        from repro.obs import benchtrend
-
-        assert benchtrend.bench_name("x/BENCH_engine.json") == "engine"
-        assert benchtrend.bench_name("notes.json") is None
-
-    def test_flatten_skips_bulk_subtrees(self):
-        from repro.obs import benchtrend
-
-        doc = {"speedup": 2.0, "ok": True,
-               "merged": {"core.cycles": 9},
-               "cells": {"nn": {"ipc": 1.5}}}
-        assert benchtrend.flatten(doc) == {"speedup": 2.0,
-                                           "cells.nn.ipc": 1.5}
-
-    def _append(self, tmp_path, history, value, sha, ts):
-        from repro.obs import benchtrend
-
-        bench = tmp_path / "BENCH_engine.json"
-        bench.write_text(json.dumps({"speedup": value}))
-        return benchtrend.append_entry(bench, history, sha=sha, ts=ts)
-
-    def test_young_history_skips_never_red(self, tmp_path):
-        from repro.obs import benchtrend
-
-        history = tmp_path / "history.jsonl"
-        entry = self._append(tmp_path, history, 2.0, "s0", 1000.0)
-        assert entry["bench"] == "engine"
-        assert entry["metrics"] == {"speedup": 2.0}
-        report = benchtrend.check(history)
-        assert report["regressions"] == []
-        assert any(item["bench"] == "engine"
-                   for item in report["skipped"])
-
-    def test_rolling_median_gate(self, tmp_path):
-        from repro.obs import benchtrend
-
-        history = tmp_path / "history.jsonl"
-        for step, value in enumerate((2.0, 2.1, 1.9, 2.0)):
-            self._append(tmp_path, history, value, f"s{step}",
-                         1000.0 + step)
-        report = benchtrend.check(history)
-        assert any(item["metric"] == "speedup"
-                   for item in report["checked"])
-        assert not report["regressions"]
-        # a drop below median * (1 - tolerance) is flagged
-        self._append(tmp_path, history, 1.0, "bad", 2000.0)
-        report = benchtrend.check(history)
-        assert len(report["regressions"]) == 1
-        flagged = report["regressions"][0]
-        assert flagged["metric"] == "speedup"
-        assert flagged["sha"] == "bad"
-        assert any("REGRESSION" in line
-                   for line in benchtrend.format_report(report))
-
-    def test_cli_bench_history(self, tmp_path, capsys):
-        from repro.cli import main
-
-        bench = tmp_path / "BENCH_engine.json"
-        bench.write_text(json.dumps({"speedup": 2.0}))
-        history = tmp_path / "history.jsonl"
-        rc = main(["bench", "history", str(bench), "--history",
-                   str(history), "--check", "--sha", "abc123"])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "appended engine" in out
-        assert history.exists()
-        # regression drops the exit code to 1
-        for step, value in enumerate((2.0, 2.0, 2.0, 0.5)):
-            bench.write_text(json.dumps({"speedup": value}))
-            assert main(["bench", "history", str(bench), "--history",
-                         str(history), "--sha", f"s{step}"]) == 0
-        capsys.readouterr()
-        rc = main(["bench", "history", "--history", str(history),
-                   "--check"])
-        captured = capsys.readouterr()
-        assert rc == 1
-        assert "REGRESSION" in captured.err

@@ -22,27 +22,23 @@ short inter-event spans skip less). The floor is *opt-in* via
 timing gate.
 
 Usage: ``python tools/bench_engine.py [-o out.json] [--min-speedup X]``
-(``src/`` is put on ``sys.path`` automatically).
+(``src/`` is put on ``sys.path`` by ``benchkit``).
 """
 
 import argparse
-import json
-import os
 import sys
 import time
 
-sys.path.insert(
-    0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                    os.pardir, "src"))
+from benchkit import exit_code, write_json  # puts src/ on sys.path
 
-from repro.baseline import OoOConfig, OoOCore  # noqa: E402
-from repro.core import F4C2, DiAGProcessor  # noqa: E402
-from repro.memory.hierarchy import (  # noqa: E402
+from repro.baseline import OoOConfig, OoOCore
+from repro.core import F4C2, DiAGProcessor
+from repro.memory.hierarchy import (
     HierarchyConfig,
     MemTimings,
     MemoryHierarchy,
 )
-from repro.workloads import get_workload  # noqa: E402
+from repro.workloads import get_workload
 
 WORKLOADS = ("lbm", "mcf", "srad")
 
@@ -196,17 +192,12 @@ def main(argv=None):
                         f"{args.min_speedup}x")
     doc["failures"] = failures
 
-    with open(args.output, "w") as handle:
-        json.dump(doc, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_json(args.output, doc)
     print(f"aggregate: ticked {off_total:.2f}s, fast-forward "
           f"{on_total:.2f}s ({doc['speedup']}x; "
           f"diag {doc['engine_speedup']['diag']}x, "
           f"ooo {doc['engine_speedup']['ooo']}x)")
-    print(f"wrote {args.output}")
-    for line in failures:
-        print(f"FAIL: {line}", file=sys.stderr)
-    return 1 if failures else 0
+    return exit_code(failures)
 
 
 if __name__ == "__main__":

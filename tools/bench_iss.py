@@ -22,7 +22,7 @@ check: all variants must halt at ebreak with identical instruction
 counts.
 
 Usage: ``python tools/bench_iss.py [-o BENCH_verify.json]``
-(``src/`` is put on ``sys.path`` automatically).
+(``src/`` is put on ``sys.path`` by ``benchkit``).
 """
 
 import argparse
@@ -31,14 +31,12 @@ import os
 import sys
 import time
 
-sys.path.insert(
-    0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                    os.pardir, "src"))
+from benchkit import exit_code, write_json  # puts src/ on sys.path
 
-from repro.asm import assemble  # noqa: E402
-from repro.iss import ISS, BatchedISS  # noqa: E402
-from repro.iss.semantics import compute, finish_load  # noqa: E402
-from repro.iss.simulator import MASK32, HaltReason, SimError  # noqa: E402
+from repro.asm import assemble
+from repro.iss import ISS, BatchedISS
+from repro.iss.semantics import compute, finish_load
+from repro.iss.simulator import MASK32, HaltReason, SimError
 
 KERNEL = """
     .text
@@ -299,13 +297,8 @@ def main(argv=None):
     doc["failures"] = [f for f in doc["failures"]
                        if not f.startswith("iss:")]
     doc["failures"].extend(f"iss: {line}" for line in failures)
-    with open(args.output, "w") as handle:
-        json.dump(doc, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(f"wrote {args.output}")
-    for line in failures:
-        print(f"FAIL: {line}", file=sys.stderr)
-    return 1 if failures else 0
+    write_json(args.output, doc)
+    return exit_code(failures)
 
 
 if __name__ == "__main__":

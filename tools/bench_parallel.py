@@ -17,28 +17,25 @@ multi-core runners while a 1-core laptop still gets the equivalence
 check (a process pool cannot beat serial on one core).
 
 Usage: ``python tools/bench_parallel.py [--jobs 2] [-o out.json]``
-(``src/`` is put on ``sys.path`` automatically).
+(``src/`` is put on ``sys.path`` by ``benchkit``).
 """
 
 import argparse
-import json
 import os
 import sys
 import tempfile
 import time
 
-sys.path.insert(
-    0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                    os.pardir, "src"))
+from benchkit import exit_code, write_json  # puts src/ on sys.path
 
-from repro.harness import (  # noqa: E402
+from repro.harness import (
     RunSpec,
     aggregate_stats,
     clear_cache,
     run_specs,
 )
-from repro.harness import diskcache  # noqa: E402
-from repro.obs import deterministic_view  # noqa: E402
+from repro.harness import diskcache
+from repro.obs import deterministic_view
 
 DIAG_WORKLOADS = ("nn", "hotspot", "srad", "bfs", "kmeans", "lbm")
 OOO_WORKLOADS = ("nn", "hotspot", "srad", "bfs")
@@ -133,19 +130,14 @@ def main(argv=None):
                         f"< required {args.min_cache_speedup}x")
     doc["failures"] = failures
 
-    with open(args.output, "w") as handle:
-        json.dump(doc, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_json(args.output, doc)
     print(f"{len(specs)} cells at scale {args.scale}: "
           f"serial {serial_seconds:.2f}s, "
           f"jobs={args.jobs} {parallel_seconds:.2f}s "
           f"({doc['parallel_speedup']}x); "
           f"disk cache cold {cold_seconds:.2f}s, "
           f"warm {warm_seconds:.2f}s ({doc['cache_speedup']}x)")
-    print(f"wrote {args.output}")
-    for line in failures:
-        print(f"FAIL: {line}", file=sys.stderr)
-    return 1 if failures else 0
+    return exit_code(failures)
 
 
 if __name__ == "__main__":

@@ -16,34 +16,31 @@ gates correctness, not speed (a cold CI runner's fsync latency is not
 a regression).
 
 Usage: ``python tools/bench_resilience.py [-o out.json]``
-(``src/`` is put on ``sys.path`` automatically).
+(``src/`` is put on ``sys.path`` by ``benchkit``).
 """
 
 import argparse
-import json
 import os
 import sys
 import tempfile
 import time
 
-sys.path.insert(
-    0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                    os.pardir, "src"))
+from benchkit import exit_code, write_json  # puts src/ on sys.path
 
-from repro.baseline import OoOConfig, OoOCore  # noqa: E402
-from repro.core import CONFIG_PRESETS, DiAGProcessor  # noqa: E402
-from repro.harness import RunSpec, clear_cache, run_specs  # noqa: E402
-from repro.obs import (  # noqa: E402
+from repro.baseline import OoOConfig, OoOCore
+from repro.core import CONFIG_PRESETS, DiAGProcessor
+from repro.harness import RunSpec, clear_cache, run_specs
+from repro.obs import (
     collect_diag,
     collect_ooo,
     deterministic_view,
 )
-from repro.obs.resilience import (  # noqa: E402
+from repro.obs.resilience import (
     JOURNAL_HITS,
     reset_resilience,
     resilience_snapshot,
 )
-from repro.workloads import get_workload  # noqa: E402
+from repro.workloads import get_workload
 
 WORKLOAD = "nn"
 SCALE = 0.2
@@ -148,9 +145,7 @@ def main(argv=None):
         },
         "failures": failures,
     }
-    with open(args.output, "w") as handle:
-        json.dump(doc, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_json(args.output, doc)
 
     for machine, stats in ckpt.items():
         print(f"{machine}: checkpoint at cycle {stats['cycle']} "
@@ -161,10 +156,7 @@ def main(argv=None):
           f"journaled {journaled_seconds:.2f}s "
           f"({doc['journal']['overhead_ratio']}x), "
           f"resume replay {replay_seconds:.3f}s")
-    print(f"wrote {args.output}")
-    for line in failures:
-        print(f"FAIL: {line}", file=sys.stderr)
-    return 1 if failures else 0
+    return exit_code(failures)
 
 
 if __name__ == "__main__":

@@ -17,23 +17,19 @@ equivalence check without a timing gate; CI runs ``--min-speedup 5``
 at ``--scale 4`` (docs/SAMPLING.md).
 
 Usage: ``python tools/bench_sampling.py [-o out.json] [--scale X]
-[--min-speedup X]`` (``src/`` is put on ``sys.path`` automatically).
+[--min-speedup X]`` (``src/`` is put on ``sys.path`` by ``benchkit``).
 """
 
 import argparse
-import json
-import os
 import sys
 import time
 
-sys.path.insert(
-    0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                    os.pardir, "src"))
+from benchkit import exit_code, write_json  # puts src/ on sys.path
 
-from repro.harness import diskcache  # noqa: E402
-from repro.harness.runner import clear_cache, run_machine  # noqa: E402
-from repro.machines import MACHINES  # noqa: E402
-from repro.sampling import SamplingParams, run_sampled  # noqa: E402
+from repro.harness import diskcache
+from repro.harness.runner import clear_cache, run_machine
+from repro.machines import MACHINES
+from repro.sampling import SamplingParams, run_sampled
 
 WORKLOADS = ("bfs", "streamcluster")
 DIAG_CONFIG = "F4C2"
@@ -132,15 +128,10 @@ def main(argv=None):
                         f"< required {args.min_speedup}x")
     doc["failures"] = failures
 
-    with open(args.output, "w") as handle:
-        json.dump(doc, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_json(args.output, doc)
     print(f"aggregate: full {full_total:.2f}s, sampled "
           f"{sampled_total:.2f}s ({doc['speedup']}x)")
-    print(f"wrote {args.output}")
-    for line in failures:
-        print(f"FAIL: {line}", file=sys.stderr)
-    return 1 if failures else 0
+    return exit_code(failures)
 
 
 if __name__ == "__main__":

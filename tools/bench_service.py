@@ -19,11 +19,10 @@ and drives it with ``--clients`` concurrent HTTP clients, then writes
    docs/SERVICE.md §6 — never a 500).
 
 Usage: ``python tools/bench_service.py [--clients 8] [--chaos]``
-(``src/`` is put on ``sys.path`` automatically).
+(``src/`` is put on ``sys.path`` by ``benchkit``).
 """
 
 import argparse
-import json
 import os
 import random
 import signal
@@ -32,13 +31,11 @@ import tempfile
 import threading
 import time
 
-sys.path.insert(
-    0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                    os.pardir, "src"))
+from benchkit import exit_code, write_json  # puts src/ on sys.path
 
-from repro.harness import diskcache  # noqa: E402
-from repro.obs import telemetry  # noqa: E402
-from repro.service import ServiceClient, serve_in_thread  # noqa: E402
+from repro.harness import diskcache
+from repro.obs import telemetry
+from repro.service import ServiceClient, serve_in_thread
 
 DIAG_WORKLOADS = ("nn", "hotspot", "srad", "bfs")
 OOO_WORKLOADS = ("nn", "hotspot", "srad", "bfs")
@@ -235,18 +232,13 @@ def main(argv=None):
                         f"required {args.min_throughput}")
     doc["failures"] = failures
 
-    with open(args.output, "w") as out:
-        json.dump(doc, out, indent=2, sort_keys=True)
-        out.write("\n")
+    write_json(args.output, doc)
     print(f"{len(specs)} specs x {args.clients} clients: cold "
           f"{elapsed:.2f}s ({throughput:.2f} runs/s), warm "
           f"{warm_elapsed:.2f}s, hit ratio {hit_ratio}, "
           f"dedup executions {storm_executions}, "
           f"chaos kills {len(kills)}")
-    print(f"wrote {args.output}")
-    for line in failures:
-        print(f"FAIL: {line}", file=sys.stderr)
-    return 1 if failures else 0
+    return exit_code(failures)
 
 
 if __name__ == "__main__":

@@ -13,23 +13,19 @@ overhead ratio is informational by default; ``--max-overhead`` turns
 it into a gate (see docs/VERIFICATION.md).
 
 Usage: ``python tools/bench_verify.py [-o out.json]``
-(``src/`` is put on ``sys.path`` automatically).
+(``src/`` is put on ``sys.path`` by ``benchkit``).
 """
 
 import argparse
-import json
-import os
 import sys
 import time
 
-sys.path.insert(
-    0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                    os.pardir, "src"))
+from benchkit import exit_code, write_json  # puts src/ on sys.path
 
-from repro.baseline import OoOConfig, OoOCore  # noqa: E402
-from repro.core import F4C2, DiAGProcessor  # noqa: E402
-from repro.verify import run_lockstep, run_torture  # noqa: E402
-from repro.workloads import get_workload  # noqa: E402
+from repro.baseline import OoOConfig, OoOCore
+from repro.core import F4C2, DiAGProcessor
+from repro.verify import run_lockstep, run_torture
+from repro.workloads import get_workload
 
 WORKLOAD = "nn"
 TORTURE_SEED = 0
@@ -145,13 +141,8 @@ def main(argv=None):
         },
         "failures": failures,
     }
-    with open(args.output, "w") as handle:
-        json.dump(doc, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(f"wrote {args.output}")
-    for line in failures:
-        print(f"FAIL: {line}", file=sys.stderr)
-    return 1 if failures else 0
+    write_json(args.output, doc)
+    return exit_code(failures)
 
 
 if __name__ == "__main__":

@@ -25,7 +25,7 @@ while still forming one coherent campaign (begin/end markers, every
 cell accounted for).
 
 Usage: ``python tools/chaos_smoke.py [--count 8] [--jobs 2]``
-(``src/`` is put on ``sys.path``/``PYTHONPATH`` automatically).
+(``src/`` is put on ``sys.path``/``PYTHONPATH`` by ``benchkit``).
 """
 
 import argparse
@@ -37,10 +37,7 @@ import sys
 import tempfile
 import time
 
-REPO = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                    os.pardir)
-SRC = os.path.join(REPO, "src")
-sys.path.insert(0, SRC)
+from benchkit import SRC, exit_code  # puts src/ on sys.path
 
 
 def campaign_cmd(args, extra=()):
@@ -170,8 +167,7 @@ def main(argv=None):
     if reference.returncode != 0:
         print(reference.stdout)
         print(reference.stderr, file=sys.stderr)
-        print("FAIL: reference campaign failed", file=sys.stderr)
-        return 1
+        return exit_code(["reference campaign failed"])
 
     # 2. chaos: journal on, SIGKILL mid-flight
     env = dict(os.environ, PYTHONPATH=SRC)
@@ -185,9 +181,8 @@ def main(argv=None):
         if time.monotonic() > deadline:
             proc.kill()
             proc.wait()
-            print("FAIL: journal never reached "
-                  f"{args.kill_after} cells", file=sys.stderr)
-            return 1
+            return exit_code([f"journal never reached "
+                              f"{args.kill_after} cells"])
         time.sleep(0.02)
     killed_at = journal_lines(journal)
     if proc.poll() is None:
@@ -239,11 +234,9 @@ def main(argv=None):
     print(f"reference: {reference.stdout.strip().splitlines()[0]}")
     print(f"resume journal hits: "
           f"{hits.group(1) if hits else 'none reported'}")
-    for line in failures:
-        print(f"FAIL: {line}", file=sys.stderr)
     if not failures:
         print("chaos smoke OK: kill + resume is byte-identical")
-    return 1 if failures else 0
+    return exit_code(failures)
 
 
 if __name__ == "__main__":
