@@ -67,7 +67,13 @@ class MainMemory:
 
     def load(self, addr, size, signed=False):
         """Read ``size`` bytes as an integer; optionally sign-extend."""
-        raw = int.from_bytes(self.read_bytes(addr, size), "little")
+        offset = addr & _PAGE_MASK
+        if offset + size <= _PAGE_SIZE:
+            page = self._pages.get(addr >> _PAGE_BITS)
+            raw = 0 if page is None else int.from_bytes(
+                page[offset:offset + size], "little")
+        else:
+            raw = int.from_bytes(self.read_bytes(addr, size), "little")
         if signed:
             sign = 1 << (size * 8 - 1)
             raw = (raw & (sign - 1)) - (raw & sign)

@@ -216,7 +216,7 @@ class WarmTrace:
         self.lines.touch(addr)
 
     def branch(self, pc, instr, taken, target):
-        if instr.is_branch:
+        if instr.facts.is_branch:
             self.predictor.update(pc, bool(taken))
         elif instr.mnemonic == "jal":
             if instr.rd == 1:

@@ -6,8 +6,18 @@ through DiAG's register lanes). NaN results are canonicalized to the
 RISC-V canonical quiet NaN (0x7FC00000) exactly as the F extension
 specifies.
 
-Rounding: arithmetic uses round-to-nearest-even via numpy's binary32
-arithmetic, which is correctly rounded for +, -, *, /, and sqrt.
+Rounding: +, -, *, / and sqrt are computed on Python floats (binary64)
+and the result is rounded once to binary32, round-to-nearest-even, by
+``struct``'s ``"<f"`` packing (a result past the largest finite value
+becomes ±inf). That is exact, not an approximation: every binary32
+operand is exact in binary64, and since 53 >= 2*24 + 2 rounding the
+binary64 result of any of these five operations once more to binary32
+gives the correctly rounded binary32 result (Figueroa's innocuous
+double-rounding bound). ``fcvt.s.w``/``fcvt.s.wu`` likewise go through
+the exact binary64 value of the integer. The package needs only the
+standard library; tests/test_softfloat.py checks it against an
+independent binary32 oracle.
+
 Fused multiply-add is computed in binary64 (the product is exact there)
 and rounded once to binary32 at the end; this matches a hardware FMA in
 all but astronomically rare double-rounding cases, which is at least as

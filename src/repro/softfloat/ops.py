@@ -3,8 +3,6 @@
 import math
 import struct
 
-import numpy as np
-
 MASK32 = 0xFFFFFFFF
 SIGN_BIT = 0x80000000
 EXP_MASK = 0x7F800000
@@ -19,15 +17,24 @@ _INT32_MAX = (1 << 31) - 1
 _UINT32_MAX = (1 << 32) - 1
 
 
+_U32 = struct.Struct("<I")
+_F32 = struct.Struct("<f")
+_unpack_u32, _pack_u32 = _U32.unpack, _U32.pack
+_unpack_f32, _pack_f32 = _F32.unpack, _F32.pack
+# two operands in one pack/unpack: the binary ops' hot path
+_pack_u32x2 = struct.Struct("<II").pack
+_unpack_f32x2 = struct.Struct("<ff").unpack
+
+
 def bits_to_float(b):
     """Reinterpret a 32-bit pattern as a Python float (exact for binary32)."""
-    return struct.unpack("<f", struct.pack("<I", b & MASK32))[0]
+    return _unpack_f32(_pack_u32(b & MASK32))[0]
 
 
 def float_to_bits(x):
     """Round a Python float to binary32 and return the bit pattern."""
     try:
-        return struct.unpack("<I", struct.pack("<f", x))[0]
+        return _unpack_u32(_pack_f32(x))[0]
     except OverflowError:
         return 0xFF800000 if x < 0 else 0x7F800000
 
@@ -43,55 +50,51 @@ def _is_inf(b):
     return (b & EXP_MASK) == EXP_MASK and (b & FRAC_MASK) == 0
 
 
-def _canonicalize(b):
-    return CANONICAL_NAN if is_nan(b) else b
+# The ops below compute in binary64 and round once to binary32 (see
+# the package docstring for why that is exact). A NaN operand makes a
+# NaN binary64 result, which _round canonicalizes, so only fdiv's
+# x/0 branch tests for NaN operands itself.
 
-
-def _f32(b):
-    return np.uint32(b & MASK32).view(np.float32)
-
-
-def _to_bits(f32):
-    return int(np.float32(f32).view(np.uint32))
-
-
-def _binary_op(a, b, op):
-    if is_nan(a) or is_nan(b):
-        return CANONICAL_NAN
-    with np.errstate(all="ignore"):
-        result = op(_f32(a), _f32(b))
-    return _canonicalize(_to_bits(np.float32(result)))
+def _round(x):
+    """:func:`float_to_bits` of the binary64 result ``x``, with a NaN
+    result canonicalized."""
+    return CANONICAL_NAN if x != x else float_to_bits(x)
 
 
 def fadd(a, b):
     """binary32 addition, round-to-nearest-even."""
-    return _binary_op(a, b, lambda x, y: x + y)
+    x, y = _unpack_f32x2(_pack_u32x2(a & MASK32, b & MASK32))
+    return _round(x + y)
 
 
 def fsub(a, b):
     """binary32 subtraction."""
-    return _binary_op(a, b, lambda x, y: x - y)
+    x, y = _unpack_f32x2(_pack_u32x2(a & MASK32, b & MASK32))
+    return _round(x - y)
 
 
 def fmul(a, b):
     """binary32 multiplication."""
-    return _binary_op(a, b, lambda x, y: x * y)
+    x, y = _unpack_f32x2(_pack_u32x2(a & MASK32, b & MASK32))
+    return _round(x * y)
 
 
 def fdiv(a, b):
-    """binary32 division."""
-    return _binary_op(a, b, lambda x, y: x / y)
+    """binary32 division; x/±0 is ±inf with the sign of a^b, 0/0 NaN."""
+    x, y = _unpack_f32x2(_pack_u32x2(a & MASK32, b & MASK32))
+    if y == 0.0:
+        if x == 0.0 or x != x:
+            return CANONICAL_NAN
+        return 0x7F800000 | ((a ^ b) & SIGN_BIT)
+    return _round(x / y)
 
 
 def fsqrt(a):
     """binary32 square root; NaN for negative non-zero inputs."""
-    if is_nan(a):
-        return CANONICAL_NAN
     x = bits_to_float(a)
     if x < 0.0:
         return CANONICAL_NAN
-    with np.errstate(all="ignore"):
-        return _canonicalize(_to_bits(np.sqrt(_f32(a))))
+    return _round(math.sqrt(x))
 
 
 def _fma_core(a, b, c):
@@ -227,12 +230,12 @@ def fcvt_wu_s(a):
 def fcvt_s_w(v):
     """int32 (as 32-bit pattern) -> binary32, RNE."""
     signed = v - 0x100000000 if v & SIGN_BIT else v
-    return float_to_bits(float(np.float32(signed)))
+    return float_to_bits(float(signed))
 
 
 def fcvt_s_wu(v):
     """uint32 -> binary32, RNE."""
-    return float_to_bits(float(np.float32(v & MASK32)))
+    return float_to_bits(float(v & MASK32))
 
 
 # fclass.s result bit positions (RISC-V spec Table 11.5).
