@@ -57,6 +57,27 @@ class TestMainMemory:
             mem.write_word(4 * i, i + 1)
         assert mem.snapshot_words(0, 4) == [1, 2, 3, 4]
 
+    @pytest.mark.parametrize("size", [1, 2, 4])
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_load_equals_read_bytes(self, size, signed):
+        # page 1 is written, pages 0 and 2 are not; the addresses read
+        # inside page 1, straddle both of its boundaries, sit in an
+        # unmapped page, and touch page 1 from either side
+        mem = MainMemory()
+        mem.write_bytes(4096, bytes((7 * i + 0x81) & 0xFF
+                                    for i in range(4096)))
+        addrs = [4096, 4096 + 100, 8192 - size,         # inside page 1
+                 4096 - 1, 4096 - 2, 8192 - 1, 8192 - 3,  # straddling
+                 0, 100, 8192 + 200,                    # unmapped
+                 4096 - size, 8192]                     # next to page 1
+        for addr in addrs:
+            raw = int.from_bytes(mem.read_bytes(addr, size), "little")
+            if signed and raw >> (8 * size - 1):
+                raw -= 1 << (8 * size)
+            assert mem.load(addr, size, signed=signed) == raw, addr
+        assert mem.load(100, size, signed=signed) == 0
+        assert mem.load(8192 - 2, 4) == mem.read_half(8192 - 2) != 0
+
     @given(addr=st.integers(min_value=0, max_value=1 << 20),
            data=st.binary(min_size=1, max_size=64))
     @settings(max_examples=50)

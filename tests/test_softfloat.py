@@ -239,3 +239,107 @@ class TestPropertyVsNumpy:
         else:
             lt, le_, eq = sf.flt(a, b), sf.fle(a, b), sf.feq(a, b)
             assert le_ == (lt or eq)
+
+
+class TestBinary32Oracle:
+    """The binary64-then-round kernels against numpy's binary32
+    arithmetic, which is correctly rounded and serves only as the
+    oracle here: a seeded draw of 200k operand pairs weighted to the
+    edges (signed zeros, infinities, quiet and signalling NaNs,
+    subnormals, the overflow-rounding edge, near-cancelling pairs)."""
+
+    PAIRS = 200_000
+    SPECIALS = np.array([
+        PLUS_ZERO, MINUS_ZERO, PLUS_INF, MINUS_INF, QNAN, 0xFFC00000,
+        SNAN, 0xFFBFFFFF, 0x00000001, 0x80000001,      # smallest subnormal
+        0x007FFFFF, 0x807FFFFF,                        # largest subnormal
+        0x00800000, 0x80800000, 0x7F7FFFFF, 0xFF7FFFFF, 0x7F7FFFFE,
+        0x73000000, 0x72FFFFFF, 0x3F800000, 0xBF800000, 0x3F800001,
+        0x3F7FFFFF, 0x5F800000, 0x5F7FFFFF, 0x1F800000, 0x20000000,
+    ], dtype=np.uint32)
+
+    @classmethod
+    def operands(cls):
+        rng = np.random.default_rng(20)
+        n = cls.PAIRS
+        a = rng.integers(0, 1 << 32, n, dtype=np.uint32)
+        b = rng.integers(0, 1 << 32, n, dtype=np.uint32)
+        sign = rng.integers(0, 2, n, dtype=np.uint32) << 31
+        frac = rng.integers(0, 1 << 23, n, dtype=np.uint32)
+        # subnormal and tiny operands, and operands near the top binade
+        tiny = sign | (rng.integers(0, 8, n, dtype=np.uint32) << 23) | frac
+        huge = sign | (rng.integers(0xF0, 0xFF, n, dtype=np.uint32) << 23) \
+            | frac
+        special = rng.choice(cls.SPECIALS, n) \
+            + rng.integers(-2, 3, n).astype(np.uint32)
+        pick = rng.integers(0, 6, n)
+        a = np.select([pick == 0, pick == 1, pick == 2], [tiny, huge, special],
+                      a)
+        pick = rng.integers(0, 6, n)
+        b = np.select([pick == 0, pick == 1, pick == 2], [tiny, huge, special],
+                      b)
+        # near-cancelling pairs: b within a few ulps of -a or of a
+        near = rng.integers(0, 5, n) == 0
+        nudge = rng.integers(-3, 4, n).astype(np.uint32)
+        flip = np.where(rng.integers(0, 2, n) == 0, np.uint32(1 << 31),
+                        np.uint32(0))
+        b = np.where(near, (a ^ flip) + nudge, b)
+        # the overflow-rounding edge: ~1 times ~FLT_MAX, FLT_MAX + ~ulp/2
+        edge = np.arange(-8, 8, dtype=np.int64)
+        grid_a = (0x3F800000 + edge)[:, None].repeat(16, 1).ravel()
+        grid_b = (0x7F7FFFFF - np.abs(edge))[None, :].repeat(16, 0).ravel()
+        half = 0x73000000 + edge
+        a = np.concatenate([a, grid_a.astype(np.uint32),
+                            np.full(16, 0x7F7FFFFF, np.uint32)])
+        b = np.concatenate([b, grid_b.astype(np.uint32),
+                            half.astype(np.uint32)])
+        return a, b
+
+    @staticmethod
+    def expected(values):
+        bits = values.astype(np.float32).view(np.uint32)
+        return np.where(np.isnan(values), np.uint32(sf.CANONICAL_NAN),
+                        bits).tolist()
+
+    def check(self, op, operands, expected):
+        got = [op(*args) for args in zip(*operands)]
+        bad = [(args, hex(g), hex(e))
+               for args, g, e in zip(zip(*operands), got, expected)
+               if g != e]
+        assert not bad, (op.__name__, len(bad), bad[:5])
+
+    def test_arithmetic_matches_binary32(self):
+        a, b = self.operands()
+        x, y = a.view(np.float32), b.view(np.float32)
+        args = (a.tolist(), b.tolist())
+        with np.errstate(all="ignore"):
+            self.check(sf.fadd, args, self.expected(x + y))
+            self.check(sf.fsub, args, self.expected(x - y))
+            self.check(sf.fmul, args, self.expected(x * y))
+            self.check(sf.fdiv, args, self.expected(x / y))
+            self.check(sf.fsqrt, args[:1], self.expected(np.sqrt(x)))
+
+    def test_int_conversions_match_binary32(self):
+        a, _ = self.operands()
+        self.check(sf.fcvt_s_w, (a.tolist(),),
+                   self.expected(a.view(np.int32)))
+        self.check(sf.fcvt_s_wu, (a.tolist(),), self.expected(a))
+
+    def test_pinned_cases(self):
+        one, two = fbits(1.0), fbits(2.0)
+        assert sf.fdiv(one, MINUS_ZERO) == MINUS_INF
+        assert sf.fdiv(fbits(-1.0), MINUS_ZERO) == PLUS_INF
+        assert sf.fdiv(PLUS_INF, MINUS_ZERO) == MINUS_INF
+        assert sf.fdiv(MINUS_ZERO, PLUS_ZERO) == sf.CANONICAL_NAN
+        assert sf.fdiv(QNAN, PLUS_ZERO) == sf.CANONICAL_NAN
+        assert sf.fdiv(SNAN, MINUS_ZERO) == sf.CANONICAL_NAN
+        assert sf.fadd(MINUS_ZERO, MINUS_ZERO) == MINUS_ZERO
+        assert sf.fadd(PLUS_ZERO, MINUS_ZERO) == PLUS_ZERO
+        for x in (one, fbits(-3.25), 0x00000001, 0x7F7FFFFF):
+            assert sf.fsub(x, x) == PLUS_ZERO
+        assert sf.fadd(0x7F7FFFFF, 0x73000000) == PLUS_INF   # tie: even
+        assert sf.fadd(0x7F7FFFFF, 0x72FFFFFF) == 0x7F7FFFFF
+        assert sf.fmul(0x7F7FFFFF, two) == PLUS_INF
+        assert sf.fmul(fbits(-2.0), 0x7F7FFFFF) == MINUS_INF
+        assert sf.fmul(0x00000001, fbits(0.5)) == PLUS_ZERO  # tie: even
+        assert sf.fsqrt(SNAN) == sf.CANONICAL_NAN

@@ -17,9 +17,11 @@ fingerprint (CPU model, nproc, Python and numpy versions). A run whose
 refused, and then no row of that call is written.
 
 ``check`` times nothing; it reads the history and ``BENCHMARK.json``.
-For each workload and host, the newest row is compared with the median
-of up to ``WINDOW`` earlier rows from the same host. It fails when an
-end-to-end metric is worse than that median by more than the metric's
+For each workload and host, the median of the newest sha's rows is
+compared with the median of up to ``WINDOW`` rows of earlier shas from
+the same host, so one noisy run among a change's rows does not decide
+the gate (a sha with one row is that row). It fails when an end-to-end
+metric is worse than the earlier median by more than the metric's
 ``bound``, in the metric's ``better`` direction. Fewer than
 ``MIN_PRIORS`` earlier rows is a ``skip``, never a failure.
 (docs/PERFORMANCE.md §6, docs/OBSERVABILITY.md §6.5.)
@@ -39,10 +41,11 @@ from benchkit import REPO, exit_code
 HISTORY = os.path.join(REPO, "benchmarks", "perf_history.jsonl")
 BENCHMARK = os.path.join(REPO, "BENCHMARK.json")
 
-#: earlier like-host rows the newest row is compared with, at most
+#: earlier shas' like-host rows the newest sha's rows are compared
+#: with, at most
 WINDOW = 8
 
-#: earlier like-host rows needed before a workload is checked at all
+#: earlier shas' like-host rows needed before a workload is checked
 MIN_PRIORS = 3
 
 
@@ -157,8 +160,8 @@ def _host_label(fingerprint):
 
 def check(history=HISTORY, benchmark=BENCHMARK):
     """``{"ok": [...], "skip": [...], "fail": [...]}``, one line each:
-    the newest row of every (workload, host) against the median of its
-    earlier like-host rows."""
+    for every (workload, host), the median of the newest sha's rows
+    against the median of earlier shas' like-host rows."""
     workloads, metrics = benchmark_metrics(benchmark)
     groups = {}
     for row in load(history):
@@ -169,8 +172,10 @@ def check(history=HISTORY, benchmark=BENCHMARK):
         if not any(w == workload for w, _ in groups):
             report["skip"].append(f"{workload}: no rows")
     for (workload, _), rows in groups.items():
-        newest, priors = rows[-1], rows[:-1][-WINDOW:]
-        where = f"{workload} on {_host_label(newest['host'])}"
+        sha = rows[-1]["sha"]
+        newest = [row for row in rows if row["sha"] == sha]
+        priors = [row for row in rows if row["sha"] != sha][-WINDOW:]
+        where = f"{workload} on {_host_label(newest[-1]['host'])}"
         if len(priors) < MIN_PRIORS:
             report["skip"].append(
                 f"{where}: {len(priors)} earlier like-host row(s), "
@@ -178,7 +183,8 @@ def check(history=HISTORY, benchmark=BENCHMARK):
             continue
         changes = []
         for name, (better, bound) in metrics.items():
-            value = newest["metrics"][name]
+            value = statistics.median(row["metrics"][name]
+                                      for row in newest)
             median = statistics.median(row["metrics"][name]
                                        for row in priors)
             worse = value - median if better == "lower" \
@@ -190,9 +196,11 @@ def check(history=HISTORY, benchmark=BENCHMARK):
                     f"{where}: {name} {value:.4g} is {share:.1%} worse "
                     f"than the median {median:.4g} of {len(priors)} "
                     f"earlier like-host rows (bound {bound:.0%}, "
-                    f"{better} is better; newest row: seed "
-                    f"{newest['seed']}, sha {newest['sha'][:12]})")
-        report["ok"].append(f"{where}: worse (+) than the median of "
+                    f"{better} is better; median of {len(newest)} "
+                    f"row(s) of sha {sha[:12]}, seeds "
+                    f"{', '.join(str(row['seed']) for row in newest)})")
+        report["ok"].append(f"{where}: {len(newest)} row(s) of sha "
+                            f"{sha[:12]} worse (+) than the median of "
                             f"{len(priors)} earlier rows by: "
                             + ", ".join(changes))
     return report
@@ -205,8 +213,8 @@ def main(argv=None):
                                          "--trace 0 runs as rows")
     add_p.add_argument("runs", nargs="+", metavar="RUN",
                        help="a saved perfbench/run.py --trace 0 stdout")
-    verbs.add_parser("check", help="gate the newest row of each "
-                                   "workload and host")
+    verbs.add_parser("check", help="gate the newest sha's rows of "
+                                   "each workload and host")
     args = parser.parse_args(argv)
 
     if args.verb == "add":
