@@ -8,9 +8,8 @@ co-simulation a meaningful correctness check (the paper's FPGA
 proof-of-concept role, Section 6.2).
 """
 
-from repro.iss.batched import BatchedISS
 from repro.iss.semantics import ExecResult, compute, finish_load
 from repro.iss.simulator import HaltReason, ISS, SimError
 
-__all__ = ["BatchedISS", "ExecResult", "HaltReason", "ISS", "SimError",
-           "compute", "finish_load"]
+__all__ = ["ExecResult", "HaltReason", "ISS", "SimError", "compute",
+           "finish_load"]

@@ -13,12 +13,14 @@ Two execution paths share one set of semantics (docs/PERFORMANCE.md
   (no mnemonic ``if``-chain). The lockstep oracle drives this path,
   one step per engine retirement.
 * :meth:`ISS.run` / :meth:`ISS.run_to_boundary` — superblock
-  execution: straight-line runs of the program are compiled once into
-  blocks of pre-resolved execute thunks
+  execution: straight-line runs of the program that are entered
+  often enough (:data:`repro.iss.superblock.HOT`) are compiled once
+  into blocks of pre-resolved execute thunks
   (:mod:`repro.iss.superblock`) and the hot loop dispatches once per
-  block. Both paths are bit-exact for architectural state, stats and
-  the ``warm_trace`` stream; blocks that would overrun a step budget
-  fall back to scalar stepping so pause boundaries land exactly.
+  block; colder lines are stepped scalar. Both paths are bit-exact
+  for architectural state, stats and the ``warm_trace`` stream;
+  blocks that would overrun a step budget fall back to scalar
+  stepping so pause boundaries land exactly.
 """
 
 import enum
@@ -218,6 +220,9 @@ class ISS:
             block = cache_get(self.pc)
             if block is None:
                 block = self._compile(self.pc)
+                if block is None:  # cold block: step its line
+                    self._step_line(max_steps, boundary)
+                    continue
             run = block.run
             if run is None:  # scalar-only instruction (simt/csr/...)
                 step()
@@ -256,6 +261,9 @@ class ISS:
             block = cache_get(pc)
             if block is None:
                 block = self._compile(pc)
+                if block is None:  # cold block: step its line
+                    self._step_line(limit, False, target_pc)
+                    continue
             if block.run is None \
                     or block.length > limit - stats.instructions \
                     or pc < target_pc <= pc + 4 * (block.length - 1):
@@ -273,10 +281,35 @@ class ISS:
         return self._sb_cache
 
     def _compile(self, pc):
+        """The block at ``pc``, cached for this ISS; None (uncached,
+        so the next entry counts again) while the block is cold."""
         from repro.iss.superblock import compile_block
         block = compile_block(self, pc, self.warm_trace)
-        self._sb_cache[pc] = block
+        if block is not None:
+            self._sb_cache[pc] = block
         return block
+
+    def _step_line(self, limit, boundary, target_pc=None):
+        """Scalar-step the straight line at ``pc`` (a cold block).
+
+        Stops after the instruction that halts or leaves the line (pc
+        not sequential), or as soon as the run loop that called it
+        would stop stepping: ``limit`` instructions reached (waived
+        inside a SIMT region when ``boundary``) or ``pc ==
+        target_pc``. The caller's loop head then makes that stop, so
+        pauses land on exactly the scalar loop's instruction."""
+        step = self.step
+        stats = self.stats
+        simt_stack = self._simt_stack
+        while True:
+            pc = self.pc
+            step()
+            if self.halt_reason is not None or self.pc != pc + 4 \
+                    or self.pc == target_pc:
+                return
+            if stats.instructions >= limit \
+                    and not (boundary and simt_stack):
+                return
 
     # ----------------------------------------------------- checkpointing
 

@@ -13,11 +13,20 @@ softfloat). The hot loop in
 :meth:`repro.iss.simulator.ISS._run_blocks` then dispatches once per
 block instead of once per instruction.
 
+Compile on heat: a ``compile()`` + ``exec`` costs far more than
+stepping a short line a few times, and most blocks of a fresh program
+(a torture cell, a fault trial's golden run) are entered only once.
+So a block is compiled on its :data:`HOT`-th entry; before that
+:func:`compile_block` returns None ("cold") and the run loop steps the
+line scalar (:meth:`repro.iss.simulator.ISS._step_line`). Entries are
+counted per Program in ``program._sb_heat``, keyed like the factories.
+
 Generated factories are cached *per Program* keyed by (pc, warm-mode)
 — the source depends only on the instruction bytes — while each ISS
 instance binds its own register files/memory/stats through the
-factory call, so fault campaigns and batched lanes re-running one
-program never recompile.
+factory call, so fault campaigns and torture cells re-running one
+program never recompile. Both caches are private attributes, which
+``Program.__getstate__`` strips from pickles and checkpoints.
 
 Exactness rules (enforced by tests/test_iss_superblock.py):
 
@@ -41,6 +50,11 @@ from repro.iss.simulator import MASK32, MN_SLOTS, HaltReason
 #: straight-line run length cap: bounds compile latency and the
 #: scalar-stepped tail when a block would overrun a step budget
 MAX_BLOCK = 256
+
+#: block entries (per Program and warm mode) before a block is
+#: compiled; colder entries step the line scalar. 8 is the knee of
+#: the prescreen sweep in docs/PERFORMANCE.md §6.
+HOT = 8
 
 #: control/system terminals a block may end with (inclusive)
 _TERMINALS = frozenset(_BRANCH_OPS) | {"jal", "jalr", "ebreak", "ecall"}
@@ -366,19 +380,38 @@ def _factories(program):
         return cache
 
 
-def compile_block(iss, start_pc, warm):
-    """The bound superblock starting at ``start_pc`` for ``iss``.
+def _heat(program):
+    try:
+        return program._sb_heat
+    except AttributeError:
+        heat = program._sb_heat = {}
+        return heat
 
-    Returns :data:`SCALAR` when the first instruction must run through
-    the scalar path (SIMT/CSR/unknown mnemonic, or no instruction at
-    the pc — step() then raises the canonical SimError). Factories are
+
+def compile_block(iss, start_pc, warm):
+    """The bound superblock starting at ``start_pc`` for ``iss``, or
+    None while the block is cold.
+
+    Each call is one block entry. An entry with no cached factory
+    bumps the Program's heat count for the block and returns None
+    until the :data:`HOT`-th entry, which builds the factory. Returns
+    :data:`SCALAR` when the first instruction must run through the
+    scalar path (SIMT/CSR/unknown mnemonic, or no instruction at the
+    pc — step() then raises the canonical SimError). Factories are
     cached on the Program; only the cheap binding call is per-ISS."""
-    factories = _factories(iss.program)
+    program = iss.program
+    factories = _factories(program)
     key = (start_pc, warm is not None)
     try:
         entry = factories[key]
     except KeyError:
-        entry = _build_factory(iss.program, start_pc, warm is not None)
+        heat = _heat(program)
+        entries = heat.get(key, 0) + 1
+        if entries < HOT:
+            heat[key] = entries
+            return None
+        heat.pop(key, None)
+        entry = _build_factory(program, start_pc, warm is not None)
         factories[key] = entry
     if entry is None:
         return SCALAR

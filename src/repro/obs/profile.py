@@ -72,9 +72,10 @@ def export_iss_throughput(registry, instructions, seconds):
     """Register the functional fast-path gauges under ``iss.host``.
 
     Instructions executed by the ISS (fast-forward legs, sampling
-    warmup) never appear in ``sim.host.*``, so the batched/superblock
-    engine gets its own namespace. Like ``sim.host.*`` it is stripped
-    from the deterministic view — wall-clock never affects results."""
+    warmup, torture prescreen) never appear in ``sim.host.*``, so the
+    ISS (superblocks and cold scalar lines) gets its own namespace.
+    Like ``sim.host.*`` it is stripped from the deterministic view —
+    wall-clock never affects results."""
     registry.set("iss.host.run_seconds", seconds,
                  desc="wall-clock seconds inside the ISS fast path")
     rate = 1.0 / seconds if seconds > 0 else 0.0

@@ -45,8 +45,8 @@ def campaign_program(seed, index, ops, simt):
     campaign seed drops the previous campaign's programs, and
     :func:`run_torture` clears the memo when it returns. The key
     fully determines the program, and the simulators attach only pure
-    caches to a Program, so sharing one across cells changes no
-    outcome."""
+    caches to a Program (superblock factories and heat counts), so
+    sharing one across cells changes no outcome."""
     global _campaign
     if seed != _campaign:
         _programs.clear()
@@ -160,15 +160,17 @@ class TortureOutcome:
 
 @dataclass
 class PrescreenReport:
-    """Batched-ISS functional prescreen of a campaign's programs.
+    """ISS functional prescreen of a campaign's programs.
 
-    Every distinct (program seed, simt) program runs to completion as
-    one :class:`repro.iss.batched.BatchedISS` lane before the lockstep
-    matrix launches, so assembler errors and non-terminating programs
-    surface in milliseconds instead of occupying a pool worker — and
-    the batch doubles as the campaign's ISS throughput probe
-    (``iss.host.kips``). Purely additive: cell outcomes and the
-    journaled report are untouched."""
+    Every distinct (program seed, simt) program runs to completion on
+    its own :class:`repro.iss.ISS` before the lockstep matrix
+    launches, so assembler errors and non-terminating programs surface
+    in milliseconds instead of occupying a pool worker — and the pass
+    doubles as the campaign's ISS throughput probe
+    (``iss.host.kips``). The programs are fresh, so nearly all of
+    their blocks stay below the superblock compile threshold and run
+    scalar. Purely additive: cell outcomes and the journaled report
+    are untouched."""
 
     programs: int = 0
     instructions: int = 0
@@ -178,7 +180,7 @@ class PrescreenReport:
 
     @property
     def kips(self):
-        """Aggregate batch throughput in kilo-instructions/second."""
+        """Aggregate prescreen throughput in kilo-instructions/second."""
         if self.seconds <= 0:
             return 0.0
         return self.instructions / self.seconds / 1000.0
@@ -186,11 +188,10 @@ class PrescreenReport:
 
 def prescreen_programs(seed, count, simt_modes=(False, True), ops=40,
                        max_steps=2_000_000):
-    """Run the campaign's program set through one batched ISS.
+    """Run each program of the campaign's set on its own ISS.
 
     Returns a :class:`PrescreenReport`; deterministic except for the
     wall-clock fields, which never reach stdout or the journal."""
-    from repro.iss.batched import BatchedISS
     from repro.iss.simulator import ISS, HaltReason
 
     lanes, labels, anomalies = [], [], []
@@ -206,16 +207,15 @@ def prescreen_programs(seed, count, simt_modes=(False, True), ops=40,
                 continue
             lanes.append(ISS(assembled))
             labels.append((index, simt))
-    batch = BatchedISS(lanes=lanes)
     start = time.perf_counter()
-    reasons = batch.run(max_steps=max_steps)
+    reasons = [lane.run(max_steps) for lane in lanes]
     elapsed = time.perf_counter() - start
     for (index, simt), reason in zip(labels, reasons):
         if reason not in (HaltReason.EBREAK, HaltReason.ECALL):
             anomalies.append((index, simt, f"no-halt: {reason}"))
     return PrescreenReport(
         programs=len(lanes) + len(anomalies),
-        instructions=int(batch.instructions.sum()),
+        instructions=sum(lane.stats.instructions for lane in lanes),
         seconds=elapsed, anomalies=anomalies)
 
 
@@ -224,7 +224,7 @@ class TortureReport:
     """Aggregate of one campaign."""
 
     outcomes: list = field(default_factory=list)
-    #: batched-ISS prescreen (None when disabled); excluded from
+    #: ISS prescreen (None when disabled); excluded from
     #: summary() so journaled resume stays byte-identical
     prescreen: PrescreenReport = None
 
@@ -279,7 +279,7 @@ def run_torture(seed, count, machines=tuple(MACHINES),
     reports byte-identically (docs/RESILIENCE.md). ``progress`` (a
     :class:`repro.obs.progress.ProgressRenderer`) renders the matrix
     live from the telemetry stream. ``prescreen`` runs every program
-    through one batched ISS first (see :func:`prescreen_programs`)."""
+    through the ISS first (see :func:`prescreen_programs`)."""
     from repro.harness.parallel import run_specs
     from repro.obs import telemetry
 

@@ -7,15 +7,25 @@ here drives the same program through the scalar ``step()`` loop and
 the block engine and requires identical register files, PCs, halt
 reasons, stats (including the per-mnemonic histogram), and the
 *ordered* stream of memory writes.
+
+Blocks compile only once they are hot (``superblock.HOT`` entries per
+Program); colder lines are stepped scalar. The resumability sweep
+therefore runs each program both fresh (cold lines) and after it is
+hot (compiled blocks), and the exact-stop cases pin the cold line's
+pauses.
 """
 
 import os
+import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.asm import assemble
+from repro.iss import superblock
 from repro.iss.simulator import ISS, HaltReason
-from repro.iss.superblock import MAX_BLOCK, block_source
+from repro.iss.superblock import HOT, MAX_BLOCK, block_source
 from repro.verify.shrink import corpus_files
 from repro.verify.torture import generate
 
@@ -276,11 +286,10 @@ def test_checkpoint_mid_run_through_block_path():
 
 
 def test_program_pickles_with_factory_cache(tmp_path):
-    import pickle
-
     program = _torture(0, False)
-    iss = ISS(program)
-    iss.run(max_steps=50)  # populates program._sb_factories
+    for _ in range(HOT):
+        ISS(program).run()  # hot: populates program._sb_factories
+    assert program._sb_factories
     clone = pickle.loads(pickle.dumps(program))
     fresh = ISS(clone)
     fresh.run()
@@ -295,3 +304,186 @@ def test_block_source_is_debuggable():
     assert source is not None
     assert "stats.instructions" in source
     assert MAX_BLOCK >= 1
+
+
+# ---------------------------------------------------------------------
+# sliced runs == one run, cold and hot
+# ---------------------------------------------------------------------
+
+def _sliced(program, k):
+    """run(k), run(2k), ... until a final halt."""
+    iss = _recorded(program)
+    bound = k
+    while iss.run(max_steps=bound) is HaltReason.MAX_STEPS:
+        assert iss.stats.instructions == bound
+        bound += k
+    return iss
+
+
+def _sliced_matches_one_run(program, k):
+    ref = _recorded(program)
+    ref.run()
+    sut = _sliced(program, k)
+    assert _snap(sut) == _snap(ref)
+    assert sut.stats.mn_counts == ref.stats.mn_counts
+    assert sut.memory.writes == ref.memory.writes
+
+
+@given(seed=st.integers(min_value=0, max_value=400),
+       simt=st.booleans(),
+       k=st.one_of(st.integers(min_value=1, max_value=7),
+                   st.integers(min_value=1, max_value=5000)))
+@settings(max_examples=25, deadline=None)
+def test_sliced_runs_match_one_run(seed, simt, k):
+    """Slicing a run at any step count changes nothing, whether the
+    program's blocks are still cold or already compiled."""
+    source = generate(seed, ops=40, simt=simt).source
+    _sliced_matches_one_run(assemble(source), k)  # fresh: cold lines
+    program = assemble(source)
+    for _ in range(16):  # well past the compile threshold
+        ISS(program).run()
+    _sliced_matches_one_run(program, k)
+
+
+def test_slice_sizes_do_not_change_results():
+    program = _torture(7, True)
+    finals = []
+    for k in (1, 2, 13, 512, 1 << 20):
+        iss = _sliced(_torture(7, True), k)
+        finals.append((_snap(iss), iss.memory.writes))
+        iss = _sliced(program, k)  # one Program, hotter every pass
+        finals.append((_snap(iss), iss.memory.writes))
+    assert all(final == finals[0] for final in finals[1:])
+
+
+# ---------------------------------------------------------------------
+# exact stops inside a cold line
+# ---------------------------------------------------------------------
+
+_LINE = """
+    .text
+main:
+""" + "".join(f"    addi x{5 + i}, x0, {i + 1}\n" for i in range(20)) + """
+target:
+    addi x26, x5, 0
+    ebreak
+"""
+
+
+def _scalar_steps(program, steps):
+    ref = ISS(program)
+    for _ in range(steps):
+        ref.step()
+    return ref
+
+
+def test_cold_pause_lands_mid_line():
+    for bound in (1, 3, 7, 19):
+        program = assemble(_LINE)
+        iss = ISS(program)
+        assert iss.run(max_steps=bound) is HaltReason.MAX_STEPS
+        assert iss.stats.instructions == bound
+        ref = _scalar_steps(program, bound)
+        ref.halt_reason = HaltReason.MAX_STEPS
+        assert _snap(iss) == _snap(ref)
+        assert iss.run() is HaltReason.EBREAK
+        assert iss.x[26] == 1
+
+
+def test_cold_run_until_pc_stops_on_target_inside_line():
+    program = assemble(_LINE)
+    target = program.symbol("target")
+    iss = ISS(program)
+    iss.run_until_pc(target, 1000)
+    assert iss.pc == target
+    assert iss.halt_reason is None
+    assert _snap(iss) == _snap(_scalar_steps(program, 20))
+    # the step limit also lands mid-line, and sets no pause
+    iss = ISS(assemble(_LINE))
+    iss.run_until_pc(target, 6)
+    assert iss.stats.instructions == 6
+    assert iss.pc == program.entry + 24
+    assert iss.halt_reason is None
+
+
+_SIMT_LINE = """
+    .text
+main:
+    li     x5, 0
+    li     x6, 1
+    li     x7, 6
+    simt_s x5, x6, x7, 1
+    addi   x8, x8, 1
+    addi   x9, x9, 2
+    addi   x10, x10, 3
+    addi   x11, x11, 4
+    simt_e x5, x7
+    addi   x12, x8, 0
+    ebreak
+"""
+
+
+def test_cold_run_to_boundary_defers_pause_in_open_simt_region():
+    for target in (5, 6, 9, 14, 20):
+        program = assemble(_SIMT_LINE)
+        ref = ISS(program)
+        while ref.halt_reason is None:
+            if ref.stats.instructions >= target and not ref._simt_stack:
+                ref.halt_reason = HaltReason.MAX_STEPS
+                break
+            ref.step()
+        sut = ISS(program)
+        sut.run_to_boundary(target)
+        assert _snap(sut) == _snap(ref)
+        assert not sut._simt_stack
+        assert sut.stats.instructions >= target
+
+
+# ---------------------------------------------------------------------
+# compile on heat
+# ---------------------------------------------------------------------
+
+def test_run_once_straight_line_compiles_nothing():
+    program = assemble(_LINE)
+    assert ISS(program).run() is HaltReason.EBREAK
+    assert getattr(program, "_sb_factories", {}) == {}
+
+
+def test_hot_loop_body_compiles_exactly_once(monkeypatch):
+    builds = []
+    real = superblock._build_factory
+
+    def counting(program, start_pc, warm_on):
+        builds.append(start_pc)
+        return real(program, start_pc, warm_on)
+
+    monkeypatch.setattr(superblock, "_build_factory", counting)
+    program = assemble(f"""
+        .text
+    main:
+        li   x5, 0
+        li   x6, {3 * HOT}
+    loop:
+        addi x5, x5, 1
+        bne  x5, x6, loop
+        ebreak
+    """)
+    loop = program.symbol("loop")
+    ref = ISS(program)
+    _scalar_run(ref)
+    for _ in range(2):  # a second ISS binds the cached factory
+        iss = ISS(program)
+        iss.run()
+        assert _snap(iss) == _snap(ref)
+    assert builds.count(loop) == 1
+    assert (loop, False) in program._sb_factories
+    assert program.entry not in builds  # entered twice: still cold
+
+
+def test_heat_counts_do_not_pickle():
+    program = _torture(0, False)
+    ISS(program).run()
+    assert program._sb_heat
+    clone = pickle.loads(pickle.dumps(program))
+    assert not hasattr(clone, "_sb_heat")
+    assert not hasattr(clone, "_sb_factories")

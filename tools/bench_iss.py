@@ -1,10 +1,9 @@
 #!/usr/bin/env python
 """CI ISS bench: functional fast-path throughput (docs/PERFORMANCE.md).
 
-Measures four variants of the functional simulator on a store/load/
-branch hot kernel plus a batched torture prescreen, and merges an
-``iss`` section into ``BENCH_verify.json`` (bench-trend tracks
-``iss.kips``):
+Measures three variants of the functional simulator on a store/load/
+branch hot kernel plus the torture prescreen, and merges an ``iss``
+section into ``BENCH_verify.json``:
 
 * ``legacy_kips``   — the pre-superblock interpreter (mnemonic
   if-chain dispatch, dict-churn mnemonic counts, per-step hook
@@ -13,8 +12,8 @@ branch hot kernel plus a batched torture prescreen, and merges an
   dispatch, slot counters);
 * ``kips``          — the superblock path (``ISS.run``), the headline
   number and the gated one;
-* ``batched``       — ``BatchedISS`` lanes of the same kernel, plus
-  the torture prescreen in programs/sec.
+* ``prescreen_*``   — the torture prescreen (fresh programs, mostly
+  below the superblock compile threshold) in programs/sec.
 
 ``--min-speedup N`` turns the superblock-vs-legacy ratio into a gate;
 CI runs with ``--min-speedup 5``. Every run is also a correctness
@@ -34,7 +33,7 @@ import time
 from benchkit import exit_code, write_json  # puts src/ on sys.path
 
 from repro.asm import assemble
-from repro.iss import ISS, BatchedISS
+from repro.iss import ISS
 from repro.iss.semantics import compute, finish_load
 from repro.iss.simulator import MASK32, HaltReason, SimError
 
@@ -58,7 +57,6 @@ loop:
 
 TORTURE_SEED = 0
 TORTURE_COUNT = 24
-BATCH_LANES = 8
 
 
 class LegacyISS(ISS):
@@ -237,23 +235,7 @@ def main(argv=None):
             f"instruction counts diverge: legacy={retired} "
             f"step={step_retired} superblock={sb_retired}")
 
-    # batched: N independent lanes of the same kernel in one process
-    best_batched = 0.0
-    for _ in range(args.reps):
-        lanes = [ISS(_kernel(args.iters)) for _ in range(BATCH_LANES)]
-        batch = BatchedISS(lanes=lanes)
-        start = time.perf_counter()
-        reasons = batch.run(max_steps=max_steps)
-        seconds = time.perf_counter() - start
-        if any(r is not HaltReason.EBREAK for r in reasons):
-            failures.append(f"batched lanes did not halt: {reasons}")
-            break
-        total = int(batch.instructions.sum())
-        if seconds > 0:
-            best_batched = max(best_batched,
-                               total / seconds / 1000.0)
-
-    # torture prescreen: whole campaign program set, one batch
+    # torture prescreen: the whole campaign program set
     from repro.verify.campaign import prescreen_programs
     pre = prescreen_programs(TORTURE_SEED, TORTURE_COUNT)
     if pre.anomalies:
@@ -264,8 +246,7 @@ def main(argv=None):
     speedup = sb_kips / legacy_kips if legacy_kips > 0 else 0.0
     print(f"iss: legacy {legacy_kips:.0f} KIPS, step "
           f"{step_kips:.0f} KIPS, superblock {sb_kips:.0f} KIPS "
-          f"({speedup:.2f}x), batched {best_batched:.0f} KIPS "
-          f"({BATCH_LANES} lanes)")
+          f"({speedup:.2f}x)")
     print(f"iss prescreen: {pre.programs} programs, "
           f"{pre.instructions} instructions, "
           f"{programs_per_sec:.1f} programs/s")
@@ -281,12 +262,8 @@ def main(argv=None):
         "step_kips": round(step_kips, 1),
         "kips": round(sb_kips, 1),
         "speedup": round(speedup, 2),
-        "batched": {
-            "lanes": BATCH_LANES,
-            "kips": round(best_batched, 1),
-            "prescreen_programs": pre.programs,
-            "prescreen_programs_per_sec": round(programs_per_sec, 1),
-        },
+        "prescreen_programs": pre.programs,
+        "prescreen_programs_per_sec": round(programs_per_sec, 1),
     }
     doc = {}
     if os.path.exists(args.output):

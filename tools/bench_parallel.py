@@ -9,9 +9,13 @@ ways and writes ``BENCH_parallel.json``:
 3. serial into a cold disk cache — cache-write overhead included
 4. serial against the warm cache — cache_speedup = (3) / (4)
 
-Divergence between (1) and (2) — any cell whose deterministic stats
-view (:func:`repro.obs.deterministic_view`) or merged aggregate
-differs — is always a failure. The speedup floors are *opt-in* via
+Phases 1 and 2 run as :data:`PAIRS` back-to-back pairs, and
+``parallel_speedup`` is the median of the pairs' ratios: one pair on
+a shared 2-core host read anywhere from 1.15x to 2.03x, so a single
+ratio cannot carry a 1.2x gate. Divergence between (1) and (2) of the
+first pair — any cell whose deterministic stats view
+(:func:`repro.obs.deterministic_view`) or merged aggregate differs —
+is always a failure. The speedup floors are *opt-in* via
 ``--min-speedup`` / ``--min-cache-speedup`` so CI can enforce them on
 multi-core runners while a 1-core laptop still gets the equivalence
 check (a process pool cannot beat serial on one core).
@@ -40,6 +44,9 @@ from repro.obs import deterministic_view
 DIAG_WORKLOADS = ("nn", "hotspot", "srad", "bfs", "kmeans", "lbm")
 OOO_WORKLOADS = ("nn", "hotspot", "srad", "bfs")
 CONFIG = "F4C16"
+
+#: serial/pooled pairs whose median ratio is the parallel speedup
+PAIRS = 3
 
 
 def smoke_specs(scale):
@@ -78,8 +85,16 @@ def main(argv=None):
 
     # 1+2: serial vs pooled, both cold, no disk cache
     diskcache.configure(None)
-    serial_seconds, serial_records = timed(specs, jobs=1)
-    parallel_seconds, parallel_records = timed(specs, jobs=args.jobs)
+    pairs = []
+    for _ in range(PAIRS):
+        serial_seconds, records = timed(specs, jobs=1)
+        parallel_seconds, pooled = timed(specs, jobs=args.jobs)
+        if not pairs:
+            serial_records, parallel_records = records, pooled
+        pairs.append((serial_seconds, parallel_seconds))
+    # the pair holding the median ratio reports its seconds
+    pairs.sort(key=lambda pair: pair[1] / pair[0])
+    serial_seconds, parallel_seconds = pairs[len(pairs) // 2]
     for spec, ser, par in zip(specs, serial_records, parallel_records):
         cell = f"{spec.workload}.{spec.machine}"
         if ser.failed or not ser.verified:
@@ -115,6 +130,7 @@ def main(argv=None):
         "serial_seconds": round(serial_seconds, 4),
         "parallel_seconds": round(parallel_seconds, 4),
         "parallel_speedup": speedup(serial_seconds, parallel_seconds),
+        "parallel_speedups": sorted(speedup(*pair) for pair in pairs),
         "cache_cold_seconds": round(cold_seconds, 4),
         "cache_warm_seconds": round(warm_seconds, 4),
         "cache_speedup": speedup(cold_seconds, warm_seconds),
