@@ -18,15 +18,16 @@ stepping a short line a few times, and most blocks of a fresh program
 (a torture cell, a fault trial's golden run) are entered only once.
 So a block is compiled on its :data:`HOT`-th entry; before that
 :func:`compile_block` returns None ("cold") and the run loop steps the
-line scalar (:meth:`repro.iss.simulator.ISS._step_line`). Entries are
-counted per Program in ``program._sb_heat``, keyed like the factories.
+line scalar (:meth:`repro.iss.simulator.ISS._step_line`).
 
 Generated factories are cached *per Program* keyed by (pc, warm-mode)
 — the source depends only on the instruction bytes — while each ISS
 instance binds its own register files/memory/stats through the
 factory call, so fault campaigns and torture cells re-running one
-program never recompile. Both caches are private attributes, which
-``Program.__getstate__`` strips from pickles and checkpoints.
+program never recompile. Until its factory is built, a key's entry in
+that cache is the block's entry count (an int). The cache is a private
+attribute, which ``Program.__getstate__`` strips from pickles and
+checkpoints.
 
 Exactness rules (enforced by tests/test_iss_superblock.py):
 
@@ -367,7 +368,7 @@ def _build_factory(program, start_pc, warm_on):
 def block_source(program, pc, warm_on=False):
     """The generated source of the block at ``pc`` (debug/tests)."""
     entry = _factories(program).get((pc, bool(warm_on)))
-    if entry is None:
+    if entry is None or entry.__class__ is int:
         entry = _build_factory(program, pc, bool(warm_on))
     return entry[3] if entry else None
 
@@ -380,39 +381,28 @@ def _factories(program):
         return cache
 
 
-def _heat(program):
-    try:
-        return program._sb_heat
-    except AttributeError:
-        heat = program._sb_heat = {}
-        return heat
-
-
 def compile_block(iss, start_pc, warm):
     """The bound superblock starting at ``start_pc`` for ``iss``, or
     None while the block is cold.
 
     Each call is one block entry. An entry with no cached factory
-    bumps the Program's heat count for the block and returns None
-    until the :data:`HOT`-th entry, which builds the factory. Returns
-    :data:`SCALAR` when the first instruction must run through the
-    scalar path (SIMT/CSR/unknown mnemonic, or no instruction at the
-    pc — step() then raises the canonical SimError). Factories are
-    cached on the Program; only the cheap binding call is per-ISS."""
+    bumps the block's count in the Program's factory cache and returns
+    None until the :data:`HOT`-th entry, which builds the factory in
+    the count's place. Returns :data:`SCALAR` when the first
+    instruction must run through the scalar path (SIMT/CSR/unknown
+    mnemonic, or no instruction at the pc — step() then raises the
+    canonical SimError). Factories are cached on the Program; only
+    the cheap binding call is per-ISS."""
     program = iss.program
     factories = _factories(program)
     key = (start_pc, warm is not None)
-    try:
-        entry = factories[key]
-    except KeyError:
-        heat = _heat(program)
-        entries = heat.get(key, 0) + 1
-        if entries < HOT:
-            heat[key] = entries
+    entry = factories.get(key, 0)
+    if entry.__class__ is int:
+        if entry + 1 < HOT:
+            factories[key] = entry + 1
             return None
-        heat.pop(key, None)
-        entry = _build_factory(program, start_pc, warm is not None)
-        factories[key] = entry
+        entry = factories[key] = _build_factory(program, start_pc,
+                                                warm is not None)
     if entry is None:
         return SCALAR
     factory, helpers, length, _ = entry

@@ -9,10 +9,12 @@ reasons, stats (including the per-mnemonic histogram), and the
 *ordered* stream of memory writes.
 
 Blocks compile only once they are hot (``superblock.HOT`` entries per
-Program); colder lines are stepped scalar. The resumability sweep
-therefore runs each program both fresh (cold lines) and after it is
-hot (compiled blocks), and the exact-stop cases pin the cold line's
-pauses.
+Program); colder lines are stepped scalar. The short loops of torture
+programs never get that hot, so each equivalence test runs twice: with
+``HOT`` patched to 1 (every block entry runs compiled code) and at the
+production threshold (cold lines). The resumability sweep runs each
+program fresh, after it is hot, and compiled on every entry, and the
+exact-stop cases pin the cold line's pauses.
 """
 
 import os
@@ -83,38 +85,57 @@ def _torture(seed, simt):
     return assemble(generate(seed, ops=60, simt=simt).source)
 
 
+def _each_threshold(monkeypatch):
+    """Set ``superblock.HOT`` to 1 (every block entry compiles), then
+    to the production value. A Program keeps its factories and entry
+    counts, so callers assemble fresh Programs on each pass."""
+    for hot in (1, HOT):
+        monkeypatch.setattr(superblock, "HOT", hot)
+        yield hot
+
+
+def _built(program):
+    """Keys of the blocks whose factories are built; a colder block's
+    cache entry is its entry count."""
+    return {key for key, entry in getattr(program, "_sb_factories",
+                                          {}).items()
+            if not isinstance(entry, int)}
+
+
 # ---------------------------------------------------------------------
 # scalar <-> superblock equivalence
 # ---------------------------------------------------------------------
 
 @pytest.mark.parametrize("seed,simt", TORTURE_CASES,
                          ids=lambda c: str(c))
-def test_superblock_matches_scalar(seed, simt):
-    program = _torture(seed, simt)
-    ref = _recorded(program)
-    _scalar_run(ref)
-    sut = _recorded(program)
-    sut.run()
-    assert _snap(sut) == _snap(ref)
-    assert sut.memory.writes == ref.memory.writes
+def test_superblock_matches_scalar(seed, simt, monkeypatch):
+    for _ in _each_threshold(monkeypatch):
+        program = _torture(seed, simt)
+        ref = _recorded(program)
+        _scalar_run(ref)
+        sut = _recorded(program)
+        sut.run()
+        assert _snap(sut) == _snap(ref)
+        assert sut.memory.writes == ref.memory.writes
 
 
 @pytest.mark.parametrize("path", corpus_files(CORPUS),
                          ids=lambda p: os.path.basename(p))
-def test_corpus_replays_identically(path):
+def test_corpus_replays_identically(path, monkeypatch):
     """Every shrunk reproducer (each one a program that once exposed
     an engine bug) runs bit-identically through the block path."""
     with open(path) as fh:
         source = fh.read()
     ref = _recorded(assemble(source))
     _scalar_run(ref)
-    sut = _recorded(assemble(source))
-    sut.run()
-    assert _snap(sut) == _snap(ref)
-    assert sut.memory.writes == ref.memory.writes
+    for _ in _each_threshold(monkeypatch):
+        sut = _recorded(assemble(source))
+        sut.run()
+        assert _snap(sut) == _snap(ref)
+        assert sut.memory.writes == ref.memory.writes
 
 
-def test_csr_mid_program_matches_scalar():
+def test_csr_mid_program_matches_scalar(monkeypatch):
     source = """
         .text
     main:
@@ -130,13 +151,14 @@ def test_csr_mid_program_matches_scalar():
     """
     ref = ISS(assemble(source))
     _scalar_run(ref)
-    sut = ISS(assemble(source))
-    sut.run()
-    assert _snap(sut) == _snap(ref)
-    assert sut.csrs == ref.csrs
+    for _ in _each_threshold(monkeypatch):
+        sut = ISS(assemble(source))
+        sut.run()
+        assert _snap(sut) == _snap(ref)
+        assert sut.csrs == ref.csrs
 
 
-def test_warm_trace_sees_identical_streams():
+def test_warm_trace_sees_identical_streams(monkeypatch):
     class _Warm:
         def __init__(self):
             self.events = []
@@ -148,13 +170,14 @@ def test_warm_trace_sees_identical_streams():
             self.events.append(("branch", pc, instr.mnemonic,
                                 taken, target))
 
-    program = _torture(3, True)
-    ref, sut = ISS(program), ISS(program)
-    ref.warm_trace, sut.warm_trace = _Warm(), _Warm()
-    _scalar_run(ref)
-    sut.run()
-    assert _snap(sut) == _snap(ref)
-    assert sut.warm_trace.events == ref.warm_trace.events
+    for _ in _each_threshold(monkeypatch):
+        program = _torture(3, True)
+        ref, sut = ISS(program), ISS(program)
+        ref.warm_trace, sut.warm_trace = _Warm(), _Warm()
+        _scalar_run(ref)
+        sut.run()
+        assert _snap(sut) == _snap(ref)
+        assert sut.warm_trace.events == ref.warm_trace.events
 
 
 def test_trace_hook_forces_scalar_and_matches():
@@ -173,36 +196,40 @@ def test_trace_hook_forces_scalar_and_matches():
 # ---------------------------------------------------------------------
 
 @pytest.mark.parametrize("simt", (False, True), ids=("plain", "simt"))
-def test_run_is_resumable_at_any_split(simt):
+def test_run_is_resumable_at_any_split(simt, monkeypatch):
     """run(100) -> run(250) -> run() == one uninterrupted run()."""
-    program = _torture(5, simt)
-    ref = ISS(program)
-    ref.run()
+    ref = ISS(_torture(5, simt))
+    _scalar_run(ref)
     total = ref.stats.instructions
     assert total > 10, "torture program too short to split"
     first, second = total // 3, 2 * total // 3
-    sut = ISS(program)
-    assert sut.run(max_steps=first) is HaltReason.MAX_STEPS
-    assert sut.stats.instructions == first
-    assert sut.run(max_steps=second) is HaltReason.MAX_STEPS
-    assert sut.stats.instructions == second
-    sut.run()
-    assert _snap(sut) == _snap(ref)
+    for _ in _each_threshold(monkeypatch):
+        sut = ISS(_torture(5, simt))
+        assert sut.run(max_steps=first) is HaltReason.MAX_STEPS
+        assert sut.stats.instructions == first
+        assert sut.run(max_steps=second) is HaltReason.MAX_STEPS
+        assert sut.stats.instructions == second
+        sut.run()
+        assert _snap(sut) == _snap(ref)
 
 
-def test_pause_is_exact_even_mid_block():
+def test_pause_is_exact_even_mid_block(monkeypatch):
     """MAX_STEPS pauses on the precise instruction even when it falls
     inside a superblock (the block engine must fall back to scalar
     steps rather than overshoot)."""
-    program = _torture(2, False)
-    for bound in (1, 7, 33, 100, 101):
-        iss = ISS(program)
-        reason = iss.run(max_steps=bound)
-        assert reason is HaltReason.MAX_STEPS
-        assert iss.stats.instructions == bound
+    for _ in _each_threshold(monkeypatch):
+        program = _torture(2, False)
+        for bound in (1, 7, 33, 100, 101):
+            iss = ISS(program)
+            reason = iss.run(max_steps=bound)
+            assert reason is HaltReason.MAX_STEPS
+            assert iss.stats.instructions == bound
+            ref = ISS(_torture(2, False))
+            _scalar_run(ref, max_steps=bound)
+            assert _snap(iss) == _snap(ref)
 
 
-def test_halt_exactly_on_boundary_step_reports_ebreak():
+def test_halt_exactly_on_boundary_step_reports_ebreak(monkeypatch):
     """Regression: a program that halts on precisely the boundary
     instruction must report EBREAK/ECALL, never MAX_STEPS — the halt
     check comes before the step-count comparison."""
@@ -214,37 +241,38 @@ def test_halt_exactly_on_boundary_step_reports_ebreak():
         addi x7, x0, 3
         ebreak
     """
-    program = assemble(source)
-    probe = ISS(program)
-    probe.run()
-    total = probe.stats.instructions  # 4: ebreak is the final step
-    for runner in ("run", "run_to_boundary"):
+    for _ in _each_threshold(monkeypatch):
+        program = assemble(source)
+        probe = ISS(program)
+        probe.run()
+        total = probe.stats.instructions  # 4: ebreak is the final step
+        for runner in ("run", "run_to_boundary"):
+            iss = ISS(program)
+            reason = getattr(iss, runner)(total)
+            assert reason is HaltReason.EBREAK, runner
+            assert iss.stats.instructions == total
+        # one short of the halt still pauses
         iss = ISS(program)
-        reason = getattr(iss, runner)(total)
-        assert reason is HaltReason.EBREAK, runner
-        assert iss.stats.instructions == total
-    # one short of the halt still pauses
-    iss = ISS(program)
-    assert iss.run(max_steps=total - 1) is HaltReason.MAX_STEPS
-    assert iss.run() is HaltReason.EBREAK
+        assert iss.run(max_steps=total - 1) is HaltReason.MAX_STEPS
+        assert iss.run() is HaltReason.EBREAK
 
 
-def test_run_to_boundary_defers_pause_inside_simt():
-    program = _torture(4, True)
-    ref = ISS(program)
+def test_run_to_boundary_defers_pause_inside_simt(monkeypatch):
+    ref = ISS(_torture(4, True))
     while ref.halt_reason is None:
         if ref.stats.instructions >= 200 and not ref._simt_stack:
             ref.halt_reason = HaltReason.MAX_STEPS
             break
         ref.step()
-    sut = ISS(program)
-    sut.run_to_boundary(200)
-    assert _snap(sut) == _snap(ref)
-    assert not sut._simt_stack or sut.halt_reason is not \
-        HaltReason.MAX_STEPS
+    for _ in _each_threshold(monkeypatch):
+        sut = ISS(_torture(4, True))
+        sut.run_to_boundary(200)
+        assert _snap(sut) == _snap(ref)
+        assert not sut._simt_stack or sut.halt_reason is not \
+            HaltReason.MAX_STEPS
 
 
-def test_run_until_pc_stops_on_target():
+def test_run_until_pc_stops_on_target(monkeypatch):
     source = """
         .text
     main:
@@ -264,32 +292,33 @@ def test_run_until_pc_stops_on_target():
     while ref.pc != target and ref.halt_reason is None and steps < 1000:
         ref.step()
         steps += 1
-    sut = ISS(program)
-    sut.run_until_pc(target, 1000)
-    assert sut.pc == target
-    assert _snap(sut) == _snap(ref)
+    for _ in _each_threshold(monkeypatch):
+        sut = ISS(assemble(source))
+        sut.run_until_pc(target, 1000)
+        assert sut.pc == target
+        assert _snap(sut) == _snap(ref)
 
 
 # ---------------------------------------------------------------------
 # checkpoints and caches
 # ---------------------------------------------------------------------
 
-def test_checkpoint_mid_run_through_block_path():
-    program = _torture(6, True)
-    ref = ISS(program)
-    ref.run()
-    sut = ISS(program)
-    sut.run(max_steps=150)
-    restored = ISS.restore_state(sut.save_state())
-    restored.run()
-    assert _snap(restored) == _snap(ref)
+def test_checkpoint_mid_run_through_block_path(monkeypatch):
+    ref = ISS(_torture(6, True))
+    _scalar_run(ref)
+    for _ in _each_threshold(monkeypatch):
+        sut = ISS(_torture(6, True))
+        sut.run(max_steps=150)
+        restored = ISS.restore_state(sut.save_state())
+        restored.run()
+        assert _snap(restored) == _snap(ref)
 
 
 def test_program_pickles_with_factory_cache(tmp_path):
     program = _torture(0, False)
     for _ in range(HOT):
-        ISS(program).run()  # hot: populates program._sb_factories
-    assert program._sb_factories
+        ISS(program).run()  # hot: builds factories on the Program
+    assert _built(program)
     clone = pickle.loads(pickle.dumps(program))
     fresh = ISS(clone)
     fresh.run()
@@ -320,10 +349,7 @@ def _sliced(program, k):
     return iss
 
 
-def _sliced_matches_one_run(program, k):
-    ref = _recorded(program)
-    ref.run()
-    sut = _sliced(program, k)
+def _assert_same_run(sut, ref):
     assert _snap(sut) == _snap(ref)
     assert sut.stats.mn_counts == ref.stats.mn_counts
     assert sut.memory.writes == ref.memory.writes
@@ -336,24 +362,30 @@ def _sliced_matches_one_run(program, k):
 @settings(max_examples=25, deadline=None)
 def test_sliced_runs_match_one_run(seed, simt, k):
     """Slicing a run at any step count changes nothing, whether the
-    program's blocks are still cold or already compiled."""
+    program's blocks are still cold, already hot, or compiled on
+    every entry: each sliced run equals one scalar ``step()`` run."""
     source = generate(seed, ops=40, simt=simt).source
-    _sliced_matches_one_run(assemble(source), k)  # fresh: cold lines
+    ref = _recorded(assemble(source))
+    _scalar_run(ref)
+    _assert_same_run(_sliced(assemble(source), k), ref)  # cold lines
     program = assemble(source)
-    for _ in range(16):  # well past the compile threshold
+    for _ in range(2 * HOT):  # well past the compile threshold
         ISS(program).run()
-    _sliced_matches_one_run(program, k)
+    _assert_same_run(_sliced(program, k), ref)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(superblock, "HOT", 1)
+        _assert_same_run(_sliced(assemble(source), k), ref)
 
 
-def test_slice_sizes_do_not_change_results():
-    program = _torture(7, True)
-    finals = []
-    for k in (1, 2, 13, 512, 1 << 20):
-        iss = _sliced(_torture(7, True), k)
-        finals.append((_snap(iss), iss.memory.writes))
-        iss = _sliced(program, k)  # one Program, hotter every pass
-        finals.append((_snap(iss), iss.memory.writes))
-    assert all(final == finals[0] for final in finals[1:])
+def test_slice_sizes_do_not_change_results(monkeypatch):
+    ref = _recorded(_torture(7, True))
+    _scalar_run(ref)
+    for _ in _each_threshold(monkeypatch):
+        program = _torture(7, True)
+        for k in (1, 2, 13, 512, 1 << 20):
+            _assert_same_run(_sliced(_torture(7, True), k), ref)
+            # one Program, hotter every pass
+            _assert_same_run(_sliced(program, k), ref)
 
 
 # ---------------------------------------------------------------------
@@ -446,7 +478,8 @@ def test_cold_run_to_boundary_defers_pause_in_open_simt_region():
 def test_run_once_straight_line_compiles_nothing():
     program = assemble(_LINE)
     assert ISS(program).run() is HaltReason.EBREAK
-    assert getattr(program, "_sb_factories", {}) == {}
+    assert not _built(program)
+    assert program._sb_factories == {(program.entry, False): 1}
 
 
 def test_hot_loop_body_compiles_exactly_once(monkeypatch):
@@ -476,14 +509,13 @@ def test_hot_loop_body_compiles_exactly_once(monkeypatch):
         iss.run()
         assert _snap(iss) == _snap(ref)
     assert builds.count(loop) == 1
-    assert (loop, False) in program._sb_factories
+    assert (loop, False) in _built(program)
     assert program.entry not in builds  # entered twice: still cold
 
 
 def test_heat_counts_do_not_pickle():
     program = _torture(0, False)
     ISS(program).run()
-    assert program._sb_heat
+    assert program._sb_factories  # entry counts of the cold blocks
     clone = pickle.loads(pickle.dumps(program))
-    assert not hasattr(clone, "_sb_heat")
     assert not hasattr(clone, "_sb_factories")
