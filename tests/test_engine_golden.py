@@ -8,7 +8,11 @@ here with the cell's name.
 
 The cells are the eight kernels of the ``figure`` benchmark workload
 at scale 0.25 on DiAG F4C32 and on the OoO baseline, plus one
-SIMT-pipelined DiAG cell and one DiAG cell with shared FU groups.
+SIMT-pipelined DiAG cell and one DiAG cell with shared FU groups. The
+same eight kernels also run on the two-cluster F4C2 ring, where
+clusters are evicted, re-arms miss and squashes cut through runs of
+disabled PEs; one more DiAG cell runs with a non-default lane geometry
+(a lane buffer every 4 PEs, 2 cycles per cluster boundary).
 
 A change that is *meant* to move simulated outcomes re-records the
 fixture with ``PYTHONPATH=src python tests/test_engine_golden.py``.
@@ -29,19 +33,25 @@ SCALE = 0.25
 KERNELS = ("kmeans", "nn", "btree", "pathfinder", "mcf", "deepsjeng",
            "xz", "povray")
 
-#: name -> zero-argument run; the two extra DiAG cells reach the
-#: pipelined-SIMT path and the shared-FU arbitration path
+#: name -> zero-argument run; the three extra DiAG cells reach the
+#: pipelined-SIMT path, the shared-FU arbitration path and the lane
+#: delays of a non-default geometry
 CELLS = {}
 for _kernel in KERNELS:
     CELLS[f"diag/{_kernel}"] = (
         lambda k=_kernel: run_diag(k, config="F4C32", scale=SCALE))
     CELLS[f"ooo/{_kernel}"] = (
         lambda k=_kernel: run_baseline(k, scale=SCALE))
+    CELLS[f"diag-F4C2/{_kernel}"] = (
+        lambda k=_kernel: run_diag(k, config="F4C2", scale=SCALE))
 CELLS["diag/nn+simt"] = lambda: run_diag(
     "nn", config="F4C32", scale=SCALE, simt=True)
 CELLS["diag/kmeans+fu_share4"] = lambda: run_diag(
     "kmeans", config="F4C32", scale=SCALE,
     config_overrides={"fu_share_factor": 4})
+CELLS["diag/mcf+lane_geometry"] = lambda: run_diag(
+    "mcf", config="F4C32", scale=SCALE,
+    config_overrides={"lane_buffer_every": 4, "inter_cluster_delay": 2})
 
 
 def digest(record):
@@ -67,6 +77,8 @@ def test_extra_cells_reach_their_paths():
     assert simt.extra["simt_regions"] > 0
     shared = CELLS["diag/kmeans+fu_share4"]()
     assert shared.cycles != CELLS["diag/kmeans"]().cycles
+    geometry = CELLS["diag/mcf+lane_geometry"]()
+    assert geometry.cycles != CELLS["diag/mcf"]().cycles
 
 
 if __name__ == "__main__":
