@@ -48,7 +48,8 @@ from repro.obs.resilience import (
 #: compatibility across code versions is additionally guarded by
 #: ``code_version`` in the header (a mismatch warns via ``strict``).
 #: 2: a pickled Cache holds only the sets it has touched
-CKPT_SCHEMA = 2
+#: 3: a run of disabled PEs is one ``DisabledRun``
+CKPT_SCHEMA = 3
 
 #: on-disk magic prefix
 MAGIC = b"DIAGCKPT"

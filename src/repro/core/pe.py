@@ -2,9 +2,13 @@
 
 Paper Figure 5: each PE holds an instruction address register, decoded
 instruction state, and control that compares the PC lane against its
-address. A :class:`PEEntry` is one *activation* of one PE — a fresh
-entry is created each time its cluster is (re-)armed, while the decoded
-instruction itself stays resident in the cluster (instruction reuse).
+address. A :class:`PEEntry` is one *activation* of one live PE — a
+fresh entry is created each time its cluster is (re-)armed, while the
+decoded instruction itself stays resident in the cluster (instruction
+reuse). PEs that the PC lane disables (a branch shadow, or the slots
+before an unaligned entry point; Section 4.3, Figure 6) do no work, so
+one :class:`DisabledRun` stands for each maximal run of them in an
+activation.
 """
 
 import enum
@@ -23,6 +27,7 @@ _WAITING = PEState.WAITING
 _EXECUTING = PEState.EXECUTING
 _DONE = PEState.DONE
 _RETIRED = PEState.RETIRED
+_DISABLED = PEState.DISABLED
 
 
 class PEEntry:
@@ -36,6 +41,9 @@ class PEEntry:
         "pending_producers", "ready_time", "waiters", "blocked_on",
         "store_addr",
     )
+
+    #: window slots this entry stands for (see DisabledRun.count)
+    count = 1
 
     def __init__(self, seq, instr, facts, addr, activation, pe_index):
         self.seq = seq
@@ -92,10 +100,6 @@ class PEEntry:
         if injector is not None and self.value is not None:
             self.value = injector.value(site, self.value)
 
-    @property
-    def position(self):
-        return (self.activation.seq, self.pe_index)
-
     # Identity tests against module-level members: hashing an Enum
     # member runs Python code, so set membership would cost more than
     # the drain scans these serve.
@@ -112,4 +116,42 @@ class PEEntry:
 
     def __repr__(self):  # pragma: no cover - debug aid
         return (f"<PE #{self.seq} {self.instr.mnemonic}@{self.addr:#x} "
+                f"{self.state.value}>")
+
+
+class DisabledRun:
+    """``count`` adjacent PEs of one activation disabled by PC mismatch.
+
+    The run holds one window position for all of its slots: ``seq`` and
+    ``pe_index`` are those of its first slot, and its slots took the
+    ``count`` consecutive sequence numbers from ``seq`` on. Retirement
+    may pop a run in part (the per-cycle budget counts slots), which
+    advances ``seq`` and ``pe_index`` and shrinks ``count``. Squashing
+    sets ``state`` as for any entry."""
+
+    __slots__ = ("seq", "activation", "pe_index", "count", "state")
+
+    #: a disabled PE never executes, and squashing keeps it finished
+    is_finished = True
+    #: what the watchdog's head dump reads off a window head
+    pending_producers = 0
+    blocked_on = None
+
+    def __init__(self, seq, activation, pe_index):
+        self.seq = seq
+        self.activation = activation
+        self.pe_index = pe_index
+        self.count = 1
+        self.state = _DISABLED
+
+    @property
+    def addr(self):
+        """Address of the run's first slot."""
+        return self.activation.cluster.base_addr + 4 * self.pe_index
+
+    def __repr__(self):  # pragma: no cover - debug aid
+        # the first slot's entry as PEEntry would show it
+        instr = self.activation.cluster.plan[self.pe_index][1]
+        mnemonic = instr.mnemonic if instr is not None else "??"
+        return (f"<PE #{self.seq} {mnemonic}@{self.addr:#x} "
                 f"{self.state.value}>")

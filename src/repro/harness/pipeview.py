@@ -11,11 +11,27 @@ lifetime chart (dispatch -> waiting -> executing -> done -> retired).
 
 Legend: ``.`` waiting on lanes, ``=`` executing, ``-`` done (waiting
 to retire), ``R`` retired, ``x`` squashed, ``d`` disabled slot.
+
+The ring keeps a run of disabled PEs as one window object
+(:class:`repro.core.pe.DisabledRun`); the tracer expands it into one
+life per PE slot, each labelled from its cluster's decoded line.
 """
 
 from dataclasses import dataclass, field
 
-from repro.core.pe import PEState
+from repro.core.pe import DisabledRun, PEState
+
+
+def _slots(window):
+    """(seq, addr, instr, entry) for every PE slot in a ring window."""
+    for entry in window:
+        if not isinstance(entry, DisabledRun):
+            yield entry.seq, entry.addr, entry.instr, entry
+            continue
+        plan = entry.activation.cluster.plan
+        for k in range(entry.count):
+            addr, instr = plan[entry.pe_index + k][:2]
+            yield entry.seq + k, addr, instr, entry
 
 
 @dataclass
@@ -82,17 +98,18 @@ class PipeTracer:
     def sample(self):
         ring = self.ring
         cycle = ring.cycle
-        for entry in ring.window:
-            life = self.lives.get(entry.seq)
+        slots = list(_slots(ring.window))
+        for seq, addr, instr, entry in slots:
+            life = self.lives.get(seq)
             if life is None:
                 if len(self.lives) >= self.max_entries:
-                    self._drop(entry.seq)
+                    self._drop(seq)
                     continue
-                life = _Life(seq=entry.seq,
-                             label=f"{entry.addr:#06x} "
-                                   f"{entry.instr.mnemonic if entry.instr else '??'}",
+                life = _Life(seq=seq,
+                             label=f"{addr:#06x} "
+                                   f"{instr.mnemonic if instr else '??'}",
                              dispatch=cycle)
-                self.lives[entry.seq] = life
+                self.lives[seq] = life
             state = entry.state
             if state is PEState.EXECUTING and life.start is None:
                 life.start = entry.start_cycle
@@ -100,7 +117,7 @@ class PipeTracer:
                 life.done = entry.done_cycle
             life.final_state = state.value
         # retirement is observed by disappearance from the window
-        present = {e.seq for e in ring.window}
+        present = {slot[0] for slot in slots}
         for seq, life in self.lives.items():
             if life.retire is None and seq not in present \
                     and life.dispatch < cycle:

@@ -249,7 +249,7 @@ class TestDisk:
             blob[-1] ^= 0xFF
         elif damage in ("schema", "old_schema"):
             # rewrite the JSON header with a future schema number, or
-            # the one before the Cache layout changed
+            # the one before runs of disabled PEs became one object
             hlen = struct.unpack("<I", bytes(blob[8:12]))[0]
             header = json.loads(bytes(blob[12:12 + hlen]))
             assert header["schema"] == CKPT_SCHEMA
