@@ -195,6 +195,7 @@ def prescreen_programs(seed, count, simt_modes=(False, True), ops=40,
     from repro.iss.simulator import ISS, HaltReason
 
     lanes, labels, anomalies = [], [], []
+    unassembled = 0
     for index in range(count):
         for simt in simt_modes:
             try:
@@ -204,6 +205,7 @@ def prescreen_programs(seed, count, simt_modes=(False, True), ops=40,
                 asm_error = str(exc)
             if asm_error is not None:
                 anomalies.append((index, simt, f"asm-error: {asm_error}"))
+                unassembled += 1
                 continue
             lanes.append(ISS(assembled))
             labels.append((index, simt))
@@ -214,7 +216,7 @@ def prescreen_programs(seed, count, simt_modes=(False, True), ops=40,
         if reason not in (HaltReason.EBREAK, HaltReason.ECALL):
             anomalies.append((index, simt, f"no-halt: {reason}"))
     return PrescreenReport(
-        programs=len(lanes) + len(anomalies),
+        programs=len(lanes) + unassembled,
         instructions=sum(lane.stats.instructions for lane in lanes),
         seconds=elapsed, anomalies=anomalies)
 

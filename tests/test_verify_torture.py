@@ -188,3 +188,31 @@ class TestProgramMemo:
             assert (status, detail, retired, cycles, failure_class) == (
                 "asm-error", "line 57: unknown instruction 'frobnicate'",
                 0, 0, "crash")
+
+
+class TestPrescreen:
+    def test_program_that_does_not_halt_is_counted_once(self):
+        # 60 steps are too few for any 40-op program to halt, so every
+        # program reports a no-halt anomaly on top of its lane
+        report = campaign.prescreen_programs(7, 5, max_steps=60)
+        assert len(report.anomalies) == 10
+        assert all("no-halt" in a[2] for a in report.anomalies)
+        assert report.programs == 10
+
+    def test_unassemblable_program_is_counted(self, monkeypatch):
+        real_generate = campaign.generate
+
+        def unassemblable(seed, ops=40, simt=False):
+            program = real_generate(seed, ops=ops, simt=simt)
+            if seed == 9 * SEED_STRIDE and not simt:
+                program = replace(program, epilogue=program.epilogue
+                                  + ("    frobnicate x1, x2",))
+            return program
+
+        monkeypatch.setattr(campaign, "generate", unassemblable)
+        try:
+            report = campaign.prescreen_programs(9, 2)
+        finally:
+            campaign.clear_programs()
+        assert [a[:2] for a in report.anomalies] == [(0, False)]
+        assert report.programs == 4
