@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.lanes import ArchLanes, lane_delay
+from repro.core.lanes import ArchLanes, LaneGeometry
 
 PES = 16
 BUF = 8
@@ -12,7 +12,7 @@ ICD = 1
 
 
 def delay(prod, cons):
-    return lane_delay(prod, cons, PES, BUF, ICD)
+    return LaneGeometry(PES, BUF, ICD).delay(*prod, *cons)
 
 
 class TestArchLanes:
