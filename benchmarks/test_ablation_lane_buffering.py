@@ -12,7 +12,7 @@ kernel to expose the propagation cost.
 from conftest import run_once
 from repro.asm import assemble
 from repro.core import DiAGProcessor, F4C16
-from repro.core.lanes import lane_delay
+from repro.core.lanes import LaneGeometry
 
 # a long serial dependence chain spanning many PEs per iteration
 CHAIN = """
@@ -48,6 +48,6 @@ def test_ablation_lane_buffering(benchmark):
 
     # the unit-level delay model shows the same ordering
     for spacing_a, spacing_b in ((4, 8), (8, 16)):
-        delay_a = lane_delay((0, 0), (0, 15), 16, spacing_a, 1)
-        delay_b = lane_delay((0, 0), (0, 15), 16, spacing_b, 1)
+        delay_a = LaneGeometry(16, spacing_a, 1).delay(0, 0, 0, 15)
+        delay_b = LaneGeometry(16, spacing_b, 1).delay(0, 0, 0, 15)
         assert delay_a >= delay_b

@@ -267,6 +267,9 @@ class Facts(NamedTuple):
     is_mem: bool
     is_control: bool
     is_branch: bool
+    #: decides the next fetch PC: a branch or jump, a halt (ebreak,
+    #: ecall), or a SIMT region marker (simt_s, simt_e)
+    steers: bool
     is_fp: bool
     #: registers read, (regfile, index) pairs with x0 reads elided
     sources: tuple
@@ -288,6 +291,11 @@ _FACTS = {}
 _FACTS_MAX = 1 << 12
 
 
+#: mnemonics outside the branch/jump classes that still steer fetch: a
+#: halt stops it, and a SIMT region may take it over or loop back
+_STEERING = frozenset(("ebreak", "ecall", "simt_s", "simt_e"))
+
+
 def _derive_facts(instr):
     info = MNEMONICS[instr.mnemonic]
     fu = info.fu_class
@@ -306,7 +314,10 @@ def _derive_facts(instr):
         is_load=fu is FUClass.LOAD, is_store=fu is FUClass.STORE,
         is_mem=fu is FUClass.LOAD or fu is FUClass.STORE,
         is_control=fu is FUClass.BRANCH or fu is FUClass.JUMP,
-        is_branch=fu is FUClass.BRANCH, is_fp=info.is_fp,
+        is_branch=fu is FUClass.BRANCH,
+        steers=(fu is FUClass.BRANCH or fu is FUClass.JUMP
+                or instr.mnemonic in _STEERING),
+        is_fp=info.is_fp,
         sources=tuple(slot for slot in slots if slot is not None),
         source_slots=slots, dest=dest,
         lane=("x", instr.rs1) if instr.mnemonic == "simt_e" else dest)
