@@ -39,6 +39,18 @@ MASK32 = 0xFFFFFFFF
 SLOT_MNEMONICS = tuple(sorted(MNEMONICS))
 MN_SLOTS = {mnemonic: slot for slot, mnemonic in enumerate(SLOT_MNEMONICS)}
 
+#: what the ISS feeds a functional-warming recorder (:func:`warm_mode`)
+WARM_OFF, WARM_LINES, WARM_FRONT_END = 0, 1, 2
+
+
+def warm_mode(recorder):
+    """What the ISS feeds ``recorder``: nothing (None), every data
+    access (``touch``), or also every control instruction when the
+    recorder has a ``branch`` method — one that trains a front end."""
+    if recorder is None:
+        return WARM_OFF
+    return WARM_FRONT_END if hasattr(recorder, "branch") else WARM_LINES
+
 
 class SimError(Exception):
     """Fatal simulation error (bad PC, undecodable instruction, ...)."""
@@ -102,11 +114,12 @@ class ISS:
         self.trace = trace
         self._simt_stack = []
         self._pending_interrupt = None
-        #: optional functional-warming recorder (e.g.
-        #: :class:`repro.sampling.WarmTrace`): ``touch(addr)`` is
-        #: called at every data access and ``branch(pc, instr, taken,
-        #: target)`` at every control instruction, so sampled
-        #: simulation can reconstruct cache recency and branch
+        #: optional functional-warming recorder (the machine table's
+        #: ``recorder``, e.g. :class:`repro.sampling.LineTrace`):
+        #: ``touch(addr)`` is called at every data access and, when
+        #: the recorder has one, ``branch(pc, instr, taken, target)``
+        #: at every control instruction (:func:`warm_mode`), so
+        #: sampled simulation can reconstruct cache recency and branch
         #: predictor state at a window boundary. Plain picklable
         #: data: checkpoints carry it (unlike the hook attributes).
         self.warm_trace = None
@@ -388,8 +401,9 @@ class ISS:
 
         if self.warm_trace is not None and \
                 (instr.is_branch or instr.mnemonic in ("jal", "jalr")):
-            self.warm_trace.branch(self.pc, instr, result.taken,
-                                   result.target)
+            branch = getattr(self.warm_trace, "branch", None)
+            if branch is not None:
+                branch(self.pc, instr, result.taken, result.target)
 
         if result.taken:
             if instr.is_branch:

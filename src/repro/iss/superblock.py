@@ -20,8 +20,11 @@ So a block is compiled on its :data:`HOT`-th entry; before that
 :func:`compile_block` returns None ("cold") and the run loop steps the
 line scalar (:meth:`repro.iss.simulator.ISS._step_line`).
 
-Generated factories are cached *per Program* keyed by (pc, warm-mode)
-— the source depends only on the instruction bytes — while each ISS
+Generated factories are cached *per Program* keyed by (pc, warm mode)
+— the source depends only on the instruction bytes and on what the
+attached warming recorder is fed (:func:`repro.iss.simulator.
+warm_mode`: nothing, data accesses, or data accesses and control
+instructions; a mode's blocks call only what it needs) — while each ISS
 instance binds its own register files/memory/stats through the
 factory call, so fault campaigns and torture cells re-running one
 program never recompile. Until its factory is built, a key's entry in
@@ -46,7 +49,8 @@ Exactness rules (enforced by tests/test_iss_superblock.py):
 from repro.iss.semantics import (LOAD_SIGNED, LOAD_SIZES, STORE_SIZES,
                                  _ALU_IMM, _ALU_OPS, _BRANCH_OPS,
                                  _FP_BINARY, _FP_FMA, _FP_UNARY)
-from repro.iss.simulator import MASK32, MN_SLOTS, HaltReason
+from repro.iss.simulator import (MASK32, MN_SLOTS, WARM_FRONT_END,
+                                 WARM_LINES, HaltReason, warm_mode)
 
 #: straight-line run length cap: bounds compile latency and the
 #: scalar-stepped tail when a block would overrun a step budget
@@ -149,10 +153,11 @@ def _int_ri_expr(mnem, a, imm):
 class _Codegen:
     """Accumulates source lines + closure-scope helpers for one block."""
 
-    def __init__(self, warm_on):
+    def __init__(self, mode):
         self.lines = []
         self.helpers = {}
-        self.warm_on = warm_on
+        self.touch = mode >= WARM_LINES
+        self.branch = mode == WARM_FRONT_END
 
     def helper(self, value):
         name = f"_h{len(self.helpers)}"
@@ -228,8 +233,8 @@ class _Codegen:
         to_f = instr.info.rd_file == "f"
         self.emit(f"_a = (x[{instr.rs1}] + "
                   f"{_signed_literal(instr.imm)}) & 4294967295")
-        if self.warm_on:
-            self.emit("warm.touch(_a)")
+        if self.touch:
+            self.emit("touch(_a)")
         self.emit(f"_v = mem.load(_a, {size})")
         if mnem in LOAD_SIGNED:
             sign = 1 << (size * 8 - 1)
@@ -244,8 +249,8 @@ class _Codegen:
         src = "f" if instr.info.rs2_file == "f" else "x"
         self.emit(f"_a = (x[{instr.rs1}] + "
                   f"{_signed_literal(instr.imm)}) & 4294967295")
-        if self.warm_on:
-            self.emit("warm.touch(_a)")
+        if self.touch:
+            self.emit("touch(_a)")
         self.emit(f"mem.store(_a, {src}[{instr.rs2}], "
                   f"{STORE_SIZES[instr.mnemonic]})")
 
@@ -257,10 +262,10 @@ class _Codegen:
             cond = _BRANCH_EXPR[mnem].format(a=instr.rs1, b=instr.rs2)
             target = (pc + instr.imm) & MASK32
             fall = pc + 4
-            if self.warm_on:
+            if self.branch:
                 iname = self.helper(instr)
                 self.emit(f"_t = {cond}",
-                          f"warm.branch({pc}, {iname}, _t, {target})",
+                          f"branch({pc}, {iname}, _t, {target})",
                           "if _t:",
                           "    stats.taken_branches += 1",
                           f"    return {target}",
@@ -275,9 +280,9 @@ class _Codegen:
             target = (pc + instr.imm) & MASK32
             if instr.rd:
                 self.emit(f"x[{instr.rd}] = {(pc + 4) & MASK32}")
-            if self.warm_on:
+            if self.branch:
                 iname = self.helper(instr)
-                self.emit(f"warm.branch({pc}, {iname}, True, {target})")
+                self.emit(f"branch({pc}, {iname}, True, {target})")
             self.emit(f"return {target}")
             return
         if mnem == "jalr":
@@ -286,9 +291,9 @@ class _Codegen:
                       f"{_signed_literal(instr.imm)}) & 4294967294")
             if instr.rd:
                 self.emit(f"x[{instr.rd}] = {(pc + 4) & MASK32}")
-            if self.warm_on:
+            if self.branch:
                 iname = self.helper(instr)
-                self.emit(f"warm.branch({pc}, {iname}, True, _t)")
+                self.emit(f"branch({pc}, {iname}, True, _t)")
             self.emit("return _t")
             return
         # ebreak / ecall: final halt, pc stays on the instruction
@@ -311,15 +316,17 @@ class _Codegen:
         body = "\n".join(f"        {line}"
                          for line in prologue + self.lines)
         params = "".join(f", {h}" for h in self.helpers)
-        return (f"def _make(x, f, mem, stats, mn, warm, iss{params}):\n"
+        return (f"def _make(x, f, mem, stats, mn, touch, branch, iss"
+                f"{params}):\n"
                 f"    def {name}():\n{body}\n"
                 f"    return {name}\n")
 
 
-def _build_factory(program, start_pc, warm_on):
-    """Compile the superblock source at ``start_pc``; returns
-    (factory, helper values, length) or None for scalar territory."""
-    gen = _Codegen(warm_on)
+def _build_factory(program, start_pc, mode):
+    """Compile the superblock source at ``start_pc`` for warm ``mode``;
+    returns (factory, helper values, length) or None for scalar
+    territory."""
+    gen = _Codegen(mode)
     mn = {}
     counts = {"length": 0, "loads": 0, "stores": 0, "branches": 0,
               "fp_ops": 0, "mn": mn}
@@ -365,11 +372,12 @@ def _build_factory(program, start_pc, warm_on):
             counts["length"], source)
 
 
-def block_source(program, pc, warm_on=False):
-    """The generated source of the block at ``pc`` (debug/tests)."""
-    entry = _factories(program).get((pc, bool(warm_on)))
+def block_source(program, pc, mode=0):
+    """The generated source of the block at ``pc`` for warm ``mode``
+    (debug/tests)."""
+    entry = _factories(program).get((pc, mode))
     if entry is None or entry.__class__ is int:
-        entry = _build_factory(program, pc, bool(warm_on))
+        entry = _build_factory(program, pc, mode)
     return entry[3] if entry else None
 
 
@@ -392,20 +400,23 @@ def compile_block(iss, start_pc, warm):
     instruction must run through the scalar path (SIMT/CSR/unknown
     mnemonic, or no instruction at the pc — step() then raises the
     canonical SimError). Factories are cached on the Program; only
-    the cheap binding call is per-ISS."""
+    the cheap binding call is per-ISS, and it binds the recorder's
+    ``touch``/``branch`` methods so a block calls them directly."""
     program = iss.program
     factories = _factories(program)
-    key = (start_pc, warm is not None)
+    mode = warm_mode(warm)
+    key = (start_pc, mode)
     entry = factories.get(key, 0)
     if entry.__class__ is int:
         if entry + 1 < HOT:
             factories[key] = entry + 1
             return None
-        entry = factories[key] = _build_factory(program, start_pc,
-                                                warm is not None)
+        entry = factories[key] = _build_factory(program, start_pc, mode)
     if entry is None:
         return SCALAR
     factory, helpers, length, _ = entry
+    touch = warm.touch if mode else None
+    branch = warm.branch if mode == WARM_FRONT_END else None
     run = factory(iss.x, iss.f, iss.memory, iss.stats,
-                  iss.stats.mn_counts, warm, iss, *helpers)
+                  iss.stats.mn_counts, touch, branch, iss, *helpers)
     return Block(run, length)

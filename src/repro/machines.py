@@ -27,8 +27,8 @@ class Built(NamedTuple):
 @dataclass(frozen=True)
 class Machine:
     """One table entry. Each subclass supplies its engine's
-    ``config``, ``build``, ``warm``, ``energy``, ``collect``,
-    ``extra`` and ``run_key``."""
+    ``config``, ``build``, ``recorder``, ``warm``, ``energy``,
+    ``collect``, ``extra`` and ``run_key``."""
 
     name: str
     #: the config a run that names none runs on
@@ -61,6 +61,14 @@ class _DiAG(Machine):
         proc = DiAGProcessor(cfg, program, num_threads=threads,
                              tracer=tracer)
         return Built(proc, proc.rings, proc.memory, [proc.hierarchy])
+
+    def recorder(self, bound, line_bytes):
+        """Functional warming keeps the data lines only: the ring has
+        no dynamic branch predictor (backward branches are statically
+        predicted taken, paper Section 4.3)."""
+        from repro.sampling import LineTrace
+
+        return LineTrace(bound, line_bytes)
 
     def warm(self, cfg, program, hierarchy, arch, pc, trace):
         return RingEngine(cfg, hierarchy, program, entry_pc=pc, arch=arch)
@@ -109,6 +117,13 @@ class _OoO(Machine):
             for core in cores:
                 core.tracer = tracer
         return Built(sim, cores, memory, [c.hierarchy for c in cores])
+
+    def recorder(self, bound, line_bytes):
+        """Functional warming keeps the data lines and trains the
+        gshare predictor, BTB and RAS that :meth:`warm` copies."""
+        from repro.sampling import WarmTrace
+
+        return WarmTrace(bound, line_bytes)
 
     def warm(self, cfg, program, hierarchy, arch, pc, trace):
         """Also copies ``trace``'s trained predictor, BTB and RAS."""

@@ -81,8 +81,15 @@ class MainMemory:
 
     def store(self, addr, value, size):
         """Write the low ``size`` bytes of ``value``."""
-        self.write_bytes(addr, (value & ((1 << (size * 8)) - 1))
-                         .to_bytes(size, "little"))
+        data = (value & ((1 << (size * 8)) - 1)).to_bytes(size, "little")
+        offset = addr & _PAGE_MASK
+        if offset + size <= _PAGE_SIZE:
+            page = self._pages.get(addr >> _PAGE_BITS)
+            if page is None:
+                page = self._page(addr)
+            page[offset:offset + size] = data
+        else:
+            self.write_bytes(addr, data)
 
     def snapshot_words(self, addr, count):
         """Read ``count`` consecutive 32-bit words (test/debug helper)."""

@@ -151,7 +151,11 @@ class LineTrace:
     """Bounded recency trace of touched cache lines (functional
     warming of the data side). Iteration yields lines oldest-first so
     replaying them through a cache leaves it in the matching LRU
-    order. Plain picklable data — it rides along in checkpoints."""
+    order. Plain picklable data — it rides along in checkpoints.
+
+    On its own it is the whole recorder of a machine whose long-history
+    state is its cache hierarchy alone: it has no ``branch`` method,
+    so the ISS feeds it data accesses only (``warm_mode``)."""
 
     __slots__ = ("bound", "line_bytes", "_lines")
 
@@ -185,35 +189,36 @@ class LineTrace:
 
 
 class WarmTrace:
-    """Functional warming state, attached as ``ISS.warm_trace``.
+    """Data lines plus a trained branch front end: the recorder of a
+    machine with a dynamic branch predictor.
 
     SMARTS-style functional warming: between windows the fast path
     must keep the *long-history* microarchitectural state — caches and
     branch predictors — warm, because a window-local warmup cannot
     rebuild state the full-detail run accumulated over millions of
     instructions. The ISS feeds this recorder at every data access
-    (:meth:`touch`) and control instruction (:meth:`branch`); at a
-    window boundary :func:`warm_engine` primes the fresh hierarchy
-    from :attr:`lines` and hands the OoO core copies of the trained
-    predictor/BTB/RAS (the DiAG ring has no branch predictor — its
-    long-history state is the cache hierarchy alone).
+    (:attr:`touch`, the line trace's own method, bound once) and
+    control instruction (:meth:`branch`); at a window boundary
+    :func:`warm_engine` primes the fresh hierarchy from the lines and
+    the OoO core takes copies of the trained predictor/BTB/RAS.
 
     The RAS mirrors the OoO front-end's convention exactly: push on
     ``jal rd=ra``, pop on ``jalr rd=x0, rs1=ra``. Plain picklable
     data: checkpoints (and therefore ISS clones) carry it, which is
     how the state crosses the ISS->engine handoff."""
 
-    __slots__ = ("lines", "predictor", "btb", "ras")
+    __slots__ = ("lines", "touch", "predictor", "btb", "ras")
 
     def __init__(self, bound=4096, line_bytes=64):
         from repro.baseline.predictor import GSharePredictor
         self.lines = LineTrace(bound, line_bytes)
+        self.touch = self.lines.touch
         self.predictor = GSharePredictor()
         self.btb = {}
         self.ras = []
 
-    def touch(self, addr):
-        self.lines.touch(addr)
+    def __iter__(self):
+        return iter(self.lines)
 
     def branch(self, pc, instr, taken, target):
         if instr.facts.is_branch:
@@ -241,6 +246,7 @@ class WarmTrace:
 
     def __setstate__(self, state):
         self.lines, self.predictor, self.btb, self.ras = state
+        self.touch = self.lines.touch
 
 
 # ---------------------------------------------------------------- state
@@ -263,15 +269,16 @@ def warm_engine(machine, cfg, program, clone):
     Returns ``(engine, hierarchy)``. The engine starts at cycle 0 with
     ``stats`` zeroed: window measurement reads plain deltas.
 
-    Functional warming: when the clone carries a :class:`WarmTrace`
-    (checkpoints pickle it along), its recent data lines are replayed
-    oldest-first through the data side, reconstructing the cache
-    recency state the full-detail run would have at this point —
-    without that, every window re-pays compulsory misses the full run
-    amortized long ago. The OoO core additionally receives copies of
-    the trace's trained gshare/BTB/RAS (cold front-end state biases
-    branch-heavy windows the same way cold caches do). Cache stats are
-    reset afterwards so priming is invisible."""
+    Functional warming: when the clone carries a recorder (checkpoints
+    pickle it along), its recent data lines are replayed oldest-first
+    through the data side, reconstructing the cache recency state the
+    full-detail run would have at this point — without that, every
+    window re-pays compulsory misses the full run amortized long ago.
+    The machine table's ``warm`` takes the rest of what its recorder
+    holds: the OoO core receives copies of the trained gshare/BTB/RAS
+    (cold front-end state biases branch-heavy windows the same way
+    cold caches do). Cache stats are reset afterwards so priming is
+    invisible."""
     entry = machine_entry(machine)
     arch = ArchLanes()
     arch.x = list(clone.x)
@@ -281,7 +288,7 @@ def warm_engine(machine, cfg, program, clone):
     warm = getattr(clone, "warm_trace", None)
     if warm is not None:
         l1d = hierarchy.l1d
-        for line in warm.lines:
+        for line in warm:
             l1d.access(line)
         l1d.stats.reset()
         hierarchy.l1i.stats.reset()
@@ -408,7 +415,7 @@ def run_sampled(workload, machine="diag", config=None, scale=1.0,
                 iss = ISS(inst.program)
                 inst.setup(iss.memory)
                 if params.warm_lines:
-                    iss.warm_trace = WarmTrace(
+                    iss.warm_trace = entry.recorder(
                         params.warm_lines,
                         cfg.hierarchy_config().line_bytes)
             windows = []

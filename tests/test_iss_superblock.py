@@ -180,6 +180,34 @@ def test_warm_trace_sees_identical_streams(monkeypatch):
         assert sut.warm_trace.events == ref.warm_trace.events
 
 
+def test_lines_only_recorder_sees_identical_touches(monkeypatch):
+    """A recorder without ``branch`` (a machine with no dynamic branch
+    predictor) is fed data accesses only: a ``branch`` call on either
+    path would raise AttributeError."""
+    class _Lines:
+        def __init__(self):
+            self.touches = []
+
+        def touch(self, addr):
+            self.touches.append(addr)
+
+    for _ in _each_threshold(monkeypatch):
+        program = _torture(3, True)
+        ref, sut = ISS(program), ISS(program)
+        ref.warm_trace, sut.warm_trace = _Lines(), _Lines()
+        _scalar_run(ref)
+        sut.run()
+        assert _snap(sut) == _snap(ref)
+        assert sut.stats.branches and sut.warm_trace.touches
+        assert sut.warm_trace.touches == ref.warm_trace.touches
+    base, end = program.text_range
+    lines, front_end = ("".join(block_source(program, pc, mode) or ""
+                                for pc in range(base, end, 4))
+                        for mode in (1, 2))
+    assert "touch(" in lines and "branch(" not in lines
+    assert "branch(" in front_end
+
+
 def test_trace_hook_forces_scalar_and_matches():
     program = _torture(1, False)
     ref, sut = ISS(program), ISS(program)
