@@ -49,7 +49,9 @@ from repro.obs.resilience import (
 #: ``code_version`` in the header (a mismatch warns via ``strict``).
 #: 2: a pickled Cache holds only the sets it has touched
 #: 3: a run of disabled PEs is one ``DisabledRun``
-CKPT_SCHEMA = 3
+#: 4: an ``Activation`` counts its live entries and the ring its
+#:    executing ones (no drain-scan cursor)
+CKPT_SCHEMA = 4
 
 #: on-disk magic prefix
 MAGIC = b"DIAGCKPT"

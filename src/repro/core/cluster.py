@@ -23,7 +23,7 @@ class Activation:
     """
 
     __slots__ = ("seq", "cluster", "arm_cycle", "ready_cycle", "entries",
-                 "entry_pc", "_scan")
+                 "entry_pc", "live")
 
     def __init__(self, seq, cluster, arm_cycle, ready_cycle, entry_pc):
         self.seq = seq
@@ -32,23 +32,15 @@ class Activation:
         self.ready_cycle = ready_cycle  # decoded; PEs may begin
         self.entry_pc = entry_pc
         self.entries = []
-        #: entries[:_scan] are known finished
-        self._scan = 0
+        #: entries still WAITING or EXECUTING: the ring counts one up
+        #: per live PE it wires and down as each completes or is
+        #: squashed, so busy checks in dispatch/arm scans are O(1)
+        self.live = 0
 
     @property
     def drained(self):
-        # Finished states are absorbing, so the scan only moves forward
-        # and each entry is passed once per activation: busy checks in
-        # dispatch/arm scans hit this every cycle. An empty activation
-        # (mid-arm) reports drained; entries appended later are scanned
-        # when they come.
-        entries = self.entries
-        scan = self._scan
-        end = len(entries)
-        while scan < end and entries[scan].is_finished:
-            scan += 1
-        self._scan = scan
-        return scan == end
+        # An empty activation (mid-arm) reports drained.
+        return self.live == 0
 
 
 def _plan(base_addr, instrs):
@@ -105,7 +97,7 @@ class Cluster:
     @property
     def busy(self):
         act = self.active_activation
-        return act is not None and not act.drained
+        return act is not None and act.live != 0
 
     def arm(self, seq, arm_cycle, ready_cycle, entry_pc):
         """Begin a new activation (the previous one must have drained)."""

@@ -23,8 +23,6 @@ class PEState(enum.Enum):
     RETIRED = "retired"      # PC lane swept past; stores drained
 
 
-_WAITING = PEState.WAITING
-_EXECUTING = PEState.EXECUTING
 _DONE = PEState.DONE
 _RETIRED = PEState.RETIRED
 _DISABLED = PEState.DISABLED
@@ -101,13 +99,7 @@ class PEEntry:
             self.value = injector.value(site, self.value)
 
     # Identity tests against module-level members: hashing an Enum
-    # member runs Python code, so set membership would cost more than
-    # the drain scans these serve.
-
-    @property
-    def is_finished(self):
-        state = self.state
-        return state is not _WAITING and state is not _EXECUTING
+    # member runs Python code, so set membership would cost more.
 
     @property
     def executed(self):
@@ -131,8 +123,6 @@ class DisabledRun:
 
     __slots__ = ("seq", "activation", "pe_index", "count", "state")
 
-    #: a disabled PE never executes, and squashing keeps it finished
-    is_finished = True
     #: what the watchdog's head dump reads off a window head
     pending_producers = 0
     blocked_on = None

@@ -38,6 +38,7 @@ from repro.isa.decoder import DecodeError, decode
 MASK32 = 0xFFFFFFFF
 
 _WAITING = PEState.WAITING
+_EXECUTING = PEState.EXECUTING
 _DONE = PEState.DONE
 _RETIRED = PEState.RETIRED
 _DISABLED = PEState.DISABLED
@@ -83,6 +84,10 @@ class RingEngine:
         # Scheduling structures
         self._ready_heap = []    # (time, seq, entry) operands known-ready
         self._executing = []     # (done_cycle, seq, entry)
+        #: EXECUTING entries, and those of them on an FPU: the per-cycle
+        #: energy census (kept at start, completion and squash)
+        self._executing_pes = 0
+        self._executing_fpus = 0
         self._blocked_loads = []
         self._retry = []         # entries retried next cycle (FU share)
 
@@ -393,14 +398,8 @@ class RingEngine:
                 # Every ticked _begin_arm attempt against busy resident
                 # copies counts one reuse miss; replay the spin's count.
                 self.stats.reuse_misses += span
-        executing = fp = 0
-        for __, __, entry in self._executing:
-            if entry.state is PEState.EXECUTING:
-                executing += 1
-                if entry.facts.is_fp:
-                    fp += 1
-        self.stats.pe_active_cycles += executing * span
-        self.stats.fpu_active_cycles += fp * span
+        self.stats.pe_active_cycles += self._executing_pes * span
+        self.stats.fpu_active_cycles += self._executing_fpus * span
         self.stats.resident_cluster_cycles += self._resident_count * span
         self.ff_skips += 1
         self.ff_skipped_cycles += span
@@ -599,6 +598,7 @@ class RingEngine:
             entry = PEEntry(seq, instr, facts, addr, activation, pe_index)
             entries.append(entry)
             window.append(entry)
+            activation.live += 1
             sources = entry.sources
             for lane in facts.sources:
                 producer = lane_tail.get(lane)
@@ -788,15 +788,35 @@ class RingEngine:
             entry.result = result
             entry.value = result.value
             entry.apply_fault(self.fault_hook, "pe")
-        entry.state = PEState.EXECUTING
-        entry.start_cycle = self.cycle
-        done = self.cycle + latency
-        entry.done_cycle = done
+        self._execute(entry, self.cycle + latency)
         if self.tracer is not None:
             self.tracer.complete(mnem, self.cycle, latency,
                                  tid=self.ring_id, cat="execute",
                                  args={"pc": entry.addr})
+
+    def _execute(self, entry, done):
+        """Put ``entry`` in flight until cycle ``done``."""
+        entry.state = _EXECUTING
+        entry.start_cycle = self.cycle
+        entry.done_cycle = done
+        self._executing_pes += 1
+        if entry.facts.is_fp:
+            self._executing_fpus += 1
         heapq.heappush(self._executing, (done, entry.seq, entry))
+
+    def _squash(self, entry):
+        """Kill one window entry (a mispredict's shadow, or everything
+        on an interrupt), keeping the unfinished and executing counts."""
+        state = entry.state
+        if state is _WAITING or state is _EXECUTING:
+            entry.activation.live -= 1
+            if state is _EXECUTING:
+                self._executing_pes -= 1
+                if entry.facts.is_fp:
+                    self._executing_fpus -= 1
+        if state is not _DISABLED:
+            self.stats.squashed += 1
+        entry.state = _SQUASHED
 
     def _exec_simt_e(self, entry, rc_value):
         simt_s = entry.simt_region
@@ -834,21 +854,12 @@ class RingEngine:
         self._pending_interrupt = None
         if self.halted:
             return
-        # the interrupted PC = oldest un-retired instruction, or the
-        # next fetch target when the window is empty
-        if self.window:
-            live = [e for e in self.window
-                    if e.state is not PEState.SQUASHED]
-            mepc = live[0].addr if live else self.next_fetch_pc
-        else:
-            mepc = self.next_fetch_pc
-            if mepc is None and self._arm_pending is not None:
-                mepc = self._arm_pending[2]
+        # the interrupted PC = oldest un-retired live instruction, or
+        # the arm/fetch target when the window holds none
+        mepc = self._arch_pc()
         self.csrs[0x341] = (mepc or 0) & MASK32
         for entry in self.window:
-            if entry.state is not PEState.DISABLED:
-                self.stats.squashed += 1
-            entry.state = PEState.SQUASHED
+            self._squash(entry)
         self.window = []
         self.pending_stores = []
         self._blocked_loads = []
@@ -893,10 +904,7 @@ class RingEngine:
         if self.config.enable_memory_lanes:
             cluster.memory_lanes.record_store(
                 result.mem_addr, result.store_value, result.mem_size)
-        entry.state = PEState.EXECUTING
-        entry.start_cycle = self.cycle
-        entry.done_cycle = self.cycle + 1
-        heapq.heappush(self._executing, (entry.done_cycle, entry.seq, entry))
+        self._execute(entry, self.cycle + 1)
 
     def _start_load(self, entry):
         """Loads order against older stores through the memory lanes:
@@ -954,14 +962,11 @@ class RingEngine:
         entry.value = finish_load(entry.instr, raw)
         entry.apply_fault(self.fault_hook, "pe")
         entry.waiting_on_memory = True
-        entry.state = PEState.EXECUTING
-        entry.start_cycle = self.cycle
-        entry.done_cycle = self.cycle + max(1, latency)
+        self._execute(entry, self.cycle + max(1, latency))
         if self.tracer is not None:
             self.tracer.complete(entry.instr.mnemonic, self.cycle,
                                  max(1, latency), tid=self.ring_id,
                                  cat="execute", args={"pc": entry.addr})
-        heapq.heappush(self._executing, (entry.done_cycle, entry.seq, entry))
 
     def _block_load(self, entry, store):
         entry.blocked_on = store
@@ -989,6 +994,10 @@ class RingEngine:
 
     def _complete(self, entry):
         entry.state = PEState.DONE
+        entry.activation.live -= 1
+        self._executing_pes -= 1
+        if entry.facts.is_fp:
+            self._executing_fpus -= 1
         entry.waiting_on_memory = False
         instr = entry.instr
 
@@ -1045,9 +1054,7 @@ class RingEngine:
             if e.seq <= entry.seq:
                 keep.append(e)
             else:
-                if e.state not in (PEState.DISABLED,):
-                    self.stats.squashed += 1
-                e.state = PEState.SQUASHED
+                self._squash(e)
         self.window = keep
         self.pending_stores = [s for s in self.pending_stores
                                if s.state is not PEState.SQUASHED]
@@ -1297,12 +1304,6 @@ class RingEngine:
                 return StallReason.STRUCTURAL
 
     def _account_energy(self):
-        executing = fp = 0
-        for __, __, entry in self._executing:
-            if entry.state is PEState.EXECUTING:
-                executing += 1
-                if entry.facts.is_fp:
-                    fp += 1
-        self.stats.pe_active_cycles += executing
-        self.stats.fpu_active_cycles += fp
+        self.stats.pe_active_cycles += self._executing_pes
+        self.stats.fpu_active_cycles += self._executing_fpus
         self.stats.resident_cluster_cycles += self._resident_count

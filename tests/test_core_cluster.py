@@ -38,10 +38,7 @@ class TestCluster:
     def test_rearm_requires_drain(self):
         cluster = make_cluster()
         activation = cluster.arm(0, 0, 1, 0x1000)
-
-        class FakeEntry:
-            is_finished = False
-        activation.entries.append(FakeEntry())
+        activation.live = 1  # one PE still waiting or executing
         assert cluster.busy
         with pytest.raises(AssertionError):
             cluster.arm(1, 10, 11, 0x1000)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.asm import assemble
 from repro.core import DiAGProcessor, F4C2, F4C16, StallReason
-from repro.core.pe import DisabledRun
+from repro.core.pe import DisabledRun, PEState
 from repro.iss import ISS
 
 
@@ -385,6 +385,19 @@ class TestDisabledRuns:
                 seen += sum(run.count == 15 for run in runs)
         assert seen, "no activation entered at its last PE"
 
+    def test_interrupt_behind_a_disabled_head_saves_the_live_pc(self):
+        """mepc is the oldest live instruction even when a partly
+        retired run of disabled slots heads the window."""
+        program = assemble(self.SOURCE)
+        ring = DiAGProcessor(F4C2, program).rings[0]
+        while ring.cycle < 286:
+            ring.step()
+        assert isinstance(ring.window[0], DisabledRun)
+        assert ring.window[0].addr == program.entry
+        ring.post_interrupt(0x4000)
+        ring.step()
+        assert ring.csrs[0x341] == program.symbol("head") == 0x103C
+
     def test_head_run_longer_than_budget_pops_in_part(self):
         ring = DiAGProcessor(F4C2, assemble("nop\nebreak\n")).rings[0]
         limit = F4C2.pes_per_cluster
@@ -402,3 +415,62 @@ class TestDisabledRuns:
         assert ring.stats.retired == 0
         ring._retire()
         assert ring.window == []
+
+
+class TestLiveCounts:
+    """The ring keeps two counts instead of scanning for them: each
+    activation's unfinished entries (``Activation.live``, what makes a
+    cluster busy) and the executing entries the energy census charges.
+    Both must equal a census of the entries after every cycle, through
+    mispredict squashes of executing FP work and an interrupt."""
+
+    SOURCE = """
+        li t0, 0
+        li t1, 30
+        li t2, 3
+        fcvt.s.w f1, t2
+        fcvt.s.w f2, t1
+    loop:
+        fdiv.s f3, f2, f1
+        fadd.s f4, f4, f3
+        andi t3, t0, 1
+        bnez t3, odd
+        fmul.s f5, f3, f3
+        fdiv.s f6, f5, f1
+    odd:
+        addi t0, t0, 1
+        blt t0, t1, loop
+        ebreak
+    trap:
+        ebreak
+    """
+
+    @staticmethod
+    def assert_counts_match(ring):
+        unfinished = (PEState.WAITING, PEState.EXECUTING)
+        for group in ring.clusters.values():
+            for cluster in group:
+                act = cluster.active_activation
+                if act is not None:
+                    assert act.live == sum(
+                        e.state in unfinished for e in act.entries)
+        executing = [e for e in ring.window
+                     if e.state is PEState.EXECUTING]
+        assert ring._executing_pes == len(executing)
+        assert ring._executing_fpus == sum(
+            e.facts.is_fp for e in executing)
+
+    @pytest.mark.parametrize("interrupt_at", (None, 150))
+    def test_counts_equal_a_census_every_cycle(self, interrupt_at):
+        program = assemble(self.SOURCE)
+        ring = DiAGProcessor(F4C2, program).rings[0]
+        fp_busy = squashed = 0
+        while not ring.halted:
+            if ring.cycle == interrupt_at:
+                ring.post_interrupt(program.symbol("trap"))
+            ring.step()
+            self.assert_counts_match(ring)
+            fp_busy += ring._executing_fpus > 0
+        assert fp_busy and ring.stats.mispredicts and ring.stats.squashed
+        if interrupt_at is not None:
+            assert ring.csrs[0x341] != 0

@@ -112,28 +112,22 @@ def test_simt_e_lane_is_its_control_register():
     assert Instruction("add", rd=0, rs1=1, rs2=2).lane is None
 
 
-class Entry:
-    """Stand-in PE entry: only the attribute the drain scan reads."""
-
-    def __init__(self):
-        self.is_finished = False
-
-
 def test_out_of_order_finish_keeps_activation_busy():
+    """The ring counts an activation's live entries down as they
+    finish, in any order: it is busy until the last one does."""
     activation = Activation(0, None, 0, 1, 0x1000)
-    entries = [Entry() for __ in range(4)]
-    activation.entries.extend(entries)
-    for entry in reversed(entries[1:]):
-        entry.is_finished = True
+    activation.live = 4
+    for __ in range(3):
+        activation.live -= 1
         assert not activation.drained
-    entries[0].is_finished = True
+    activation.live -= 1
     assert activation.drained
 
 
 def test_empty_activation_is_drained_without_latching():
     activation = Activation(0, None, 0, 1, 0x1000)
     assert activation.drained
-    activation.entries.append(Entry())
+    activation.live += 1
     assert not activation.drained
-    activation.entries[0].is_finished = True
+    activation.live -= 1
     assert activation.drained
