@@ -166,10 +166,11 @@ class LineTrace:
 
     def touch(self, addr):
         line = addr - (addr % self.line_bytes)
-        lines = self._lines
-        if line in lines:
-            lines.move_to_end(line)
-        else:
+        try:
+            # most accesses hit a recorded line: one lookup, not two
+            self._lines.move_to_end(line)
+        except KeyError:
+            lines = self._lines
             lines[line] = True
             if len(lines) > self.bound:
                 lines.popitem(last=False)
