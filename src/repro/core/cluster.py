@@ -97,7 +97,7 @@ class Cluster:
     @property
     def busy(self):
         act = self.active_activation
-        return act is not None and act.live != 0
+        return act is not None and not act.drained
 
     def arm(self, seq, arm_cycle, ready_cycle, entry_pc):
         """Begin a new activation (the previous one must have drained)."""
