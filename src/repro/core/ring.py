@@ -232,13 +232,15 @@ class RingEngine:
 
     def _arch_pc(self):
         """Address of the oldest uncommitted instruction (the point the
-        architectural state has reached), or the fetch/arm PC when the
-        window holds nothing live."""
+        architectural state has reached), or the arm, redirect or fetch
+        PC when the window holds nothing live."""
         for entry in self.window:
             if entry.state not in (PEState.SQUASHED, PEState.DISABLED):
                 return entry.addr
         if self._arm_pending is not None:
             return self._arm_pending[2]
+        if self._redirect_at is not None:
+            return self._redirect_pc  # a mispredict's flush penalty
         return self.next_fetch_pc
 
     def step(self):

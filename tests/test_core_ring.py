@@ -417,6 +417,29 @@ class TestDisabledRuns:
         assert ring.window == []
 
 
+def test_interrupt_in_a_flush_penalty_saves_the_redirect_pc():
+    """Between a mispredict's last surviving retirement and its
+    redirect the window is empty and nothing is armed: mepc is the
+    redirect target, not 0."""
+    program = assemble("""
+        li t0, 0
+        li t1, 5
+    loop:
+        addi t0, t0, 1
+        blt t0, t1, loop
+    exit:
+        addi t2, t0, 7
+        ebreak
+    """)
+    ring = DiAGProcessor(F4C2, program).rings[0]
+    while ring.window or ring._redirect_at is None:
+        assert not ring.halted
+        ring.step()
+    ring.post_interrupt(0x4000)
+    ring.step()
+    assert ring.csrs[0x341] == program.symbol("exit")
+
+
 class TestLiveCounts:
     """The ring keeps two counts instead of scanning for them: each
     activation's unfinished entries (``Activation.live``, what makes a
