@@ -856,8 +856,7 @@ class RingEngine:
         self._pending_interrupt = None
         if self.halted:
             return
-        # the interrupted PC = oldest un-retired live instruction, or
-        # the arm/fetch target when the window holds none
+        # the interrupted PC: the oldest live instruction (_arch_pc)
         mepc = self._arch_pc()
         self.csrs[0x341] = (mepc or 0) & MASK32
         for entry in self.window:
