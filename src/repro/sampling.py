@@ -166,11 +166,10 @@ class LineTrace:
 
     def touch(self, addr):
         line = addr - (addr % self.line_bytes)
-        try:
-            # most accesses hit a recorded line: one lookup, not two
-            self._lines.move_to_end(line)
-        except KeyError:
-            lines = self._lines
+        lines = self._lines
+        if line in lines:
+            lines.move_to_end(line)
+        else:
             lines[line] = True
             if len(lines) > self.bound:
                 lines.popitem(last=False)
