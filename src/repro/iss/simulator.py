@@ -400,10 +400,10 @@ class ISS:
                 self.write_x(instr.rd, result.value)
 
         if self.warm_trace is not None and \
-                (instr.is_branch or instr.mnemonic in ("jal", "jalr")):
-            branch = getattr(self.warm_trace, "branch", None)
-            if branch is not None:
-                branch(self.pc, instr, result.taken, result.target)
+                (instr.is_branch or instr.mnemonic in ("jal", "jalr")) \
+                and warm_mode(self.warm_trace) == WARM_FRONT_END:
+            self.warm_trace.branch(self.pc, instr, result.taken,
+                                   result.target)
 
         if result.taken:
             if instr.is_branch:
