@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from repro.asm import assemble
 from repro.iss import superblock
-from repro.iss.simulator import ISS, HaltReason
+from repro.iss.simulator import ISS, WARM_OFF, HaltReason
 from repro.iss.superblock import HOT, MAX_BLOCK, block_source
 from repro.verify.shrink import corpus_files
 from repro.verify.torture import generate
@@ -507,16 +507,16 @@ def test_run_once_straight_line_compiles_nothing():
     program = assemble(_LINE)
     assert ISS(program).run() is HaltReason.EBREAK
     assert not _built(program)
-    assert program._sb_factories == {(program.entry, False): 1}
+    assert program._sb_factories == {(program.entry, WARM_OFF): 1}
 
 
 def test_hot_loop_body_compiles_exactly_once(monkeypatch):
     builds = []
     real = superblock._build_factory
 
-    def counting(program, start_pc, warm_on):
+    def counting(program, start_pc, mode):
         builds.append(start_pc)
-        return real(program, start_pc, warm_on)
+        return real(program, start_pc, mode)
 
     monkeypatch.setattr(superblock, "_build_factory", counting)
     program = assemble(f"""
