@@ -452,22 +452,21 @@ class OoOCore:
         cheap FF_MIN_SPAN pre-filter."""
         now = self.cycle
         self._ff_purge_heaps()
-        events = []
-        if self._executing:
-            events.append(self._executing[0][0])
-        if self._ready_heap:
-            events.append(self._ready_heap[0][0])
+        target = budget
+        if self._executing and self._executing[0][0] < target:
+            target = self._executing[0][0]
+        if self._ready_heap and self._ready_heap[0][0] < target:
+            target = self._ready_heap[0][0]
         stalled = self._fetch_stalled_until
-        if stalled != float("inf") and stalled > now:
-            events.append(stalled)
-        target = min(events) if events else budget
-        if target > budget:
-            target = budget
+        if now < stalled < target:
+            target = stalled
+        if target - now < self.FF_MIN_SPAN:
+            return None  # the deadline cap below only lowers target
         deadline = self.watchdog.deadline()
         if deadline is not None and target > deadline - 1:
             target = deadline - 1
-        if target - now < self.FF_MIN_SPAN:
-            return None
+            if target - now < self.FF_MIN_SPAN:
+                return None
         if not self.quiescent():
             return None
         return target

@@ -361,23 +361,23 @@ class RingEngine:
             target = min(self._simt_until, budget)
             return target if target > now else None
         self._ff_purge_heaps()
-        events = []
-        if self._executing:
-            events.append(self._executing[0][0])
-        if self._ready_heap:
-            events.append(self._ready_heap[0][0])
-        if self._arm_pending is not None:
-            events.append(self._arm_pending[1])
-        if self._redirect_at is not None:
-            events.append(self._redirect_at)
-        target = min(events) if events else budget
-        if target > budget:
-            target = budget
+        target = budget
+        if self._executing and self._executing[0][0] < target:
+            target = self._executing[0][0]
+        if self._ready_heap and self._ready_heap[0][0] < target:
+            target = self._ready_heap[0][0]
+        if self._arm_pending is not None \
+                and self._arm_pending[1] < target:
+            target = self._arm_pending[1]
+        if self._redirect_at is not None and self._redirect_at < target:
+            target = self._redirect_at
+        if target - now < self.FF_MIN_SPAN:
+            return None  # the deadline cap below only lowers target
         deadline = self.watchdog.deadline()
         if deadline is not None and target > deadline - 1:
             target = deadline - 1
-        if target - now < self.FF_MIN_SPAN:
-            return None
+            if target - now < self.FF_MIN_SPAN:
+                return None
         if not self.quiescent():
             return None
         return target

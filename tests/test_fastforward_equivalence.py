@@ -111,3 +111,46 @@ class TestHangFiresAtIdenticalCycle:
         on, off = self._ooo_hang(True), self._ooo_hang(False)
         assert on.cycle == off.cycle
         assert on.last_progress_cycle == off.last_progress_cycle
+
+
+class TestDeadlineCap:
+    """A skip stops at ``watchdog.deadline() - 1`` and, like every
+    skip, is only taken when it still spans ``FF_MIN_SPAN`` cycles."""
+
+    BUDGET = 1_000_000
+
+    def _check(self, engine, step):
+        for _ in range(400):
+            step()
+            if engine.ff_target(self.BUDGET) is not None:
+                break
+        else:
+            pytest.fail("the livelock never became quiescent")
+        now, span = engine.cycle, engine.FF_MIN_SPAN
+        assert engine.ff_target(self.BUDGET) > now + span
+        watchdog = engine.watchdog
+        marker = engine.stats.retired
+        watchdog.feed(now + span + 1 - watchdog.window, marker)
+        assert engine.ff_target(self.BUDGET) == now + span
+        watchdog.feed(now + span - watchdog.window, marker)
+        assert engine.ff_target(self.BUDGET) is None
+
+    def test_diag(self):
+        cfg = F4C2.with_overrides(watchdog_window=500)
+        ring = DiAGProcessor(cfg, assemble(LIVELOCK_SRC)).rings[0]
+        assert ring.ff_setup()
+
+        def step():
+            ring.step()
+            ring.check_watchdog()
+        self._check(ring, step)
+
+    def test_ooo(self):
+        core = OoOCore(OoOConfig(watchdog_window=500),
+                       assemble(LIVELOCK_SRC))
+        assert core.ff_setup()
+
+        def step():
+            core.step()
+            core.check_watchdog()
+        self._check(core, step)
