@@ -15,7 +15,7 @@ including a lockstep pass over the restored segment).
 
 The only unpicklable residents are the observation hooks — tracers and
 the lockstep ``commit_hook`` et al. may be closures — so
-:func:`save_state` detaches them around the pickle and the caller
+:func:`pickle_detached` detaches them around the pickle and the caller
 re-attaches after restore. (Instruction execute thunks are already
 stripped by ``Instruction.__getstate__`` and rebound lazily.)
 
@@ -111,15 +111,16 @@ def _hook_sites(sim):
     return sites
 
 
-def save_state(sim, hooks=HOOK_ATTRS, meta=None):
-    """Snapshot ``sim`` into a :class:`Checkpoint`.
+def pickle_detached(sim, hooks=HOOK_ATTRS):
+    """Pickle ``sim`` with its hooks detached; the pickle's bytes.
 
-    ``hooks`` lists the attributes detached (set to None) for the
-    duration of the pickle on the simulator and its rings/cores; pass
-    ``hooks=()`` to pickle hooks along (only valid when every installed
-    hook is itself picklable, e.g. a lockstep oracle).
+    ``hooks`` lists the attributes set to None for the duration of the
+    pickle on the simulator and its rings/cores, and put back after it;
+    pass ``hooks=()`` to pickle hooks along (only valid when every
+    installed hook is itself picklable, e.g. a lockstep oracle).
+    ``pickle.loads`` of the bytes is an independent copy of ``sim``
+    whose detached hooks are None.
     """
-    start = time.perf_counter()
     detached = []
     for site in _hook_sites(sim):
         for name in hooks:
@@ -127,15 +128,23 @@ def save_state(sim, hooks=HOOK_ATTRS, meta=None):
                 detached.append((site, name, getattr(site, name)))
                 setattr(site, name, None)
     try:
-        try:
-            raw = pickle.dumps(sim, protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception as exc:
-            raise CheckpointError(
-                f"cannot pickle {type(sim).__name__}: "
-                f"{type(exc).__name__}: {exc}") from exc
+        return pickle.dumps(sim, protocol=pickle.HIGHEST_PROTOCOL)
+    except Exception as exc:
+        raise CheckpointError(
+            f"cannot pickle {type(sim).__name__}: "
+            f"{type(exc).__name__}: {exc}") from exc
     finally:
         for site, name, value in detached:
             setattr(site, name, value)
+
+
+def save_state(sim, hooks=HOOK_ATTRS, meta=None):
+    """Snapshot ``sim`` into a :class:`Checkpoint`.
+
+    ``hooks`` is as for :func:`pickle_detached`.
+    """
+    start = time.perf_counter()
+    raw = pickle_detached(sim, hooks)
     payload = zlib.compress(raw, level=6)
     from repro.harness.diskcache import code_version
     ckpt = Checkpoint(

@@ -10,10 +10,10 @@ driver
 1. fast-forwards the ISS to the window's warmup boundary
    (:meth:`~repro.iss.simulator.ISS.run_to_boundary` — never inside a
    SIMT region, which a warm-started engine could not re-enter),
-2. deep-clones the ISS through the checkpoint path
-   (``restore_state(save_state(iss))`` — PR 6's deterministic
-   snapshot, so the clone *is* the architectural state, memory
-   included),
+2. deep-clones the ISS through one in-memory pickle round-trip
+   (:func:`clone_iss`, with hooks detached as a checkpoint detaches
+   them), so the clone *is* the architectural state, memory
+   included,
 3. warm-starts a disposable engine from the clone (``entry_pc`` +
    register files + the clone's memory image injected into a fresh
    cache hierarchy),
@@ -40,11 +40,12 @@ telemetry event carrying the parent run's identity.
 """
 
 import math
+import pickle
 import time
 from collections import OrderedDict
 from dataclasses import asdict, dataclass
 
-from repro.checkpoint import restore_state, save_state
+from repro.checkpoint import pickle_detached
 from repro.core.lanes import ArchLanes
 from repro.harness import diskcache
 from repro.harness.parallel import canonical_run_fields
@@ -204,7 +205,7 @@ class WarmTrace:
 
     The RAS mirrors the OoO front-end's convention exactly: push on
     ``jal rd=ra``, pop on ``jalr rd=x0, rs1=ra``. Plain picklable
-    data: checkpoints (and therefore ISS clones) carry it, which is
+    data: checkpoints and ISS clones carry it, which is
     how the state crosses the ISS->engine handoff."""
 
     __slots__ = ("lines", "touch", "predictor", "btb", "ras")
@@ -250,17 +251,18 @@ class WarmTrace:
 
 
 # ---------------------------------------------------------------- state
-# ISS -> engine transfer: the clone from the checkpoint round-trip is
+# ISS -> engine transfer: the clone from the pickle round-trip is
 # the canonical architectural state; the engine gets the clone's
 # memory (image + workload data + every store so far) injected into a
 # fresh cache hierarchy, the clone's register files, pc and CSRs. The
 # hierarchy is cold — that is what the warmup prefix is for.
 
 def clone_iss(iss):
-    """Deep-clone an ISS through the checkpoint path (PR 6): the
-    round-trip is deterministic and detaches hooks, so the clone is an
-    independent object graph sharing nothing with the original."""
-    return restore_state(save_state(iss))
+    """Deep-clone an ISS through one in-memory pickle round-trip, with
+    hooks detached as a checkpoint detaches them: the clone is an
+    independent object graph sharing nothing with the original. It is
+    not a checkpoint: nothing is compressed, hashed or counted."""
+    return pickle.loads(pickle_detached(iss))
 
 
 def warm_engine(machine, cfg, program, clone):
@@ -269,8 +271,8 @@ def warm_engine(machine, cfg, program, clone):
     Returns ``(engine, hierarchy)``. The engine starts at cycle 0 with
     ``stats`` zeroed: window measurement reads plain deltas.
 
-    Functional warming: when the clone carries a recorder (checkpoints
-    pickle it along), its recent data lines are replayed oldest-first
+    Functional warming: when the clone carries a recorder (a clone
+    pickles it along), its recent data lines are replayed oldest-first
     through the data side, reconstructing the cache recency state the
     full-detail run would have at this point — without that, every
     window re-pays compulsory misses the full run amortized long ago.

@@ -1,7 +1,7 @@
 """Blocking HTTP client for the run service (stdlib ``http.client``).
 
-Used by the test suite, ``tools/bench_service.py`` and anything that
-wants to submit runs to a ``repro serve`` instance without asyncio.
+Used by the test suite, the ``service`` benchmark workload and anything
+that wants to submit runs to a ``repro serve`` instance without asyncio.
 The streaming protocol (chunked JSON lines; docs/SERVICE.md §4) is
 decoded transparently: :meth:`ServiceClient.run` returns a
 :class:`RunOutcome` carrying every stream event plus the final record.

@@ -37,6 +37,7 @@ from repro.iss.simulator import ISS, HaltReason
 from repro.obs import deterministic_view, collect_diag, collect_ooo
 from repro.obs.resilience import (
     CKPT_BYTES,
+    CKPT_RESTORE_MS,
     CKPT_SAVE_MS,
     reset_resilience,
     resilience_snapshot,
@@ -343,7 +344,7 @@ class TestCheckpointProperty:
 
 class TestWarmStartLockstepProperty:
     """The sampled-simulation handoff (repro.sampling): fast-forward
-    the ISS, clone it through save_state/restore_state, warm-start a
+    the ISS, clone it (one pickle round-trip), warm-start a
     timing engine from the clone — then prove the transfer was exact by
     attaching a fresh lockstep oracle (a second clone, rebased to the
     engine's frame) and letting every commit be checked. Any state the
@@ -387,3 +388,36 @@ class TestWarmStartLockstepProperty:
         engine.run(max_cycles=cfg.max_cycles, max_retired=window)
         assert engine.stats.retired >= 1
         assert engine.arch.x[1:] == oracle_iss.x[1:]
+
+
+# ---------------------------------------------------------------------
+# a sampled window's ISS clone is a pickle round-trip, not a checkpoint
+# ---------------------------------------------------------------------
+
+class TestSampledClone:
+    def test_clone_detaches_hooks_and_leaves_them_on_the_original(self):
+        from repro.sampling import clone_iss
+
+        iss = ISS(torture_program(3))
+        hook = lambda pc, instr: None  # noqa: E731 (unpicklable)
+        iss.trace = hook
+        iss.run_to_boundary(10)
+        clone = clone_iss(iss)
+        assert iss.trace is hook
+        assert clone.trace is None
+        assert clone.pc == iss.pc and clone.x == iss.x
+        assert clone.memory is not iss.memory
+
+    def test_sampled_run_leaves_checkpoint_counters_at_zero(self):
+        from repro.sampling import SamplingParams, run_sampled
+
+        record = run_sampled(
+            "hotspot", machine="diag", config="F4C2", scale=1.0,
+            params=SamplingParams(period=2_000, window=500,
+                                  warmup=500))
+        assert record.status == "ok"
+        assert record.stats["sampling.windows"] >= 2
+        snap = resilience_snapshot()
+        assert snap[CKPT_BYTES] == 0
+        assert snap[CKPT_SAVE_MS + ".count"] == 0
+        assert snap[CKPT_RESTORE_MS + ".count"] == 0

@@ -692,3 +692,53 @@ class TestWorkerLoss:
             assert any(e["ev"] == "requeue" for e in events)
         finally:
             handle.close()
+
+    def test_concurrent_clients_survive_repeated_worker_kills(
+            self, tmp_path):
+        """Several clients in flight while pool workers are SIGKILLed
+        again and again: every response still streams a result."""
+        handle, client = start_service(
+            tmp_path, inline=False, workers=2, retries=2,
+            stream_interval=0.05)
+        specs = [{"machine": machine, "workload": workload,
+                  "scale": 0.25, **({"config": "F4C2"}
+                                    if machine == "diag" else {})}
+                 for machine in ("diag", "ooo")
+                 for workload in ("nn", "hotspot")]
+        outs = [None] * len(specs)
+        errors = []
+        kills = []
+        try:
+            def post(index):
+                try:
+                    outs[index] = ServiceClient(handle.url).run(
+                        specs[index], tenant=f"c{index}")
+                except Exception as exc:  # a 5xx or a dropped stream
+                    errors.append(exc)
+
+            posters = [threading.Thread(target=post, args=(i,))
+                       for i in range(len(specs))]
+            for poster in posters:
+                poster.start()
+            scheduler = handle.service.scheduler
+            deadline = time.monotonic() + 30
+            while (time.monotonic() < deadline and len(kills) < 3
+                   and any(p.is_alive() for p in posters)):
+                procs = [p for p in (getattr(scheduler.executor.pool,
+                                             "_processes", None)
+                                     or {}).values() if p.is_alive()]
+                if procs:
+                    try:
+                        os.kill(procs[0].pid, signal.SIGKILL)
+                        kills.append(procs[0].pid)
+                    except OSError:
+                        pass
+                time.sleep(0.15)
+            for poster in posters:
+                poster.join(180)
+        finally:
+            handle.close()
+        assert kills, "no pool worker appeared to kill"
+        assert errors == []
+        assert all(out is not None and out.result is not None
+                   for out in outs)

@@ -99,6 +99,18 @@ class TestCleanLockstep:
         assert result.halted
         assert result.retired > 60
 
+    def test_retires_what_a_plain_run_retires(self, machine, ff):
+        # the oracle observes commits; it must not add or drop one
+        program = assemble(CLEAN_SRC)
+        if machine == "diag":
+            plain = DiAGProcessor(F4C2.with_overrides(fast_forward=ff),
+                                  program).run()
+        else:
+            plain = OoOCore(OoOConfig(fast_forward=ff), program).run()
+        locked = run_lockstep(program, machine=machine, fast_forward=ff)
+        assert plain.halted and locked.halted
+        assert locked.retired == plain.instructions
+
     def test_x0_operand_regression(self, machine, ff):
         result = run_lockstep(assemble(X0_SUB_SRC), machine=machine,
                               fast_forward=ff)

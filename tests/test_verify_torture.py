@@ -191,6 +191,12 @@ class TestProgramMemo:
 
 
 class TestPrescreen:
+    def test_campaign_programs_are_clean(self):
+        # seed 0 is the CI torture campaign's; 24 programs per mode
+        report = campaign.prescreen_programs(0, 24)
+        assert report.anomalies == []
+        assert report.programs == 48
+
     def test_program_that_does_not_halt_is_counted_once(self):
         # 60 steps are too few for any 40-op program to halt, so every
         # program reports a no-halt anomaly on top of its lane

@@ -25,7 +25,7 @@ while still forming one coherent campaign (begin/end markers, every
 cell accounted for).
 
 Usage: ``python tools/chaos_smoke.py [--count 8] [--jobs 2]``
-(``src/`` is put on ``sys.path``/``PYTHONPATH`` by ``benchkit``).
+(``src/`` is put on ``sys.path``/``PYTHONPATH`` by ``bench``).
 """
 
 import argparse
@@ -37,7 +37,7 @@ import sys
 import tempfile
 import time
 
-from benchkit import SRC, exit_code  # puts src/ on sys.path
+from bench import SRC, exit_code  # puts src/ on sys.path
 
 
 def campaign_cmd(args, extra=()):

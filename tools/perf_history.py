@@ -36,7 +36,7 @@ import statistics
 import subprocess
 import sys
 
-from benchkit import REPO, exit_code
+from bench import REPO, exit_code
 
 HISTORY = os.path.join(REPO, "benchmarks", "perf_history.jsonl")
 BENCHMARK = os.path.join(REPO, "BENCHMARK.json")
