@@ -233,8 +233,6 @@ class OoOCore:
         self._line_buffer = None
         self._pending_interrupt = None
         self.csrs = {}
-        #: optional callable(addr, instr) invoked at each retirement
-        self.retire_hook = None
         #: optional callable(entry) invoked right after _commit applies
         #: an entry's architectural effects (repro.verify lockstep).
         #: Retirements never occur inside a fast-forward span, so this
@@ -364,9 +362,8 @@ class OoOCore:
         live = [e for e in self.rob if e.state != _RobEntry.SQUASHED]
         mepc = live[0].addr if live else self.fetch_pc
         self.csrs[0x341] = (mepc or 0) & MASK32
-        for entry in self.rob:
-            entry.state = _RobEntry.SQUASHED
-        self.rob = []
+        if self.rob:
+            self.rob = self._squash_from(self.rob[0].seq, mepc)
         self.pending_stores = []
         self._blocked_loads = []
         self.lane_tail = {}
@@ -400,13 +397,12 @@ class OoOCore:
 
     def ff_setup(self):
         """Decide once per run whether fast-forward may engage (per-
-        cycle observers — tracer, fault injector, PipeTracer — and a
+        cycle observers — event tracer, fault injector — and a
         disabled watchdog force skip-off)."""
         self._ff_active = bool(
             getattr(self.config, "fast_forward", True)
             and self.tracer is None
             and self.fault_hook is None
-            and getattr(self, "_pipetracer", None) is None
             and self.watchdog.window > 0)
         return self._ff_active
 
@@ -548,7 +544,8 @@ class OoOCore:
         if self.tracer is not None:
             self.tracer.instant("dispatch", self.cycle, pid=1,
                                 tid=self.core_id, cat="dispatch",
-                                args={"pc": pc, "op": instr.mnemonic})
+                                args={"pc": pc, "op": instr.mnemonic,
+                                      "seq": entry.seq})
         mnem = instr.mnemonic
         facts = entry.facts
         if mnem == "simt_e":
@@ -748,7 +745,7 @@ class OoOCore:
             self.tracer.complete(mnem, self.cycle,
                                  entry.done_cycle - self.cycle, pid=1,
                                  tid=self.core_id, cat="execute",
-                                 args={"pc": entry.addr})
+                                 args={"pc": entry.addr, "seq": entry.seq})
         heapq.heappush(self._executing,
                        (entry.done_cycle, entry.seq, entry))
         return True
@@ -877,19 +874,7 @@ class OoOCore:
 
     def _squash_after(self, entry, correct_target):
         self.stats.mispredicts += 1
-        if self.tracer is not None:
-            squashed = sum(1 for e in self.rob if e.seq > entry.seq)
-            self.tracer.instant("squash", self.cycle, pid=1,
-                                tid=self.core_id, cat="squash",
-                                args={"pc": entry.addr,
-                                      "entries": squashed})
-        keep = []
-        for e in self.rob:
-            if e.seq <= entry.seq:
-                keep.append(e)
-            else:
-                e.state = _RobEntry.SQUASHED
-        self.rob = keep
+        self.rob = self._squash_from(entry.seq + 1, entry.addr)
         self.pending_stores = [s for s in self.pending_stores
                                if s.state != _RobEntry.SQUASHED]
         self._blocked_loads = [l for l in self._blocked_loads
@@ -910,6 +895,19 @@ class OoOCore:
             self.cycle + self.config.mispredict_penalty
         self._line_buffer = None
 
+    def _squash_from(self, seq, pc):
+        """Kill every ROB entry from ``seq`` on (a mispredict's shadow,
+        or everything on an interrupt at ``pc``); returns the older."""
+        keep = [e for e in self.rob if e.seq < seq]
+        if self.tracer is not None:
+            self.tracer.instant("squash", self.cycle, pid=1,
+                                tid=self.core_id, cat="squash",
+                                args={"pc": pc, "seq": seq, "entries":
+                                      len(self.rob) - len(keep)})
+        for e in self.rob[len(keep):]:
+            e.state = _RobEntry.SQUASHED
+        return keep
+
     # ------------------------------------------------------------- retire
 
     def _retire(self):
@@ -925,13 +923,12 @@ class OoOCore:
             self._last_commit = (head.addr, head.instr.mnemonic)
             if self.commit_hook is not None:
                 self.commit_hook(head)
-            if self.retire_hook is not None:
-                self.retire_hook(head.addr, head.instr)
             if self.tracer is not None:
                 self.tracer.instant("retire", self.cycle, pid=1,
                                     tid=self.core_id, cat="retire",
                                     args={"pc": head.addr,
-                                          "op": head.instr.mnemonic})
+                                          "op": head.instr.mnemonic,
+                                          "seq": head.seq})
             self.rob.pop(0)
             retired += 1
             self.stats.retired += 1

@@ -51,7 +51,8 @@ from repro.obs.resilience import (
 #: 3: a run of disabled PEs is one ``DisabledRun``
 #: 4: an ``Activation`` counts its live entries and the ring its
 #:    executing ones (no drain-scan cursor)
-CKPT_SCHEMA = 4
+#: 5: a ``PEEntry`` keeps no start cycle
+CKPT_SCHEMA = 5
 
 #: on-disk magic prefix
 MAGIC = b"DIAGCKPT"
@@ -59,8 +60,7 @@ MAGIC = b"DIAGCKPT"
 #: hook attributes detached (engine-wide) before pickling: any of them
 #: may hold a closure or an open tracer. Restored simulators come back
 #: with these set to None; the caller re-attaches what it needs.
-HOOK_ATTRS = ("tracer", "commit_hook", "retire_hook", "fault_hook",
-              "trace", "_pipetracer")
+HOOK_ATTRS = ("tracer", "commit_hook", "fault_hook", "trace")
 
 
 class CheckpointError(RuntimeError):

@@ -87,7 +87,7 @@ class DiAGConfig:
     # change possible before a known future cycle), jump the clock there
     # and batch-account the span. Cycle-exact — stats are byte-identical
     # to ticked execution (docs/PERFORMANCE.md). Forced off per-run by
-    # tracing, fault injection, PipeTracer, or watchdog_window == 0.
+    # event tracing, fault injection, or watchdog_window == 0.
     fast_forward: bool = True
 
     @property

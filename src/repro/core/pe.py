@@ -33,7 +33,7 @@ class PEEntry:
 
     __slots__ = (
         "seq", "instr", "facts", "addr", "activation", "pe_index", "state",
-        "sources", "value", "result", "start_cycle", "done_cycle",
+        "sources", "value", "result", "done_cycle",
         "predicted_taken", "predicted_target", "waiting_on_memory",
         "simt_region", "simt_latched", "store_drained",
         "pending_producers", "ready_time", "waiters", "blocked_on",
@@ -57,7 +57,6 @@ class PEEntry:
         self.sources = []
         self.value = None
         self.result = None
-        self.start_cycle = None
         self.done_cycle = None
         self.predicted_taken = False
         self.predicted_target = None

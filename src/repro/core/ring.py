@@ -114,9 +114,6 @@ class RingEngine:
         self._retired_this_cycle = 0
         self._pending_interrupt = None
         self.csrs = {}
-        #: optional callable(addr, instr) invoked at each retirement,
-        #: in program order (test/trace hook)
-        self.retire_hook = None
         #: optional callable(entry) invoked right after _commit applies
         #: an entry's architectural effects (repro.verify lockstep).
         #: Retirements never occur inside a fast-forward span, so this
@@ -275,15 +272,14 @@ class RingEngine:
     def ff_setup(self):
         """Decide once per run whether fast-forward may engage.
 
-        Per-cycle observers force skip-off: an event tracer or a
-        PipeTracer samples stepped state, a fault injector counts
-        value-production sites against its trigger, and a disabled
-        watchdog (window 0) leaves no deadline to cap skips against."""
+        Per-cycle observers force skip-off: an event tracer records
+        stepped state, a fault injector counts value-production sites
+        against its trigger, and a disabled watchdog (window 0) leaves
+        no deadline to cap skips against."""
         self._ff_active = bool(
             getattr(self.config, "fast_forward", True)
             and self.tracer is None
             and self.fault_hook is None
-            and getattr(self, "_pipetracer", None) is None
             and self.watchdog.window > 0)
         return self._ff_active
 
@@ -569,11 +565,6 @@ class RingEngine:
         activation = cluster.arm(next(self._activation_seq), self.cycle,
                                  ready_cycle, entry_pc)
         self._last_armed_slot = cluster.slot
-        if self.tracer is not None:
-            self.tracer.instant("dispatch", self.cycle,
-                                tid=self.ring_id, cat="dispatch",
-                                args={"pc": entry_pc,
-                                      "slot": cluster.slot})
         stats = self.stats
         entries = activation.entries
         window = self.window
@@ -637,6 +628,16 @@ class RingEngine:
             if self._waiting_redirect is None and self.next_fetch_pc is None:
                 self.next_fetch_pc = path_pc
         stats.disabled_slots += disabled
+        if self.tracer is not None:  # one event per new window entry
+            for entry in entries:
+                args = {"seq": entry.seq, "pc": entry.addr,
+                        "slot": cluster.slot}
+                if entry.state is _DISABLED:
+                    args["count"] = entry.count
+                else:
+                    args["op"] = entry.instr.mnemonic
+                self.tracer.instant("dispatch", self.cycle, cat="dispatch",
+                                    tid=self.ring_id, args=args)
 
     def _wire_control(self, entry, instr):
         """Predict the path after a control entry.
@@ -791,34 +792,47 @@ class RingEngine:
             entry.value = result.value
             entry.apply_fault(self.fault_hook, "pe")
         self._execute(entry, self.cycle + latency)
-        if self.tracer is not None:
-            self.tracer.complete(mnem, self.cycle, latency,
-                                 tid=self.ring_id, cat="execute",
-                                 args={"pc": entry.addr})
 
     def _execute(self, entry, done):
-        """Put ``entry`` in flight until cycle ``done``."""
+        """Put ``entry`` in flight until ``done`` (every start is here)."""
         entry.state = _EXECUTING
-        entry.start_cycle = self.cycle
         entry.done_cycle = done
         self._executing_pes += 1
         if entry.facts.is_fp:
             self._executing_fpus += 1
         heapq.heappush(self._executing, (done, entry.seq, entry))
+        if self.tracer is not None:
+            self.tracer.complete(entry.instr.mnemonic, self.cycle,
+                                 done - self.cycle, tid=self.ring_id,
+                                 cat="execute",
+                                 args={"pc": entry.addr, "seq": entry.seq})
 
-    def _squash(self, entry):
-        """Kill one window entry (a mispredict's shadow, or everything
-        on an interrupt), keeping the unfinished and executing counts."""
-        state = entry.state
-        if state is _WAITING or state is _EXECUTING:
-            entry.activation.live -= 1
-            if state is _EXECUTING:
-                self._executing_pes -= 1
-                if entry.facts.is_fp:
-                    self._executing_fpus -= 1
-        if state is not _DISABLED:
-            self.stats.squashed += 1
-        entry.state = _SQUASHED
+    def _squash_from(self, seq, pc):
+        """Kill every window entry from ``seq`` on (a mispredict's shadow,
+        or all on an interrupt at ``pc``); returns the older entries."""
+        window = self.window
+        if self.tracer is not None:
+            self.tracer.instant("squash", self.cycle, tid=self.ring_id,
+                                cat="squash", args={
+                                    "pc": pc, "seq": seq,
+                                    "entries": sum(e.count for e in window
+                                                   if e.seq >= seq)})
+        keep = []
+        for entry in window:
+            if entry.seq < seq:
+                keep.append(entry)
+                continue
+            state = entry.state
+            if state is _WAITING or state is _EXECUTING:
+                entry.activation.live -= 1
+                if state is _EXECUTING:
+                    self._executing_pes -= 1
+                    if entry.facts.is_fp:
+                        self._executing_fpus -= 1
+            if state is not _DISABLED:
+                self.stats.squashed += 1
+            entry.state = _SQUASHED
+        return keep
 
     def _exec_simt_e(self, entry, rc_value):
         simt_s = entry.simt_region
@@ -859,9 +873,8 @@ class RingEngine:
         # the interrupted PC: the oldest live instruction (_arch_pc)
         mepc = self._arch_pc()
         self.csrs[0x341] = (mepc or 0) & MASK32
-        for entry in self.window:
-            self._squash(entry)
-        self.window = []
+        if self.window:
+            self.window = self._squash_from(self.window[0].seq, mepc)
         self.pending_stores = []
         self._blocked_loads = []
         self._retry = []
@@ -964,10 +977,6 @@ class RingEngine:
         entry.apply_fault(self.fault_hook, "pe")
         entry.waiting_on_memory = True
         self._execute(entry, self.cycle + max(1, latency))
-        if self.tracer is not None:
-            self.tracer.complete(entry.instr.mnemonic, self.cycle,
-                                 max(1, latency), tid=self.ring_id,
-                                 cat="execute", args={"pc": entry.addr})
 
     def _block_load(self, entry, store):
         entry.blocked_on = store
@@ -1043,20 +1052,7 @@ class RingEngine:
     def _mispredict(self, entry, correct_target):
         """Squash everything younger and redirect (Section 5.1.4)."""
         self.stats.mispredicts += 1
-        if self.tracer is not None:
-            squashed = sum(e.count for e in self.window
-                           if e.seq > entry.seq)
-            self.tracer.instant("squash", self.cycle,
-                                tid=self.ring_id, cat="squash",
-                                args={"pc": entry.addr,
-                                      "entries": squashed})
-        keep = []
-        for e in self.window:
-            if e.seq <= entry.seq:
-                keep.append(e)
-            else:
-                self._squash(e)
-        self.window = keep
+        self.window = self._squash_from(entry.seq + 1, entry.addr)
         self.pending_stores = [s for s in self.pending_stores
                                if s.state is not PEState.SQUASHED]
         self._blocked_loads = [l for l in self._blocked_loads
@@ -1104,6 +1100,12 @@ class RingEngine:
                 # A run's slots each take one retire slot; a run longer
                 # than what is left of the budget is popped in part.
                 budget = limit - retired
+                if self.tracer is not None:
+                    self.tracer.instant("retire", self.cycle,
+                                        tid=self.ring_id, cat="retire",
+                                        args={"seq": head.seq,
+                                              "count": min(head.count,
+                                                           budget)})
                 if head.count > budget:
                     head.count -= budget
                     head.seq += budget
@@ -1121,13 +1123,12 @@ class RingEngine:
             self._last_commit = (head.addr, head.instr.mnemonic)
             if self.commit_hook is not None:
                 self.commit_hook(head)
-            if self.retire_hook is not None:
-                self.retire_hook(head.addr, head.instr)
             if self.tracer is not None:
                 self.tracer.instant("retire", self.cycle,
                                     tid=self.ring_id, cat="retire",
                                     args={"pc": head.addr,
-                                          "op": head.instr.mnemonic})
+                                          "op": head.instr.mnemonic,
+                                          "seq": head.seq})
             window.pop(0)
             retired += 1
             self.stats.retired += 1

@@ -3,6 +3,9 @@
 from dataclasses import dataclass, field
 
 import numpy as np
+# not lazily in rng(): a worker forked amid another thread's first
+# import of numpy.random inherits its held lock and deadlocks in rng()
+import numpy.random  # noqa: F401
 
 
 @dataclass

@@ -9,9 +9,13 @@ must also finish ``ok`` and verified with every shared counter.
 """
 
 import json
+from collections import Counter
 
 import pytest
 
+from repro.asm import assemble
+from repro.baseline import OoOConfig, OoOCore
+from repro.core import DiAGProcessor, F4C2
 from repro.harness.runner import clear_cache, run_baseline, run_diag
 from repro.obs import SHARED_CORE_COUNTERS, EventTracer
 
@@ -143,6 +147,92 @@ class TestTracedRuns:
                          for e in doc["traceEvents"]
                          if e["name"] == "process_name"}
         assert process_names == {"diag", "ooo"}
+
+
+def trace_program(machine, src, interrupt_at=None):
+    """``(engine, events)`` of one traced run of ``src``; with
+    ``interrupt_at``, an interrupt to ``trap`` is posted at that cycle."""
+    program = assemble(src)
+    tracer = EventTracer()
+    if machine == "diag":
+        engine = DiAGProcessor(F4C2, program, tracer=tracer).rings[0]
+    else:
+        engine = OoOCore(OoOConfig(), program)
+        engine.tracer = tracer
+    if interrupt_at is not None:
+        for __ in range(interrupt_at):
+            engine.step()
+        engine.post_interrupt(program.symbol("trap"))
+    engine.run()
+    assert engine.halted
+    return engine, tracer.events()
+
+
+def by_cat(events, cat):
+    return [e for e in events if e.get("cat") == cat]
+
+
+class TestEntryEvents:
+    """The four entry events carry the entry's ``seq`` on both engines
+    (docs/OBSERVABILITY.md §2)."""
+
+    STORES = """
+    li t0, 0x2000
+    li t1, 7
+    sw t1, 0(t0)
+    sw t1, 4(t0)
+    lw t2, 0(t0)
+    ebreak
+    """
+
+    TRAP_LOOP = """
+    li t0, 0
+    li t1, 1000
+    loop:
+    addi t0, t0, 1
+    andi t2, t0, 1
+    beqz t2, skip
+    addi t3, t3, 1
+    skip:
+    blt t0, t1, loop
+    ebreak
+    trap:
+    ebreak
+    """
+
+    def test_stores_execute_on_both_engines(self):
+        executed = {
+            machine: Counter(e["name"] for e in by_cat(
+                trace_program(machine, self.STORES)[1], "execute"))
+            for machine in ("diag", "ooo")}
+        assert executed["diag"] == executed["ooo"]
+        assert executed["diag"]["sw"] == 2
+
+    @pytest.mark.parametrize("machine", ["diag", "ooo"])
+    def test_entry_events_carry_seq(self, machine):
+        __, events = trace_program(machine, self.TRAP_LOOP)
+        for cat in ("dispatch", "execute", "retire", "squash"):
+            assert by_cat(events, cat), cat
+            assert all(isinstance(e["args"]["seq"], int)
+                       for e in by_cat(events, cat)), cat
+        # every executed entry was dispatched first
+        dispatched = set()
+        for e in events:
+            args = e.get("args", {})
+            if e.get("cat") == "dispatch":
+                dispatched.update(range(args["seq"],
+                                        args["seq"] + args.get("count", 1)))
+            elif e.get("cat") == "execute":
+                assert args["seq"] in dispatched
+
+    @pytest.mark.parametrize("machine", ["diag", "ooo"])
+    def test_interrupt_emits_squash(self, machine):
+        engine, events = trace_program(machine, self.TRAP_LOOP,
+                                       interrupt_at=150)
+        squashes = by_cat(events, "squash")
+        assert len(squashes) == engine.stats.mispredicts + 1
+        flush = [e for e in squashes if e["ts"] == 150]
+        assert len(flush) == 1 and flush[0]["args"]["entries"] > 0
 
 
 class TestFailureStats:

@@ -5,6 +5,7 @@ import pytest
 from repro.asm import assemble
 from repro.core import DiAGProcessor, EnergyModel, F4C2, F4C32
 from repro.harness.pipeview import PipeTracer
+from repro.obs import EventTracer
 
 
 class TestPipeTracer:
@@ -100,10 +101,12 @@ class TestPipeTracer:
         proc = DiAGProcessor(F4C2, program)
         tracer = PipeTracer.attach(proc.rings[0], max_entries=1)
         assert proc.run().halted
-        # each untraced entry counts once, however many cycles it
-        # lingered in the window: re-sampling must not inflate it
+        # each untraced entry counts once, however often the chart is
+        # read: re-reading must not inflate it
         before = tracer.dropped
-        tracer.sample()
+        assert tracer.dropped == before
+        tracer.render()
+        tracer.render()
         assert tracer.dropped == before
 
     def test_no_marker_without_drops(self):
@@ -118,16 +121,26 @@ class TestPipeTracer:
         program = assemble(self.LOOP_SRC)
         proc = DiAGProcessor(F4C2, program)
         ring = proc.rings[0]
-        unwrapped = ring.step
+        own = EventTracer()
+        ring.tracer = own
         first = PipeTracer.attach(ring)
         second = PipeTracer.attach(ring)
-        assert ring._pipetracer is second
+        assert ring.tracer is own  # both views reuse the ring's tracer
         assert proc.run().halted
-        # the replaced tracer stopped sampling; the live one records
+        # the replaced tracer stopped recording; the live one records
         assert not first.lives
         assert len(second.lives) >= 5
         second.detach()
-        assert ring.step == unwrapped
+        assert ring.tracer is own
+        # with no tracer on the ring, detach puts None back
+        third = PipeTracer.attach(ring)
+        third.detach()
+        assert ring.tracer is own
+        ring.tracer = None
+        fourth = PipeTracer.attach(ring)
+        assert ring.tracer is fourth.tracer
+        fourth.detach()
+        assert ring.tracer is None
 
     def test_detach_stops_sampling(self):
         program = assemble(self.LOOP_SRC)
@@ -138,6 +151,114 @@ class TestPipeTracer:
         assert not tracer.lives
         # double-detach is harmless
         tracer.detach()
+
+
+class TestChartIsExact:
+    """Every state change is an event, so the chart's lives count what
+    the ring's stats count (paper Section 5.1, Figure 6)."""
+
+    # even iterations skip the middle addi: mispredicts squash lives
+    SKIP_LOOP = """
+    li t0, 0
+    li t1, 40
+    loop:
+    andi t2, t0, 1
+    beqz t2, skip
+    addi t3, t3, 1
+    skip:
+    addi t0, t0, 1
+    blt t0, t1, loop
+    ebreak
+    """
+
+    TRAP_LOOP = """
+    li t0, 0
+    li t1, 1000
+    loop:
+    addi t0, t0, 1
+    andi t2, t0, 1
+    beqz t2, skip
+    addi t3, t3, 1
+    skip:
+    blt t0, t1, loop
+    ebreak
+    trap:
+    addi t4, t4, 1
+    ebreak
+    """
+
+    @staticmethod
+    def final_states(tracer):
+        counts = {"retired": 0, "squashed": 0, "disabled": 0}
+        for life in tracer.lives.values():
+            counts[life.final_state] = counts.get(life.final_state, 0) + 1
+        return counts
+
+    def check_exact(self, ring, tracer):
+        assert tracer.dropped == 0
+        stats = ring.stats
+        counts = self.final_states(tracer)
+        assert counts["retired"] == stats.retired
+        assert counts["squashed"] == stats.squashed
+        assert counts["disabled"] == stats.disabled_slots
+        for life in tracer.lives.values():
+            if life.start is not None:
+                assert life.done is not None, life
+                assert life.dispatch <= life.start <= life.done, life
+            if life.retire is not None:
+                assert (life.done or life.dispatch) <= life.retire, life
+
+    def test_mispredicting_loop(self):
+        proc = DiAGProcessor(F4C2, assemble(self.SKIP_LOOP))
+        ring = proc.rings[0]
+        tracer = PipeTracer.attach(ring, max_entries=100_000)
+        assert proc.run().halted
+        assert ring.stats.squashed > 0 and ring.stats.disabled_slots > 0
+        self.check_exact(ring, tracer)
+        assert "x" in tracer.render()
+
+    def test_interrupt_mid_window(self):
+        program = assemble(self.TRAP_LOOP)
+        proc = DiAGProcessor(F4C2, program)
+        ring = proc.rings[0]
+        tracer = PipeTracer.attach(ring, max_entries=100_000)
+        for __ in range(150):
+            ring.step()
+        live = sum(1 for e in ring.window
+                   if e.state.value in ("waiting", "executing", "done"))
+        assert live, "expected live entries in flight"
+        squashed = ring.stats.squashed
+        ring.post_interrupt(program.symbol("trap"))
+        assert proc.run().halted
+        assert ring.stats.squashed >= squashed + live
+        self.check_exact(ring, tracer)
+
+    def test_straight_line_lives_all_complete(self):
+        proc = DiAGProcessor(F4C2, assemble("""
+        li t0, 1
+        li t1, 2
+        add t2, t0, t1
+        mul t3, t2, t2
+        ebreak
+        """))
+        tracer = PipeTracer.attach(proc.rings[0])
+        assert proc.run().halted
+        retired = [l for l in tracer.lives.values()
+                   if l.final_state == "retired"]
+        assert len(retired) == 5
+        assert all(l.done is not None for l in retired)
+
+    def test_event_buffer_drops_are_marked(self):
+        program = assemble(TestPipeTracer.LOOP_SRC)
+        proc = DiAGProcessor(F4C2, program)
+        ring = proc.rings[0]
+        ring.tracer = EventTracer(max_events=50)
+        tracer = PipeTracer.attach(ring)
+        assert proc.run().halted
+        lost = ring.tracer.dropped
+        assert lost > 0
+        assert f"... {lost} events dropped by the event tracer" \
+            in tracer.render()
 
 
 class TestArea64Bit:

@@ -99,7 +99,7 @@ def test_diag_retires_in_iss_order(name, config):
 
     proc = DiAGProcessor(config, program)
     retired = []
-    proc.rings[0].retire_hook = lambda addr, instr: retired.append(addr)
+    proc.rings[0].commit_hook = lambda e: retired.append(e.addr)
     assert proc.run(max_cycles=500_000).halted
     assert retired == reference, (
         f"{name}: first divergence at index "
@@ -113,7 +113,7 @@ def test_ooo_retires_in_iss_order(name):
 
     core = OoOCore(OoOConfig(), program)
     retired = []
-    core.retire_hook = lambda addr, instr: retired.append(addr)
+    core.commit_hook = lambda e: retired.append(e.addr)
     assert core.run(max_cycles=500_000).halted
     assert retired == reference
 
@@ -122,6 +122,6 @@ def test_hooks_see_mnemonics():
     program = assemble("li t0, 3\nmul t1, t0, t0\nebreak\n")
     core = OoOCore(OoOConfig(), program)
     mnems = []
-    core.retire_hook = lambda addr, instr: mnems.append(instr.mnemonic)
+    core.commit_hook = lambda e: mnems.append(e.instr.mnemonic)
     core.run()
     assert mnems == ["addi", "mul", "ebreak"]

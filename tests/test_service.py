@@ -733,7 +733,9 @@ class TestWorkerLoss:
                         kills.append(procs[0].pid)
                     except OSError:
                         pass
-                time.sleep(0.15)
+                # a small cell runs in tens of milliseconds: a longer
+                # poll can miss every request's whole life in the pool
+                time.sleep(0.01)
             for poster in posters:
                 poster.join(180)
         finally:
