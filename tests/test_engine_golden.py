@@ -12,7 +12,11 @@ SIMT-pipelined DiAG cell and one DiAG cell with shared FU groups. The
 same eight kernels also run on the two-cluster F4C2 ring, where
 clusters are evicted, re-arms miss and squashes cut through runs of
 disabled PEs; one more DiAG cell runs with a non-default lane geometry
-(a lane buffer every 4 PEs, 2 cycles per cluster boundary).
+(a lane buffer every 4 PEs, 2 cycles per cluster boundary). Four
+two-thread cells (``kmeans`` and the pointer-chasing ``btree``, on
+F4C32 and on the baseline) pin the lockstep group loop: rings or cores
+that share one hierarchy and may only fast-forward together. (``mcf``
+is single-threaded: ``threads=2`` folds to one engine.)
 
 A change that is *meant* to move simulated outcomes re-records the
 fixture with ``PYTHONPATH=src python tests/test_engine_golden.py``.
@@ -52,6 +56,13 @@ CELLS["diag/kmeans+fu_share4"] = lambda: run_diag(
 CELLS["diag/mcf+lane_geometry"] = lambda: run_diag(
     "mcf", config="F4C32", scale=SCALE,
     config_overrides={"lane_buffer_every": 4, "inter_cluster_delay": 2})
+THREAD_KERNELS = ("kmeans", "btree")
+for _kernel in THREAD_KERNELS:
+    CELLS[f"diag/{_kernel}@2t"] = (
+        lambda k=_kernel: run_diag(k, config="F4C32", scale=SCALE,
+                                   threads=2))
+    CELLS[f"ooo/{_kernel}@2t"] = (
+        lambda k=_kernel: run_baseline(k, scale=SCALE, threads=2))
 
 
 def digest(record):
@@ -79,6 +90,16 @@ def test_extra_cells_reach_their_paths():
     assert shared.cycles != CELLS["diag/kmeans"]().cycles
     geometry = CELLS["diag/mcf+lane_geometry"]()
     assert geometry.cycles != CELLS["diag/mcf"]().cycles
+
+
+@pytest.mark.parametrize("machine", ("diag", "ooo"))
+def test_thread_cells_run_as_groups(machine):
+    """The two-thread cells really run two engines, and both take
+    group fast-forward skips."""
+    for kernel in THREAD_KERNELS:
+        record = CELLS[f"{machine}/{kernel}@2t"]()
+        assert record.threads == 2
+        assert record.stats["sim.host.ff_skipped_cycles"] > 0
 
 
 if __name__ == "__main__":
