@@ -10,7 +10,7 @@ latencies, same memory-timing substrate, and a McPAT-style event-energy
 model for the efficiency comparisons.
 """
 
-from repro.baseline.ooo import OoOConfig, OoOCore, OoOResult, run_ooo
+from repro.baseline.ooo import OoOConfig, OoOCore, run_ooo
 from repro.baseline.multicore import MulticoreCPU, run_multicore
 from repro.baseline.power import BaselinePowerModel
 from repro.baseline.predictor import (
@@ -27,7 +27,6 @@ __all__ = [
     "MulticoreCPU",
     "OoOConfig",
     "OoOCore",
-    "OoOResult",
     "run_multicore",
     "run_ooo",
 ]

@@ -15,8 +15,9 @@ import itertools
 from dataclasses import dataclass, field
 
 from repro.baseline.predictor import GSharePredictor
+from repro.core import group
 from repro.core.lanes import ArchLanes, read_operands
-from repro.core.stats import StallReason
+from repro.core.stats import EngineStats, StallReason
 from repro.core.watchdog import ProgressWatchdog
 from repro.iss.semantics import compute, finish_load
 from repro.memory.lsu import resolve_store_access
@@ -78,7 +79,7 @@ _POOL_OF_MNEMONIC = {mnemonic: _FU_POOL_OF[info.fu_class]
                      for mnemonic, info in MNEMONICS.items()}
 
 @dataclass
-class OoOStats:
+class OoOStats(EngineStats):
     cycles: int = 0
     retired: int = 0
     fetched: int = 0
@@ -100,44 +101,6 @@ class OoOStats:
     # engines land identical core.stall.* names in the stats registry)
     stall_cycles: dict = field(default_factory=dict)
     rob_occupancy_sum: int = 0   # sum of ROB depth per cycle
-
-    @property
-    def ipc(self):
-        return self.retired / self.cycles if self.cycles else 0.0
-
-    def stall(self, reason, cycles=1):
-        self.stall_cycles[reason] = self.stall_cycles.get(reason, 0) \
-            + cycles
-
-    @property
-    def total_stalls(self):
-        return sum(self.stall_cycles.values())
-
-    def stall_fractions(self):
-        """{reason: fraction of all stall cycles}; empty dict if none."""
-        total = self.total_stalls
-        if not total:
-            return {}
-        return {reason: count / total
-                for reason, count in self.stall_cycles.items()}
-
-
-@dataclass
-class OoOResult:
-    cycles: int = 0
-    stats: OoOStats = field(default_factory=OoOStats)
-    halted: bool = False
-    #: True when the run stopped on the cycle budget rather than a halt
-    timed_out: bool = False
-    halt_reason: str = None
-
-    @property
-    def instructions(self):
-        return self.stats.retired
-
-    @property
-    def ipc(self):
-        return self.stats.ipc
 
 
 class _RobEntry:
@@ -193,6 +156,10 @@ class _RobEntry:
 class OoOCore:
     """One out-of-order core running one software thread."""
 
+    #: the baseline runs simt regions as plain loops, so it is never
+    #: inside a pre-scheduled region (see RingEngine.simt_until)
+    simt_until = None
+
     def __init__(self, config, program, hierarchy=None, arch=None,
                  core_id=0, load_image=True, entry_pc=None):
         self.config = config
@@ -236,7 +203,7 @@ class OoOCore:
         #: optional callable(entry) invoked right after _commit applies
         #: an entry's architectural effects (repro.verify lockstep).
         #: Retirements never occur inside a fast-forward span, so this
-        #: hook is FF-safe and deliberately absent from ff_setup().
+        #: hook is FF-safe and deliberately absent from group.ff_setup.
         self.commit_hook = None
         #: (addr, mnemonic) of the most recent commit, for hang reports
         self._last_commit = None
@@ -253,40 +220,18 @@ class OoOCore:
         #: the stats document must be identical with skipping off)
         self.ff_skips = 0
         self.ff_skipped_cycles = 0
-        self._ff_active = False
         self._ff_retry_starved = False
 
     # ---------------------------------------------------------------- run
 
     def run(self, max_cycles=None, max_retired=None):
-        """Run to the next halt or the cycle budget.
-
-        Raises :class:`repro.core.watchdog.SimulationHang` when no
-        instruction retires for ``config.watchdog_window`` cycles.
-
-        ``max_retired`` is an *absolute* retired-instruction budget
-        (sampling windows, ``repro.sampling``): the loop pauses at the
-        first cycle boundary with ``stats.retired >= max_retired``;
-        the pause is resumable — call run() again with larger
-        budgets."""
+        """Run this core as a lockstep group of one
+        (:func:`repro.core.group.run`, which documents the absolute
+        ``max_cycles`` budget and the ``max_retired`` pause); returns
+        a :class:`repro.core.group.RunResult`."""
         budget = max_cycles if max_cycles is not None \
             else self.config.max_cycles
-        ff = self.ff_setup()
-        step = self.step
-        check = self.check_watchdog
-        while not self.halted and self.cycle < budget:
-            if max_retired is not None \
-                    and self.stats.retired >= max_retired:
-                break
-            step()
-            check()
-            if ff:
-                target = self.ff_target(budget)
-                if target is not None:
-                    self.ff_skip_to(target)
-        return OoOResult(cycles=self.cycle, stats=self.stats,
-                         halted=self.halted, timed_out=not self.halted,
-                         halt_reason=self.halt_reason)
+        return group.run([self], budget, max_retired)
 
     # ----------------------------------------------------- checkpointing
     #
@@ -395,25 +340,11 @@ class OoOCore:
     # accounting, jump the clock to the earliest scheduled event and
     # credit the span in one batch, byte-identical to ticking.
 
-    def ff_setup(self):
-        """Decide once per run whether fast-forward may engage (per-
-        cycle observers — event tracer, fault injector — and a
-        disabled watchdog force skip-off)."""
-        self._ff_active = bool(
-            getattr(self.config, "fast_forward", True)
-            and self.tracer is None
-            and self.fault_hook is None
-            and self.watchdog.window > 0)
-        return self._ff_active
-
-    #: Smallest span worth skipping — see RingEngine.FF_MIN_SPAN.
-    FF_MIN_SPAN = 4
-
     def quiescent(self):
         """True when no state transition can happen before the next
         known event — i.e. every intervening step would be a no-op.
-        Called by :meth:`ff_target` after the cheap event-bound
-        pre-filter and heap purge."""
+        Called by :func:`repro.core.group.ff_target` after the cheap
+        span floor and heap purge."""
         if self.halted or self._pending_interrupt is not None \
                 or self._ff_retry_starved or self._blocked_loads:
             # Blocked loads retry every cycle and wake on store-buffer
@@ -437,34 +368,32 @@ class OoOCore:
                 return False  # retires / pops next step
         return True
 
-    def ff_target(self, budget):
-        """The cycle to jump to, or None when skipping is not possible.
-
-        Capped at the budget, at ``watchdog.deadline() - 1`` (so a hang
-        fires at the identical simulated cycle), and at the front-end
-        restart time (the rob-empty stall classification branches on
-        ``cycle < _fetch_stalled_until``). The event bound is computed
-        *before* the quiescence analysis so most attempts die on the
-        cheap FF_MIN_SPAN pre-filter."""
+    def ff_event(self, budget):
+        """This core's event bound, capped at ``budget``: the earliest
+        cycle at which stepped state can change (the group's
+        :func:`repro.core.group.ff_target` applies the span floor,
+        the deadline cap and :meth:`quiescent`). The front-end
+        restart time bounds it too: the rob-empty stall
+        classification branches on ``cycle < _fetch_stalled_until``."""
         now = self.cycle
-        self._ff_purge_heaps()
+        # Drop stale heap heads (squashed / already-handled entries) so
+        # head times are real events; _complete and _issue skip the
+        # same entries when their time comes.
         target = budget
-        if self._executing and self._executing[0][0] < target:
-            target = self._executing[0][0]
-        if self._ready_heap and self._ready_heap[0][0] < target:
-            target = self._ready_heap[0][0]
+        executing = self._executing
+        while executing and executing[0][2].state != _RobEntry.EXECUTING:
+            heapq.heappop(executing)
+        if executing and executing[0][0] < target:
+            target = executing[0][0]
+        ready = self._ready_heap
+        while ready and ready[0][2].state not in (_RobEntry.WAITING,
+                                                  _RobEntry.READY):
+            heapq.heappop(ready)
+        if ready and ready[0][0] < target:
+            target = ready[0][0]
         stalled = self._fetch_stalled_until
         if now < stalled < target:
             target = stalled
-        if target - now < self.FF_MIN_SPAN:
-            return None  # the deadline cap below only lowers target
-        deadline = self.watchdog.deadline()
-        if deadline is not None and target > deadline - 1:
-            target = deadline - 1
-            if target - now < self.FF_MIN_SPAN:
-                return None
-        if not self.quiescent():
-            return None
         return target
 
     def ff_skip_to(self, target):
@@ -480,18 +409,6 @@ class OoOCore:
         self.ff_skipped_cycles += span
         self.cycle = target
         self.stats.cycles = target
-
-    def _ff_purge_heaps(self):
-        """Drop stale heap heads (squashed / already-handled entries)
-        so head times reflect real events; _complete and _issue skip
-        the same entries when their time comes."""
-        executing = self._executing
-        while executing and executing[0][2].state != _RobEntry.EXECUTING:
-            heapq.heappop(executing)
-        ready = self._ready_heap
-        while ready and ready[0][2].state not in (_RobEntry.WAITING,
-                                                  _RobEntry.READY):
-            heapq.heappop(ready)
 
     # -------------------------------------------------------------- fetch
 

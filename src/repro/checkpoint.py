@@ -52,7 +52,9 @@ from repro.obs.resilience import (
 #: 4: an ``Activation`` counts its live entries and the ring its
 #:    executing ones (no drain-scan cursor)
 #: 5: a ``PEEntry`` keeps no start cycle
-CKPT_SCHEMA = 5
+#: 6: a processor or multicore CPU is an ``EngineGroup`` holding
+#:    ``engines``; engines keep no fast-forward enable flag
+CKPT_SCHEMA = 6
 
 #: on-disk magic prefix
 MAGIC = b"DIAGCKPT"
@@ -85,25 +87,22 @@ class Checkpoint:
 
 def _progress_of(sim):
     """Best progress marker for a simulator: its cycle counter, the max
-    over its rings/cores, or the ISS instruction count."""
-    for attr in ("cycle",):
-        value = getattr(sim, attr, None)
-        if isinstance(value, int):
-            return value
-    for attr in ("rings", "cores"):
-        units = getattr(sim, attr, None)
-        if units:
-            return max((getattr(u, "cycle", 0) for u in units), default=0)
+    over an engine group's engines, or the ISS instruction count."""
+    value = getattr(sim, "cycle", None)
+    if isinstance(value, int):
+        return value
+    engines = getattr(sim, "engines", None)
+    if engines:
+        return max(engine.cycle for engine in engines)
     stats = getattr(sim, "stats", None)
     return getattr(stats, "instructions", 0) if stats is not None else 0
 
 
 def _hook_sites(sim):
-    """The simulator plus any per-ring/per-core sub-engines that carry
-    their own hook attributes."""
+    """The simulator plus an engine group's engines, which carry their
+    own hook attributes."""
     sites = [sim]
-    for attr in ("rings", "cores"):
-        sites.extend(getattr(sim, attr, None) or ())
+    sites.extend(getattr(sim, "engines", None) or ())
     # a LockstepSession-style wrapper exposes the engine it drives
     engine = getattr(sim, "engine", None)
     if engine is not None and engine not in sites:
@@ -115,7 +114,7 @@ def pickle_detached(sim, hooks=HOOK_ATTRS):
     """Pickle ``sim`` with its hooks detached; the pickle's bytes.
 
     ``hooks`` lists the attributes set to None for the duration of the
-    pickle on the simulator and its rings/cores, and put back after it;
+    pickle on the simulator and its engines, and put back after it;
     pass ``hooks=()`` to pickle hooks along (only valid when every
     installed hook is itself picklable, e.g. a lockstep oracle).
     ``pickle.loads`` of the bytes is an independent copy of ``sim``

@@ -18,7 +18,8 @@ from repro.core.config import (
     I4C2,
 )
 from repro.core.energy import AreaReport, EnergyModel, EnergyReport
-from repro.core.processor import DiAGProcessor, DiAGResult, run_program
+from repro.core.group import RunResult
+from repro.core.processor import DiAGProcessor, run_program
 from repro.core.stats import RingStats, StallReason
 from repro.core.watchdog import ProgressWatchdog, SimulationHang
 
@@ -27,7 +28,6 @@ __all__ = [
     "CONFIG_PRESETS",
     "DiAGConfig",
     "DiAGProcessor",
-    "DiAGResult",
     "EnergyModel",
     "EnergyReport",
     "F4C16",
@@ -36,6 +36,7 @@ __all__ = [
     "I4C2",
     "ProgressWatchdog",
     "RingStats",
+    "RunResult",
     "SimulationHang",
     "StallReason",
     "run_program",

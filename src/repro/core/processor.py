@@ -6,153 +6,34 @@ of PEs. Multi-threaded runs allocate one ring per software thread (the
 "16-by-2 format" of Section 7.2.1: each thread gets a ring with
 ``num_clusters`` clusters to alternate between); all rings share the
 banked L1D / L2 hierarchy, so inter-thread memory contention is
-modelled through the shared bank/bus timing state.
+modelled through the shared bank/bus timing state. The rings run in
+lockstep as one :class:`repro.core.group.EngineGroup`.
 """
 
-from dataclasses import dataclass, field
-
-from repro.core.lanes import ArchLanes
+from repro.core.group import EngineGroup
 from repro.core.ring import RingEngine
-from repro.core.stats import RingStats
 from repro.memory.hierarchy import MemoryHierarchy
 
 
-@dataclass
-class DiAGResult:
-    """Outcome of one DiAG run."""
-
-    cycles: int = 0
-    stats: RingStats = field(default_factory=RingStats)
-    ring_stats: list = field(default_factory=list)
-    halted: bool = False
-    #: True when the run stopped on the cycle budget rather than a halt
-    timed_out: bool = False
-    halt_reasons: list = field(default_factory=list)
-
-    @property
-    def instructions(self):
-        return self.stats.retired
-
-    @property
-    def ipc(self):
-        return self.instructions / self.cycles if self.cycles else 0.0
-
-
-class DiAGProcessor:
-    """A DiAG processor instance executing one program."""
-
-    STACK_BYTES_PER_THREAD = 64 * 1024
+class DiAGProcessor(EngineGroup):
+    """A DiAG processor instance executing one program: one ring per
+    thread over one hierarchy (``hierarchy``, or a fresh one built
+    from the config)."""
 
     def __init__(self, config, program, num_threads=1, thread_regs=None,
                  hierarchy=None, tracer=None):
-        """``thread_regs``: optional per-thread {reg_index: value} seeds.
-
-        By default thread ``t`` starts with a0 = t and a1 = num_threads
-        (the SPMD convention all multi-threaded workloads use) and a
-        private 64 KiB stack carved below the shared stack top.
-        ``tracer``: optional :class:`repro.obs.EventTracer` shared by
-        every ring (ring ``t`` emits on trace thread-track ``t``).
-        """
-        self.config = config
-        self.program = program
-        self.num_threads = num_threads
-        self.tracer = tracer
         self.hierarchy = hierarchy if hierarchy is not None \
             else MemoryHierarchy(config.hierarchy_config())
-        program.load_into(self.hierarchy.memory)
-        self.rings = []
-        for tid in range(num_threads):
-            arch = ArchLanes()
-            arch.x[2] = ArchLanes.STACK_TOP \
-                - tid * self.STACK_BYTES_PER_THREAD
-            arch.x[10] = tid
-            arch.x[11] = num_threads
-            if thread_regs is not None and tid < len(thread_regs):
-                for reg, value in thread_regs[tid].items():
-                    arch.x[reg] = value & 0xFFFFFFFF
-            ring = RingEngine(config, self.hierarchy, program,
-                              arch=arch, ring_id=tid)
-            ring.tracer = tracer
-            self.rings.append(ring)
+        super().__init__(config, program, [self.hierarchy] * num_threads,
+                         thread_regs=thread_regs, tracer=tracer)
+
+    def _engine(self, tid, hierarchy, arch):
+        return RingEngine(self.config, hierarchy, self.program, arch=arch,
+                          ring_id=tid)
 
     @property
-    def memory(self):
-        return self.hierarchy.memory
-
-    def run(self, max_cycles=None):
-        """Run all rings in lockstep until every thread halts.
-
-        The cycle budget is *absolute*: a processor restored from a
-        checkpoint at cycle N continues toward the same budget an
-        uninterrupted run would have had, so split runs and whole runs
-        retire identical schedules (tests/test_checkpoint.py).
-
-        Raises :class:`repro.core.watchdog.SimulationHang` if any ring
-        stops retiring for ``config.watchdog_window`` cycles."""
-        budget = max_cycles if max_cycles is not None \
-            else self.config.max_cycles
-        # resume-safe: already-halted rings must not step again and the
-        # loop counter picks up from the rings' absolute cycle (both
-        # are no-ops for a fresh processor)
-        live = [r for r in self.rings if not r.halted]
-        # Group fast-forward: lockstep rings may only skip together, to
-        # the earliest event of any live ring (rings interact solely
-        # through memory, which no quiescent ring touches before its
-        # next event). ff_setup() runs on every ring, no short-circuit.
-        ff = True
-        for ring in self.rings:
-            ff = ring.ff_setup() and ff
-        cycle = max((r.cycle for r in self.rings), default=0)
-        while live and cycle < budget:
-            for ring in live:
-                ring.step()
-                ring.check_watchdog()
-            live = [r for r in live if not r.halted]
-            cycle += 1
-            if ff and live:
-                target = budget
-                for ring in live:
-                    ring_target = ring.ff_target(budget)
-                    if ring_target is None:
-                        target = None
-                        break
-                    target = min(target, ring_target)
-                if target is not None:
-                    for ring in live:
-                        ring.ff_skip_to(target)
-                    cycle = target
-        return self._collect()
-
-    def _collect(self):
-        result = DiAGResult()
-        merged = RingStats()
-        for ring in self.rings:
-            merged.merge(ring.stats)
-            result.ring_stats.append(ring.stats)
-            result.halt_reasons.append(ring.halt_reason)
-        result.stats = merged
-        result.cycles = max((r.cycle for r in self.rings), default=0)
-        result.halted = all(r.halted for r in self.rings)
-        result.timed_out = not result.halted
-        return result
-
-    # ----------------------------------------------------- checkpointing
-
-    def save_state(self, meta=None):
-        """Snapshot the whole processor (rings, lanes, hierarchy,
-        memory, stats) into a :class:`repro.checkpoint.Checkpoint`;
-        see docs/RESILIENCE.md. Hooks/tracers are detached and come
-        back as None after :meth:`restore_state`."""
-        from repro import checkpoint
-        return checkpoint.save_state(self, meta=meta)
-
-    @classmethod
-    def restore_state(cls, ckpt):
-        """Rebuild a processor from a checkpoint taken by
-        :meth:`save_state`; :meth:`run` then continues exactly where
-        the snapshot stopped."""
-        from repro import checkpoint
-        return checkpoint.restore_state(ckpt, expect=cls.__name__)
+    def rings(self):
+        return self.engines
 
 
 def run_program(program, config, num_threads=1, thread_regs=None,

@@ -25,6 +25,7 @@ This is the cycle-level model of Sections 4 and 5 of the paper:
 import heapq
 import itertools
 
+from repro.core import group
 from repro.core.cluster import Cluster
 from repro.core.lanes import ArchLanes, LaneGeometry, read_operands
 from repro.core.pe import DisabledRun, PEEntry, PEState
@@ -104,7 +105,9 @@ class RingEngine:
         # SIMT
         self.simt_regions = analyze_simt_regions(program, config)
         self._active_simt_s = {}   # simt_s addr -> latest simt_s entry
-        self._simt_until = None
+        #: finish cycle of the pipelined region in progress, else None
+        #: (the group loop neither pauses nor caps a skip inside one)
+        self.simt_until = None
         self._simt_pending_entry = None
         self._simt_active_pes = 0.0
         self._simt_active_fpus = 0.0
@@ -117,7 +120,7 @@ class RingEngine:
         #: optional callable(entry) invoked right after _commit applies
         #: an entry's architectural effects (repro.verify lockstep).
         #: Retirements never occur inside a fast-forward span, so this
-        #: hook is FF-safe and deliberately absent from ff_setup().
+        #: hook is FF-safe and deliberately absent from group.ff_setup.
         self.commit_hook = None
         #: (addr, mnemonic) of the most recent commit, for hang reports
         self._last_commit = None
@@ -133,42 +136,18 @@ class RingEngine:
         #: the stats document must be identical with skipping off)
         self.ff_skips = 0
         self.ff_skipped_cycles = 0
-        self._ff_active = False
         self._ff_arm_spin_kind = None
 
     # ================================================================ API
 
     def run(self, max_cycles=None, max_retired=None):
-        """Run to completion (or the cycle budget); returns stats.
-
-        Raises :class:`repro.core.watchdog.SimulationHang` when no
-        instruction retires for ``config.watchdog_window`` cycles.
-
-        ``max_retired`` is an *absolute* retired-instruction budget
-        (sampling windows, ``repro.sampling``): the loop pauses at the
-        first cycle boundary with ``stats.retired >= max_retired``,
-        but never inside a pipelined SIMT region — ``_enter_simt``
-        credits the whole region's instructions up front while its
-        cycles elapse until ``_simt_until``, so pausing mid-region
-        would pair credited instructions with missing cycles. The
-        pause is resumable: call run() again with larger budgets."""
+        """Run this ring as a lockstep group of one
+        (:func:`repro.core.group.run`, which documents the absolute
+        ``max_cycles`` budget and the ``max_retired`` pause); returns
+        a :class:`repro.core.group.RunResult`."""
         budget = max_cycles if max_cycles is not None \
             else self.config.max_cycles
-        ff = self.ff_setup()
-        step = self.step
-        check = self.check_watchdog
-        while not self.halted and self.cycle < budget:
-            if max_retired is not None \
-                    and self.stats.retired >= max_retired \
-                    and self._simt_until is None:
-                break
-            step()
-            check()
-            if ff:
-                target = self.ff_target(budget)
-                if target is not None:
-                    self.ff_skip_to(target)
-        return self.stats
+        return group.run([self], budget, max_retired)
 
     # ----------------------------------------------------- checkpointing
     #
@@ -197,7 +176,7 @@ class RingEngine:
             return
         self.watchdog.check("diag", self.cycle, self.stats.retired,
                             self.head_state,
-                            progressing=self._simt_until is not None)
+                            progressing=self.simt_until is not None)
 
     def head_state(self):
         """Diagnostic snapshot of the window head and dispatch state."""
@@ -243,9 +222,9 @@ class RingEngine:
     def step(self):
         """Advance one cycle."""
         self._retired_this_cycle = 0
-        if self._pending_interrupt is not None and self._simt_until is None:
+        if self._pending_interrupt is not None and self.simt_until is None:
             self._take_interrupt()
-        if self._simt_until is not None:
+        if self.simt_until is not None:
             self._step_simt()
         else:
             self._complete_executions()
@@ -269,31 +248,11 @@ class RingEngine:
     # classification (constant across the span) x N, energy census x N
     # — so the final stats document is byte-identical to ticking.
 
-    def ff_setup(self):
-        """Decide once per run whether fast-forward may engage.
-
-        Per-cycle observers force skip-off: an event tracer records
-        stepped state, a fault injector counts value-production sites
-        against its trigger, and a disabled watchdog (window 0) leaves
-        no deadline to cap skips against."""
-        self._ff_active = bool(
-            getattr(self.config, "fast_forward", True)
-            and self.tracer is None
-            and self.fault_hook is None
-            and self.watchdog.window > 0)
-        return self._ff_active
-
-    #: Smallest span worth skipping: the quiescence analysis (cluster
-    #: scans, stall classification, batched census) costs about as much
-    #: as stepping a few no-op cycles, so short skips are a net loss.
-    #: Any value is cycle-exact — skips only cover provably no-op steps.
-    FF_MIN_SPAN = 4
-
     def quiescent(self):
         """True when no state transition can happen before the next
         known event — i.e. every intervening step would be a no-op.
-        Called by :meth:`ff_target` after the cheap guards and heap
-        purge; ordered cheapest-check-first."""
+        Called by :func:`repro.core.group.ff_target` after the cheap
+        span floor and heap purge; ordered cheapest-check-first."""
         if (self.halted or self._pending_interrupt is not None
                 or self._retry or self._blocked_loads):
             # Blocked loads retry every cycle and wake on store-buffer
@@ -318,64 +277,38 @@ class RingEngine:
             self._ff_arm_spin_kind = kind
         return True
 
-    def next_event_cycle(self):
-        """Earliest future cycle at which stepped state can change, or
-        None when nothing is scheduled (quiescent forever: the watchdog
-        deadline or the cycle budget is the only bound)."""
-        events = []
-        if self._simt_until is not None:
-            return self._simt_until
-        if self._executing:
-            events.append(self._executing[0][0])
-        if self._ready_heap:
-            events.append(self._ready_heap[0][0])
-        if self._arm_pending is not None:
-            events.append(self._arm_pending[1])
-        if self._redirect_at is not None:
-            events.append(self._redirect_at)
-        return min(events) if events else None
-
-    def ff_target(self, budget):
-        """The cycle to jump to, or None when skipping is not possible.
-
-        Caps at the budget and at ``watchdog.deadline() - 1`` so budget
-        exhaustion and SimulationHang occur at the identical simulated
-        cycle as ticked execution (the step at deadline-1 runs normally
-        and its check raises with cycle == deadline). The event bound
-        is computed *before* the quiescence analysis: most attempts die
-        on the cheap FF_MIN_SPAN pre-filter without paying for the deep
-        checks (purging first only pushes heap heads later, so the
-        bound never rejects a span the purged state would allow)."""
-        now = self.cycle
-        if self._simt_until is not None:
+    def ff_event(self, budget):
+        """This ring's event bound, capped at ``budget``: the earliest
+        cycle at which stepped state can change (the group's
+        :func:`repro.core.group.ff_target` applies the span floor,
+        the deadline cap and :meth:`quiescent`). Inside a pipelined
+        SIMT region the bound is the region's finish cycle, or None
+        while an interrupt, FU retry or blocked load is pending."""
+        if self.simt_until is not None:
             if (self._pending_interrupt is not None or self._retry
                     or self._blocked_loads):
                 return None
-            # Pre-scheduled pipelined region: finish cycle is known and
-            # the sequential machinery is idle until then. No deadline
-            # cap — regions feed the watchdog (see ff_skip_to).
-            target = min(self._simt_until, budget)
-            return target if target > now else None
-        self._ff_purge_heaps()
+            return min(self.simt_until, budget)
+        # Drop stale heap heads (entries squashed or already handled)
+        # so head times are real events. Ticked execution pops the
+        # same entries when their time comes; dropping early is
+        # unobservable.
         target = budget
-        if self._executing and self._executing[0][0] < target:
-            target = self._executing[0][0]
-        if self._ready_heap and self._ready_heap[0][0] < target:
-            target = self._ready_heap[0][0]
+        executing = self._executing
+        while executing and executing[0][2].state is not _EXECUTING:
+            heapq.heappop(executing)
+        if executing and executing[0][0] < target:
+            target = executing[0][0]
+        ready = self._ready_heap
+        while ready and ready[0][2].state is not _WAITING:
+            heapq.heappop(ready)
+        if ready and ready[0][0] < target:
+            target = ready[0][0]
         if self._arm_pending is not None \
                 and self._arm_pending[1] < target:
             target = self._arm_pending[1]
         if self._redirect_at is not None and self._redirect_at < target:
             target = self._redirect_at
-        if target - now < self.FF_MIN_SPAN:
-            return None  # the deadline cap below only lowers target
-        deadline = self.watchdog.deadline()
-        if deadline is not None and target > deadline - 1:
-            target = deadline - 1
-            if target - now < self.FF_MIN_SPAN:
-                return None
-        if not self.quiescent():
-            return None
         return target
 
     def ff_skip_to(self, target):
@@ -383,7 +316,7 @@ class RingEngine:
         span = target - self.cycle
         if span <= 0:
             return
-        if self._simt_until is not None:
+        if self.simt_until is not None:
             # Ticked execution marks every region cycle as progressing;
             # replay that on the watchdog in one call. No stall
             # accounting inside a region (step() skips it).
@@ -431,18 +364,6 @@ class RingEngine:
                for c in group):
             return None  # an evictable victim exists: would reload
         return "miss" if counts else "plain"
-
-    def _ff_purge_heaps(self):
-        """Drop stale heap heads (entries squashed or already handled)
-        so head times reflect real events. Ticked execution pops the
-        same entries when their time comes; dropping early is
-        unobservable."""
-        executing = self._executing
-        while executing and executing[0][2].state is not PEState.EXECUTING:
-            heapq.heappop(executing)
-        ready = self._ready_heap
-        while ready and ready[0][2].state is not PEState.WAITING:
-            heapq.heappop(ready)
 
     # =========================================================== dispatch
 
@@ -1220,7 +1141,7 @@ class RingEngine:
         self.stats.simt_threads += outcome.threads
         self.stats.simt_insts += outcome.instructions
         self.stats.retired += outcome.instructions
-        self._simt_until = outcome.finish_cycle
+        self.simt_until = outcome.finish_cycle
         self._simt_active_pes = outcome.avg_active_pes
         self._simt_active_fpus = outcome.avg_active_fpus
         # Region utilization is credited in closed form here rather
@@ -1237,8 +1158,8 @@ class RingEngine:
     def _step_simt(self):
         # Utilization was credited in closed form by _enter_simt; the
         # per-cycle step only ends the region.
-        if self.cycle >= self._simt_until:
-            self._simt_until = None
+        if self.cycle >= self.simt_until:
+            self.simt_until = None
 
     # ======================================================== accounting
 

@@ -9,7 +9,7 @@ instructions that are subsequently stalled").
 """
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 
 class StallReason(enum.Enum):
@@ -18,8 +18,51 @@ class StallReason(enum.Enum):
     STRUCTURAL = "other"    # bus busy, no free cluster, shared FU
 
 
+class EngineStats:
+    """What both engines' counters share. A subclass is a dataclass
+    whose fields are int counters plus the ``stall_cycles`` dict
+    ({StallReason: cycles})."""
+
+    def stall(self, reason, cycles=1):
+        self.stall_cycles[reason] = self.stall_cycles.get(reason, 0) \
+            + cycles
+
+    @property
+    def total_stalls(self):
+        return sum(self.stall_cycles.values())
+
+    @property
+    def ipc(self):
+        return self.retired / self.cycles if self.cycles else 0.0
+
+    def stall_fractions(self):
+        """{reason: fraction of all stall cycles}; empty dict if none."""
+        total = self.total_stalls
+        if not total:
+            return {}
+        return {reason: count / total
+                for reason, count in self.stall_cycles.items()}
+
+    def merge(self, other):
+        """Accumulate another engine's counters into this one: lockstep
+        threads share one clock, so ``cycles`` takes the max; every
+        other counter sums and dicts merge key by key in ``other``'s
+        order."""
+        for spec in fields(self):
+            name = spec.name
+            value = getattr(other, name)
+            if name == "cycles":
+                self.cycles = max(self.cycles, value)
+            elif isinstance(value, dict):
+                mine = getattr(self, name)
+                for key, count in value.items():
+                    mine[key] = mine.get(key, 0) + count
+            else:
+                setattr(self, name, getattr(self, name) + value)
+
+
 @dataclass
-class RingStats:
+class RingStats(EngineStats):
     """Counters for one dataflow ring."""
 
     cycles: int = 0
@@ -44,46 +87,3 @@ class RingStats:
     pe_active_cycles: int = 0     # PE executing (any op)
     fpu_active_cycles: int = 0    # PE executing an FP op
     resident_cluster_cycles: int = 0  # clusters powered (lanes + ctrl)
-
-    def stall(self, reason, cycles=1):
-        self.stall_cycles[reason] = self.stall_cycles.get(reason, 0) + cycles
-
-    @property
-    def total_stalls(self):
-        return sum(self.stall_cycles.values())
-
-    @property
-    def ipc(self):
-        return self.retired / self.cycles if self.cycles else 0.0
-
-    def stall_fractions(self):
-        """{reason: fraction of all stall cycles}; empty dict if none."""
-        total = self.total_stalls
-        if not total:
-            return {}
-        return {reason: count / total
-                for reason, count in self.stall_cycles.items()}
-
-    def merge(self, other):
-        """Accumulate another ring's counters into this one (cycles=max)."""
-        self.cycles = max(self.cycles, other.cycles)
-        self.retired += other.retired
-        self.disabled_slots += other.disabled_slots
-        self.squashed += other.squashed
-        self.lines_fetched += other.lines_fetched
-        self.reuse_hits += other.reuse_hits
-        self.reuse_misses += other.reuse_misses
-        self.branches += other.branches
-        self.taken_branches += other.taken_branches
-        self.mispredicts += other.mispredicts
-        self.simt_regions += other.simt_regions
-        self.simt_threads += other.simt_threads
-        self.simt_insts += other.simt_insts
-        self.loads += other.loads
-        self.stores += other.stores
-        self.store_forwards += other.store_forwards
-        self.pe_active_cycles += other.pe_active_cycles
-        self.fpu_active_cycles += other.fpu_active_cycles
-        self.resident_cluster_cycles += other.resident_cluster_cycles
-        for reason, count in other.stall_cycles.items():
-            self.stall(reason, count)

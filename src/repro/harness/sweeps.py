@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 
 from repro.harness.parallel import RunSpec, run_specs
 from repro.harness.report import format_table
-from repro.obs import merge_flat
 
 
 @dataclass
@@ -59,12 +58,6 @@ class SweepResult:
     def failures(self):
         """{knob value: RunRecord} of cells that did not run cleanly."""
         return {v: r for v, r in self.points.items() if r.failed}
-
-    def merged_stats(self):
-        """One aggregate stats document over every point (deterministic
-        fold in knob order; see :func:`repro.obs.merge_flat`)."""
-        return merge_flat([r.stats for r in self.points.values()])
-
 
 def _sweep(workload, knob, values, specs, jobs=None, journal=None,
            resume=False, progress=None):

@@ -149,9 +149,6 @@ class ISS:
 
     # ---------------------------------------------------------- registers
 
-    def read_x(self, index):
-        return self.x[index]
-
     def write_x(self, index, value):
         if index != 0:
             self.x[index] = value & MASK32

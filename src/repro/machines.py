@@ -107,16 +107,9 @@ class _OoO(Machine):
         return config if isinstance(config, OoOConfig) else OoOConfig()
 
     def build(self, cfg, program, threads=1, tracer=None):
-        if threads == 1:
-            core = OoOCore(cfg, program)
-            sim, cores, memory = core, [core], core.hierarchy.memory
-        else:
-            sim = MulticoreCPU(cfg, program, threads)
-            cores, memory = sim.cores, sim.memory
-        if tracer is not None:
-            for core in cores:
-                core.tracer = tracer
-        return Built(sim, cores, memory, [c.hierarchy for c in cores])
+        cpu = MulticoreCPU(cfg, program, threads, tracer=tracer)
+        return Built(cpu, cpu.cores, cpu.memory,
+                     [core.hierarchy for core in cpu.cores])
 
     def recorder(self, bound, line_bytes):
         """Functional warming keeps the data lines and trains the

@@ -74,10 +74,6 @@ class LoadStoreUnit:
     def _drain(self, cycle):
         self._inflight = [t for t in self._inflight if t > cycle]
 
-    def queue_free(self, cycle):
-        self._drain(cycle)
-        return len(self._inflight) < self.queue_depth
-
     def access(self, addr, cycle, is_write=False):
         """Issue an access at ``cycle``; returns (latency, queued).
 

@@ -55,9 +55,6 @@ class MainMemory:
     def read_half(self, addr):
         return struct.unpack("<H", self.read_bytes(addr, 2))[0]
 
-    def write_half(self, addr, value):
-        self.write_bytes(addr, struct.pack("<H", value & 0xFFFF))
-
     def read_byte(self, addr):
         page = self._pages.get(addr >> _PAGE_BITS)
         return page[addr & _PAGE_MASK] if page is not None else 0

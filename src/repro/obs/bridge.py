@@ -140,7 +140,7 @@ def _collect_ring_detail(registry, stats, prefix):
 
 
 def collect_diag(result, hierarchy=None, registry=None):
-    """Registry for one DiAG run (:class:`repro.core.DiAGResult`)."""
+    """Registry for one DiAG run (a :class:`repro.core.RunResult`)."""
     registry = registry if registry is not None else StatsRegistry()
     stats = result.stats
     _collect_core(registry,
@@ -153,10 +153,8 @@ def collect_diag(result, hierarchy=None, registry=None):
                   stores=stats.stores,
                   store_forwards=stats.store_forwards,
                   stall_cycles=stats.stall_cycles)
-    for index, ring_stats in enumerate(result.ring_stats):
+    for index, ring_stats in enumerate(result.thread_stats):
         _collect_ring_detail(registry, ring_stats, f"diag.ring{index}")
-    if not result.ring_stats:
-        _collect_ring_detail(registry, stats, "diag.ring0")
     if hierarchy is not None:
         collect_hierarchy(registry, hierarchy)
     registry.set("sim.halted", int(result.halted),
@@ -167,7 +165,7 @@ def collect_diag(result, hierarchy=None, registry=None):
 
 
 def collect_ooo(result, hierarchies=None, registry=None):
-    """Registry for one baseline run (OoOResult or MulticoreResult)."""
+    """Registry for one baseline run (a :class:`repro.core.RunResult`)."""
     registry = registry if registry is not None else StatsRegistry()
     stats = result.stats
     _collect_core(registry,
@@ -200,11 +198,9 @@ def collect_ooo(result, hierarchies=None, registry=None):
         .inc(stats.fp_ops)
     if hierarchies is not None:
         collect_hierarchy(registry, hierarchies)
-    halted = getattr(result, "halted", False)
-    registry.set("sim.halted", int(halted),
+    registry.set("sim.halted", int(result.halted),
                  desc="1 = every core reached ebreak/ecall")
-    registry.set("sim.timed_out", int(getattr(result, "timed_out",
-                                              not halted)),
+    registry.set("sim.timed_out", int(result.timed_out),
                  desc="1 = the cycle budget expired first")
     return registry
 

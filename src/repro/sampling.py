@@ -300,26 +300,6 @@ def warm_engine(machine, cfg, program, clone):
     return engine, hierarchy
 
 
-def _energy_total(machine, cfg, engine, hierarchy):
-    """Cumulative energy of the engine so far. Both models are linear
-    in cumulative counters (+ static power linear in cycles), so two
-    calls bracket a window exactly."""
-    view = _EnergyView(engine.cycle, engine.stats, [engine.stats])
-    return MACHINES[machine].energy(cfg, view, [hierarchy]).total_j
-
-
-class _EnergyView:
-    """Duck-typed result shim for the energy models (.cycles, .stats,
-    .ring_stats)."""
-
-    __slots__ = ("cycles", "stats", "ring_stats")
-
-    def __init__(self, cycles, stats, ring_stats):
-        self.cycles = cycles
-        self.stats = stats
-        self.ring_stats = ring_stats
-
-
 def measure_window(machine, cfg, program, iss, warm_to, window):
     """Clone ``iss``, warm-start an engine, and measure one window.
 
@@ -328,24 +308,28 @@ def measure_window(machine, cfg, program, iss, warm_to, window):
     next ``window`` retirements. Returns the boundary-delta tuple
     ``(instructions, cycles, energy_j, warmup_instructions,
     warmup_cycles)`` or None when the program halts before the window
-    measures a single instruction (the tail of the run).
+    measures a single instruction (the tail of the run). Energy is the
+    difference of two cumulative reports: both models are linear in
+    cumulative counters (+ static power linear in cycles), so the two
+    runs' results bracket the window exactly.
 
     A :class:`SimulationHang` inside the window propagates — a sampled
     run must not paper over an engine liveness bug."""
+    entry = MACHINES[machine]
     clone = clone_iss(iss)
     engine, hierarchy = warm_engine(machine, cfg, program, clone)
     budget = cfg.max_cycles
-    engine.run(max_cycles=budget, max_retired=warm_to)
-    if engine.halted and engine.stats.retired <= warm_to:
+    warm = engine.run(max_cycles=budget, max_retired=warm_to)
+    if warm.halted and warm.instructions <= warm_to:
         return None
-    c0, r0 = engine.cycle, engine.stats.retired
-    e0 = _energy_total(machine, cfg, engine, hierarchy)
-    engine.run(max_cycles=budget, max_retired=r0 + window)
-    instructions = engine.stats.retired - r0
-    cycles = engine.cycle - c0
+    c0, r0 = warm.cycles, warm.instructions
+    e0 = entry.energy(cfg, warm, [hierarchy]).total_j
+    end = engine.run(max_cycles=budget, max_retired=r0 + window)
+    instructions = end.instructions - r0
+    cycles = end.cycles - c0
     if instructions <= 0 or cycles <= 0:
         return None
-    energy = _energy_total(machine, cfg, engine, hierarchy) - e0
+    energy = entry.energy(cfg, end, [hierarchy]).total_j - e0
     return instructions, cycles, energy, r0, c0
 
 

@@ -316,17 +316,17 @@ class LockstepSession:
     def finish(self, result):
         """Validate the halt boundary and fold a run's outcome into a
         :class:`LockstepResult`."""
-        engine, iss = self.engine, self.iss
-        halted = bool(getattr(result, "halted", False) or engine.halted)
-        halt_reason = getattr(engine, "halt_reason", None)
+        iss = self.iss
+        halted = result.halted
+        halt_reason = result.halt_reasons[0]
         if halted and iss.halt_reason is None:
             raise Divergence(
                 self.machine, "halt",
                 f"engine halted ({halt_reason}) but ISS has not "
                 f"(iss pc={iss.pc:#x})", history=self.oracle.history)
         return LockstepResult(
-            machine=self.machine, retired=engine.stats.retired,
-            cycles=getattr(result, "cycles", engine.cycle),
+            machine=self.machine, retired=result.instructions,
+            cycles=result.cycles,
             halted=halted, halt_reason=str(halt_reason),
             writes=len(self.engine_rec.writes))
 

@@ -55,7 +55,7 @@ class TestMultiRing:
         program = assemble(SPMD)
         proc = DiAGProcessor(F4C2, program, num_threads=4)
         result = proc.run()
-        per_ring = sum(s.retired for s in result.ring_stats)
+        per_ring = sum(s.retired for s in result.thread_stats)
         assert result.stats.retired == per_ring
         assert result.cycles == max(r.cycle for r in proc.rings)
 

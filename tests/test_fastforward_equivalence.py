@@ -10,7 +10,7 @@ import pytest
 
 from repro.asm import assemble
 from repro.baseline import OoOConfig, OoOCore
-from repro.core import F4C2, DiAGProcessor, SimulationHang
+from repro.core import F4C2, DiAGProcessor, SimulationHang, group
 from repro.harness import run_baseline, run_diag
 from repro.obs import deterministic_view
 
@@ -122,23 +122,23 @@ class TestDeadlineCap:
     def _check(self, engine, step):
         for _ in range(400):
             step()
-            if engine.ff_target(self.BUDGET) is not None:
+            if group.ff_target([engine], self.BUDGET) is not None:
                 break
         else:
             pytest.fail("the livelock never became quiescent")
-        now, span = engine.cycle, engine.FF_MIN_SPAN
-        assert engine.ff_target(self.BUDGET) > now + span
+        now, span = engine.cycle, group.FF_MIN_SPAN
+        assert group.ff_target([engine], self.BUDGET) > now + span
         watchdog = engine.watchdog
         marker = engine.stats.retired
         watchdog.feed(now + span + 1 - watchdog.window, marker)
-        assert engine.ff_target(self.BUDGET) == now + span
+        assert group.ff_target([engine], self.BUDGET) == now + span
         watchdog.feed(now + span - watchdog.window, marker)
-        assert engine.ff_target(self.BUDGET) is None
+        assert group.ff_target([engine], self.BUDGET) is None
 
     def test_diag(self):
         cfg = F4C2.with_overrides(watchdog_window=500)
         ring = DiAGProcessor(cfg, assemble(LIVELOCK_SRC)).rings[0]
-        assert ring.ff_setup()
+        assert group.ff_setup(ring)
 
         def step():
             ring.step()
@@ -148,7 +148,7 @@ class TestDeadlineCap:
     def test_ooo(self):
         core = OoOCore(OoOConfig(watchdog_window=500),
                        assemble(LIVELOCK_SRC))
-        assert core.ff_setup()
+        assert group.ff_setup(core)
 
         def step():
             core.step()

@@ -5,6 +5,7 @@ import pytest
 from repro.asm import assemble
 from repro.baseline import OoOConfig, OoOCore
 from repro.core import F4C2, DiAGProcessor, SimulationHang
+from repro.core.group import ff_setup
 from repro.faults import (
     CampaignReport,
     FaultInjector,
@@ -152,26 +153,26 @@ class TestFastForwardGating:
 
     def test_observers_force_skip_off(self):
         program = assemble(self.SRC)
-        assert DiAGProcessor(F4C2, program).rings[0].ff_setup()
+        assert ff_setup(DiAGProcessor(F4C2, program).rings[0])
 
         hooked = DiAGProcessor(F4C2, program).rings[0]
         FaultInjector(spec=None).attach(hooked, hooked.hierarchy)
-        assert not hooked.ff_setup()
+        assert not ff_setup(hooked)
 
         from repro.obs import EventTracer
         traced = DiAGProcessor(F4C2, program, tracer=EventTracer())
-        assert not traced.rings[0].ff_setup()
+        assert not ff_setup(traced.rings[0])
 
         no_dog = F4C2.with_overrides(watchdog_window=0)
-        assert not DiAGProcessor(no_dog, program).rings[0].ff_setup()
+        assert not ff_setup(DiAGProcessor(no_dog, program).rings[0])
 
         off = F4C2.with_overrides(fast_forward=False)
-        assert not DiAGProcessor(off, program).rings[0].ff_setup()
+        assert not ff_setup(DiAGProcessor(off, program).rings[0])
 
         core = OoOCore(OoOConfig(), program)
-        assert core.ff_setup()
+        assert ff_setup(core)
         FaultInjector(spec=None).attach(core, core.hierarchy)
-        assert not core.ff_setup()
+        assert not ff_setup(core)
 
     def test_gated_run_takes_no_skips_and_matches(self):
         from repro.obs import EventTracer

@@ -59,7 +59,7 @@ class TestMultiRingEnergy:
         proc = DiAGProcessor(F4C2, program, num_threads=3)
         result = proc.run()
         per_ring = sum(s.resident_cluster_cycles
-                       for s in result.ring_stats)
+                       for s in result.thread_stats)
         assert result.stats.resident_cluster_cycles == per_ring
 
 

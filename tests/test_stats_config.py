@@ -1,9 +1,10 @@
-"""RingStats accounting and DiAGConfig behaviour."""
+"""Engine stats accounting (RingStats, OoOStats) and DiAGConfig."""
 
 import dataclasses
 
 import pytest
 
+from repro.baseline.ooo import OoOStats
 from repro.core import CONFIG_PRESETS, DiAGConfig, F4C2, F4C32
 from repro.core.stats import RingStats, StallReason
 
@@ -50,6 +51,73 @@ class TestRingStats:
         a.merge(b)
         assert (a.pe_active_cycles, a.fpu_active_cycles,
                 a.resident_cluster_cycles) == (11, 7, 103)
+
+
+def _filled(cls, base, stalls):
+    """A ``cls`` whose int fields hold distinct values from ``base``
+    and whose stall dict holds ``stalls`` in that order."""
+    stats = cls()
+    for offset, spec in enumerate(dataclasses.fields(cls)):
+        if spec.name != "stall_cycles":
+            setattr(stats, spec.name, base + 7 * offset)
+    for reason, count in stalls:
+        stats.stall(reason, count)
+    return stats
+
+
+def _multicore_sum(parts):
+    """The field-by-field OoOStats sum the multicore CPU used to write
+    out by hand: the reference the shared merge must reproduce."""
+    merged = OoOStats()
+    for stats in parts:
+        for name in ("retired", "fetched", "branches", "taken_branches",
+                     "mispredicts", "loads", "stores", "store_forwards",
+                     "fp_ops", "renames", "issues", "rob_writes",
+                     "regfile_reads", "fu_cycles", "fpu_cycles",
+                     "rob_occupancy_sum"):
+            setattr(merged, name, getattr(merged, name)
+                    + getattr(stats, name))
+        for reason, count in stats.stall_cycles.items():
+            merged.stall(reason, count)
+        merged.cycles = max(merged.cycles, stats.cycles)
+    return merged
+
+
+class TestSharedMerge:
+    PARTS = ((3, [(StallReason.CONTROL, 2), (StallReason.MEMORY, 5)]),
+             (100, [(StallReason.STRUCTURAL, 1),
+                    (StallReason.MEMORY, 4)]),
+             (50, [(StallReason.MEMORY, 9)]))
+
+    def test_ooo_merge_equals_multicore_sum(self):
+        parts = [_filled(OoOStats, base, stalls)
+                 for base, stalls in self.PARTS]
+        merged = OoOStats()
+        for stats in parts:
+            merged.merge(stats)
+        expected = _multicore_sum(parts)
+        assert merged == expected
+        assert list(merged.stall_cycles) == list(expected.stall_cycles) \
+            == [StallReason.CONTROL, StallReason.MEMORY,
+                StallReason.STRUCTURAL]
+
+    @pytest.mark.parametrize("cls", (RingStats, OoOStats))
+    def test_merge_covers_every_field(self, cls):
+        a = _filled(cls, 3, self.PARTS[0][1])
+        b = _filled(cls, 100, self.PARTS[1][1])
+        merged = cls()
+        merged.merge(a)
+        merged.merge(b)
+        for spec in dataclasses.fields(cls):
+            name = spec.name
+            if name == "cycles":
+                assert merged.cycles == max(a.cycles, b.cycles)
+            elif name != "stall_cycles":
+                assert getattr(merged, name) \
+                    == getattr(a, name) + getattr(b, name)
+        assert merged.stall_cycles == {StallReason.CONTROL: 2,
+                                       StallReason.MEMORY: 9,
+                                       StallReason.STRUCTURAL: 1}
 
 
 class TestDiAGConfig:
