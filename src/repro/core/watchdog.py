@@ -45,8 +45,9 @@ class SimulationHang(RuntimeError):
 class ProgressWatchdog:
     """No-retirement progress counter shared by both engines.
 
-    ``check`` is called once per cycle from the engines' run loops (not
-    from ``step``, so manual single-steppers are never interrupted).
+    ``check`` is called once per cycle from the lockstep loop
+    (:func:`repro.core.group.run`), not from ``step``, so manual
+    single-steppers are never interrupted.
     ``marker`` is any value that changes when the engine makes forward
     progress — both engines pass their retired-instruction count.
     A ``window`` of 0 (or None) disables the watchdog.
