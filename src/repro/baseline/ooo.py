@@ -106,7 +106,7 @@ class OoOStats(EngineStats):
 class _RobEntry:
     __slots__ = ("seq", "instr", "facts", "addr", "state", "sources",
                  "value", "result", "done_cycle", "predicted_taken",
-                 "predicted_target", "pending_producers", "waiters",
+                 "predicted_target", "pending_producers",
                  "ready_time", "dispatch_cycle", "store_drained",
                  "simt_region", "simt_latched", "store_addr")
 
@@ -129,7 +129,6 @@ class _RobEntry:
         self.predicted_taken = False
         self.predicted_target = None
         self.pending_producers = 0
-        self.waiters = []
         self.ready_time = dispatch_cycle
         self.dispatch_cycle = dispatch_cycle
         self.store_drained = False
@@ -191,6 +190,11 @@ class OoOCore:
         self.lane_tail = {}
         self.pending_stores = []
         self._ready_heap = []
+        #: producer seq -> the entries waiting on its value, dropped at
+        #: its completion or squash. Held here rather than on the
+        #: producer so that ROB entries link only to older entries:
+        #: retired and squashed ones are freed by reference counting.
+        self._waiters = {}
         self._executing = []
         self._blocked_loads = []
         self._seq = itertools.count()
@@ -470,6 +474,7 @@ class OoOCore:
             entry.predicted_target = self._simt_region_start(entry)
         sources = entry.sources
         lane_tail = self.lane_tail
+        waiters = self._waiters
         for lane in facts.sources:
             producer = lane_tail.get(lane)
             sources.append((lane[0], lane[1], producer))
@@ -480,14 +485,14 @@ class OoOCore:
                     entry.ready_time = producer.done_cycle + 1
             else:
                 entry.pending_producers += 1
-                producer.waiters.append(entry)
+                waiters.setdefault(producer.seq, []).append(entry)
         stats.regfile_reads += len(facts.sources)
         if mnem == "simt_e":
             simt_s = entry.simt_region
             if simt_s is not None and not simt_s.executed:
                 sources.append((None, None, simt_s))
                 entry.pending_producers += 1
-                simt_s.waiters.append(entry)
+                waiters.setdefault(simt_s.seq, []).append(entry)
         lane = facts.lane
         if lane is not None:
             lane_tail[lane] = entry
@@ -751,7 +756,7 @@ class OoOCore:
             if entry.state != _RobEntry.EXECUTING:
                 continue
             entry.state = _RobEntry.DONE
-            for waiter in entry.waiters:
+            for waiter in self._waiters.pop(entry.seq, ()):
                 if waiter.state != _RobEntry.WAITING:
                     continue
                 waiter.ready_time = max(waiter.ready_time,
@@ -759,7 +764,6 @@ class OoOCore:
                 waiter.pending_producers -= 1
                 if waiter.pending_producers == 0:
                     self._push_ready(waiter)
-            entry.waiters = []
             self._resolve_control(entry)
 
     def _resolve_control(self, entry):
@@ -821,8 +825,10 @@ class OoOCore:
                                 tid=self.core_id, cat="squash",
                                 args={"pc": pc, "seq": seq, "entries":
                                       len(self.rob) - len(keep)})
+        waiters = self._waiters
         for e in self.rob[len(keep):]:
             e.state = _RobEntry.SQUASHED
+            waiters.pop(e.seq, None)
         return keep
 
     # ------------------------------------------------------------- retire

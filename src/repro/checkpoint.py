@@ -54,7 +54,10 @@ from repro.obs.resilience import (
 #: 5: a ``PEEntry`` keeps no start cycle
 #: 6: a processor or multicore CPU is an ``EngineGroup`` holding
 #:    ``engines``; engines keep no fast-forward enable flag
-CKPT_SCHEMA = 6
+#: 7: entries keep no ``waiters`` (engines hold the wake-up lists), a
+#:    ``Cluster`` counts its live entries and an ``Activation`` holds
+#:    no entry list
+CKPT_SCHEMA = 7
 
 #: on-disk magic prefix
 MAGIC = b"DIAGCKPT"

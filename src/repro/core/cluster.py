@@ -7,40 +7,26 @@ cluster so a backward branch can re-activate it without fetch or decode
 level through its LSU, and memory lanes flow store data onward.
 """
 
-import itertools
-
 from repro.memory.lsu import LoadStoreUnit
 from repro.memory.memory_lanes import MemoryLanes
-
-_activation_counter = itertools.count()
 
 
 class Activation:
     """One pass of execution through a resident cluster.
 
     ``seq`` orders activations along the (logical) cluster chain and is
-    the coordinate used for lane-propagation delays.
+    the coordinate used for lane-propagation delays. An activation is
+    referenced only by its own entries (each window entry points to
+    its activation, and the activation to its cluster; nothing points
+    back), so it is freed with the last of them.
     """
 
-    __slots__ = ("seq", "cluster", "arm_cycle", "ready_cycle", "entries",
-                 "entry_pc", "live")
+    __slots__ = ("seq", "cluster", "ready_cycle")
 
-    def __init__(self, seq, cluster, arm_cycle, ready_cycle, entry_pc):
+    def __init__(self, seq, cluster, ready_cycle):
         self.seq = seq
         self.cluster = cluster
-        self.arm_cycle = arm_cycle
         self.ready_cycle = ready_cycle  # decoded; PEs may begin
-        self.entry_pc = entry_pc
-        self.entries = []
-        #: entries still WAITING or EXECUTING: the ring counts one up
-        #: per live PE it wires and down as each completes or is
-        #: squashed, so busy checks in dispatch/arm scans are O(1)
-        self.live = 0
-
-    @property
-    def drained(self):
-        # An empty activation (mid-arm) reports drained.
-        return self.live == 0
 
 
 def _plan(base_addr, instrs):
@@ -70,7 +56,12 @@ class Cluster:
             buffer_hit_latency=config.cluster_buffer_latency,
         )
         self.memory_lanes = MemoryLanes(capacity=config.memory_lane_capacity)
-        self.active_activation = None
+        #: entries of the current activation still WAITING or
+        #: EXECUTING: the ring counts one up per live PE it wires and
+        #: down as each completes or is squashed, so busy checks in
+        #: dispatch/arm scans are O(1). Only the current activation can
+        #: hold live entries (a cluster re-arms only once drained).
+        self.live = 0
         self.last_used_cycle = 0
         self.activation_count = 0
         #: memory line of the last store drained through this cluster's
@@ -96,14 +87,12 @@ class Cluster:
 
     @property
     def busy(self):
-        act = self.active_activation
-        return act is not None and not act.drained
+        return self.live != 0
 
-    def arm(self, seq, arm_cycle, ready_cycle, entry_pc):
+    def arm(self, seq, arm_cycle, ready_cycle):
         """Begin a new activation (the previous one must have drained)."""
         assert not self.busy, "cluster re-armed while still executing"
-        activation = Activation(seq, self, arm_cycle, ready_cycle, entry_pc)
-        self.active_activation = activation
+        activation = Activation(seq, self, ready_cycle)
         self.activation_count += 1
         self.last_used_cycle = arm_cycle
         return activation

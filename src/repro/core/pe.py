@@ -36,7 +36,7 @@ class PEEntry:
         "sources", "value", "result", "done_cycle",
         "predicted_taken", "predicted_target", "waiting_on_memory",
         "simt_region", "simt_latched", "store_drained",
-        "pending_producers", "ready_time", "waiters", "blocked_on",
+        "pending_producers", "ready_time", "blocked_on",
         "store_addr",
     )
 
@@ -52,8 +52,11 @@ class PEEntry:
         self.activation = activation
         self.pe_index = pe_index
         self.state = PEState.WAITING
-        #: list of (regfile, index, producer) where producer is either a
-        #: PEEntry or None (value comes from the architectural lanes).
+        #: list of (regfile, index, producer) where producer is either an
+        #: older PEEntry or None (value comes from the architectural
+        #: lanes). Links run only from consumer to producer: the ring,
+        #: not the producer, holds the wake-up list of its consumers, so
+        #: window entries never form a reference cycle.
         self.sources = []
         self.value = None
         self.result = None
@@ -69,7 +72,6 @@ class PEEntry:
         # scheduler bookkeeping (see repro.core.ring)
         self.pending_producers = 0
         self.ready_time = 0
-        self.waiters = []
         self.blocked_on = None
         #: lazily resolved (addr, size) once the base register
         #: is available, before the store's data arrives

@@ -84,6 +84,11 @@ class RingEngine:
 
         # Scheduling structures
         self._ready_heap = []    # (time, seq, entry) operands known-ready
+        #: producer seq -> the entries waiting on its value, dropped at
+        #: its completion or squash. Held here rather than on the
+        #: producer so that window entries link only to older entries:
+        #: retired and squashed ones are freed by reference counting.
+        self._waiters = {}
         self._executing = []     # (done_cycle, seq, entry)
         #: EXECUTING entries, and those of them on an FPU: the per-cycle
         #: energy census (kept at start, completion and squash)
@@ -484,11 +489,12 @@ class RingEngine:
         one :class:`DisabledRun`. Only control instructions go on to
         :meth:`_wire_control` to choose the path after them."""
         activation = cluster.arm(next(self._activation_seq), self.cycle,
-                                 ready_cycle, entry_pc)
+                                 ready_cycle)
         self._last_armed_slot = cluster.slot
         stats = self.stats
-        entries = activation.entries
         window = self.window
+        first = len(window)
+        waiters = self._waiters
         entry_seq = self._entry_seq
         lane_tail = self.lane_tail
         delay = self._lanes.delay
@@ -503,16 +509,14 @@ class RingEngine:
                 disabled += 1
                 if run is None:
                     run = DisabledRun(seq, activation, pe_index)
-                    entries.append(run)
                     window.append(run)
                 else:
                     run.count += 1
                 continue
             run = None
             entry = PEEntry(seq, instr, facts, addr, activation, pe_index)
-            entries.append(entry)
             window.append(entry)
-            activation.live += 1
+            cluster.live += 1
             sources = entry.sources
             for lane in facts.sources:
                 producer = lane_tail.get(lane)
@@ -528,7 +532,7 @@ class RingEngine:
                         entry.ready_time = arrival
                 else:
                     entry.pending_producers += 1
-                    producer.waiters.append(entry)
+                    waiters.setdefault(producer.seq, []).append(entry)
             lane = facts.lane
             if lane is not None:
                 lane_tail[lane] = entry
@@ -550,7 +554,7 @@ class RingEngine:
                 self.next_fetch_pc = path_pc
         stats.disabled_slots += disabled
         if self.tracer is not None:  # one event per new window entry
-            for entry in entries:
+            for entry in window[first:]:
                 args = {"seq": entry.seq, "pc": entry.addr,
                         "slot": cluster.slot}
                 if entry.state is _DISABLED:
@@ -619,7 +623,8 @@ class RingEngine:
                 entry.sources.append((None, None, simt_s_entry))
                 if not simt_s_entry.executed:
                     entry.pending_producers += 1
-                    simt_s_entry.waiters.append(entry)
+                    self._waiters.setdefault(simt_s_entry.seq,
+                                             []).append(entry)
             # Sequential fallback: simt_e is a backward branch,
             # statically predicted taken (the loop fast path).
             entry.predicted_taken = True
@@ -669,14 +674,31 @@ class RingEngine:
                 self._try_start(entry)
 
     def _fu_available(self, entry):
+        """Whether no other PE of ``entry``'s FU group (the
+        ``fu_share_factor`` adjacent PEs of its activation that share
+        one FU) is executing. An activation's slots took consecutive
+        sequence numbers, so the group is the window's run of entries
+        with seq in ``[lo, lo + share)``; every EXECUTING entry is in
+        the window, which is ordered by seq."""
         share = self.config.fu_share_factor
         if share <= 1:
             return True
-        group = entry.pe_index // share
-        used = sum(1 for e in entry.activation.entries
-                   if e.state is PEState.EXECUTING
-                   and e.pe_index // share == group)
-        return used < 1
+        lo = entry.seq - entry.pe_index % share
+        window = self.window
+        left, right = 0, len(window)
+        while left < right:  # first window entry with seq >= lo
+            mid = (left + right) // 2
+            if window[mid].seq < lo:
+                left = mid + 1
+            else:
+                right = mid
+        for index in range(left, len(window)):
+            other = window[index]
+            if other.seq >= lo + share:
+                break
+            if other.state is _EXECUTING:
+                return False
+        return True
 
     def _try_start(self, entry):
         """Operands are lane-valid; attempt to begin execution."""
@@ -739,13 +761,15 @@ class RingEngine:
                                     "entries": sum(e.count for e in window
                                                    if e.seq >= seq)})
         keep = []
+        waiters = self._waiters
         for entry in window:
             if entry.seq < seq:
                 keep.append(entry)
                 continue
             state = entry.state
             if state is _WAITING or state is _EXECUTING:
-                entry.activation.live -= 1
+                entry.activation.cluster.live -= 1
+                waiters.pop(entry.seq, None)
                 if state is _EXECUTING:
                     self._executing_pes -= 1
                     if entry.facts.is_fp:
@@ -925,7 +949,7 @@ class RingEngine:
 
     def _complete(self, entry):
         entry.state = PEState.DONE
-        entry.activation.live -= 1
+        entry.activation.cluster.live -= 1
         self._executing_pes -= 1
         if entry.facts.is_fp:
             self._executing_fpus -= 1
@@ -937,7 +961,7 @@ class RingEngine:
         act_seq = entry.activation.seq
         pe_index = entry.pe_index
         done = entry.done_cycle
-        for waiter in entry.waiters:
+        for waiter in self._waiters.pop(entry.seq, ()):
             if waiter.state is not _WAITING:
                 continue
             arrival = done + delay(act_seq, pe_index,
@@ -947,7 +971,6 @@ class RingEngine:
             waiter.pending_producers -= 1
             if waiter.pending_producers == 0:
                 self._push_ready(waiter)
-        entry.waiters = []
 
         if entry is self._waiting_redirect:
             self._waiting_redirect = None

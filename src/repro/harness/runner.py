@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 from repro.core.watchdog import SimulationHang
 from repro.harness import diskcache
 from repro.machines import machine as machine_entry
-from repro.obs import PhaseProfiler, attach_tracer_names, export_throughput
+from repro.obs import (PhaseProfiler, attach_tracer_names,
+                       export_throughput, gc_totals)
 from repro.workloads import get_workload
 
 #: RunRecord.status values: "ok" = ran to halt (verified says whether
@@ -190,7 +191,9 @@ def run_machine(machine, workload, config=None, scale=1.0, threads=1,
             if tracer is not None:
                 attach_tracer_names(tracer, machine, use_threads)
             with profiler.phase("run"):
+                gc_runs, gc_freed = gc_totals()
                 result = built.sim.run(max_cycles=max_cycles)
+                gc_end = gc_totals()
             record.cycles = result.cycles
             record.instructions = result.instructions
             record.status = _status_of(result)
@@ -216,7 +219,9 @@ def run_machine(machine, workload, config=None, scale=1.0, threads=1,
                               else 0,
                               ff_skips=sum(e.ff_skips for e in engines),
                               ff_skipped_cycles=sum(e.ff_skipped_cycles
-                                                    for e in engines))
+                                                    for e in engines),
+                              gc_collections=gc_end[0] - gc_runs,
+                              gc_collected=gc_end[1] - gc_freed)
             record.stats = registry.as_dict()
         except Exception as exc:
             return _close(record, start, exc)

@@ -38,9 +38,9 @@ Exactness rules (enforced by tests/test_iss_superblock.py):
   :meth:`ISS.step` path — same masking, same signed-immediate
   handling, same ``jalr`` target-before-link ordering, loads still
   performed when the destination is x0.
-* ``memory.store``/``memory.load`` resolve *per call* through the
-  memory object, so the lockstep ``_StoreRecorder``'s
-  instance-attribute shadowing keeps observing every write.
+* Generated loads and stores call ``memory.load``/``memory.store``,
+  so every write goes through ``MainMemory.store`` and reaches its
+  ``write_log`` (the lockstep oracle's write stream).
 * ``simt_s``/``simt_e``, CSR ops (they read the live instruction
   counter) and unknown mnemonics never enter a block: the run loop
   falls back to scalar stepping for them (``Block.run is None``).

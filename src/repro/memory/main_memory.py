@@ -13,6 +13,11 @@ class MainMemory:
     All multi-byte accesses are little-endian, matching RISC-V.
     """
 
+    #: None, or a list :meth:`store` appends each ``(addr, value,
+    #: size)`` write to, value truncated to ``size`` bytes (the
+    #: lockstep oracle's write streams, ``repro.verify.lockstep``)
+    write_log = None
+
     def __init__(self):
         self._pages = {}
 
@@ -78,7 +83,10 @@ class MainMemory:
 
     def store(self, addr, value, size):
         """Write the low ``size`` bytes of ``value``."""
-        data = (value & ((1 << (size * 8)) - 1)).to_bytes(size, "little")
+        value &= (1 << (size * 8)) - 1
+        if self.write_log is not None:
+            self.write_log.append((addr, value, size))
+        data = value.to_bytes(size, "little")
         offset = addr & _PAGE_MASK
         if offset + size <= _PAGE_SIZE:
             page = self._pages.get(addr >> _PAGE_BITS)

@@ -31,7 +31,7 @@ from repro.obs.bridge import (
 )
 from repro.obs.events import EVENT_NAMES, EventTracer
 from repro.obs.profile import (PhaseProfiler, export_iss_throughput,
-                               export_throughput)
+                               export_throughput, gc_totals)
 from repro.obs.progress import (
     CampaignProgress,
     MetricsServer,
@@ -88,6 +88,7 @@ __all__ = [
     "export_iss_throughput",
     "export_throughput",
     "format_flat",
+    "gc_totals",
     "reset_resilience",
     "resilience",
     "resilience_snapshot",

@@ -8,6 +8,7 @@ retired instructions/sec of host time). The harness threads these into
 job can track the repo's own performance trajectory.
 """
 
+import gc
 import time
 from contextlib import contextmanager
 
@@ -43,14 +44,30 @@ class PhaseProfiler:
                      desc="wall-clock seconds across all phases")
 
 
+def gc_totals():
+    """``(collections, collected)``: the cyclic collector's runs and
+    the objects they freed so far in this process, summed over its
+    generations (``gc.get_stats()``). Subtract two readings to meter a
+    span."""
+    runs = freed = 0
+    for generation in gc.get_stats():
+        runs += generation["collections"]
+        freed += generation["collected"]
+    return runs, freed
+
+
 def export_throughput(registry, cycles, instructions, run_seconds,
-                      events_emitted=0, ff_skips=0, ff_skipped_cycles=0):
+                      events_emitted=0, ff_skips=0, ff_skipped_cycles=0,
+                      gc_collections=0, gc_collected=0):
     """Register the simulator-throughput gauges under ``sim.host``.
 
     The fast-forward counts live here (not under ``core.*``) because
     they describe how the *host* executed the run, and a ticked run
     must stay byte-identical to a skipping one in the deterministic
-    view — ``sim.host.*`` is exactly the stripped namespace."""
+    view — ``sim.host.*`` is exactly the stripped namespace. So do
+    the cyclic-GC counts (a :func:`gc_totals` delta around the run
+    loop): they are process-wide, so a collection another thread
+    triggered during the run counts too."""
     registry.set("sim.host.run_seconds", run_seconds,
                  desc="wall-clock seconds inside the engine run loop")
     rate = 1.0 / run_seconds if run_seconds > 0 else 0.0
@@ -66,6 +83,11 @@ def export_throughput(registry, cycles, instructions, run_seconds,
                  desc="fast-forward jumps taken")
     registry.set("sim.host.ff_skipped_cycles", ff_skipped_cycles,
                  desc="simulated cycles covered by fast-forward jumps")
+    registry.set("sim.host.gc_collections", gc_collections,
+                 desc="cyclic-GC runs during the run loop (process-wide)")
+    registry.set("sim.host.gc_collected", gc_collected,
+                 desc="objects the cyclic GC freed during the run loop "
+                      "(process-wide)")
 
 
 def export_iss_throughput(registry, instructions, seconds):

@@ -21,8 +21,8 @@ Sync protocol (docs/VERIFICATION.md):
   comparison is deferred and the ISS catches up (bounded sequential
   execution) when the next commit arrives at the instruction after the
   region; instruction counts must re-converge exactly.
-* Memory writes are recorded by shadowing ``memory.store`` on both
-  sides (installed after the program image is loaded, so only runtime
+* Memory writes are recorded through ``MainMemory.write_log`` on both
+  sides (set after the program image is loaded, so only runtime
   stores are compared) and drained at each synchronized boundary.
 * CSRs are *not* compared: the engines return their cycle counter for
   0xC00–0xC02 while the ISS returns its instruction count — a
@@ -136,16 +136,13 @@ class LockstepResult:
 
 
 class _StoreRecorder:
-    """Shadows ``memory.store`` (instance attribute) to log writes."""
+    """Logs every later ``memory.store`` into :attr:`writes` (the
+    memory's ``write_log``: a plain list, so memory and recorder hold
+    no reference cycle)."""
 
     def __init__(self, memory):
         self.writes = []
-        self._inner = memory.store
-        memory.store = self._record
-
-    def _record(self, addr, value, size):
-        self.writes.append((addr, value & ((1 << (8 * size)) - 1), size))
-        self._inner(addr, value, size)
+        memory.write_log = self.writes
 
 
 class _Oracle:

@@ -28,20 +28,19 @@ class TestCluster:
     def test_arm_lifecycle(self):
         cluster = make_cluster()
         assert not cluster.busy
-        activation = cluster.arm(seq=0, arm_cycle=5, ready_cycle=7,
-                                 entry_pc=0x1000)
-        assert cluster.active_activation is activation
+        activation = cluster.arm(seq=0, arm_cycle=5, ready_cycle=7)
+        assert activation.cluster is cluster
         assert cluster.activation_count == 1
         assert not cluster.busy  # no entries yet -> drained
-        assert activation.drained
+        assert cluster.live == 0
 
     def test_rearm_requires_drain(self):
         cluster = make_cluster()
-        activation = cluster.arm(0, 0, 1, 0x1000)
-        activation.live = 1  # one PE still waiting or executing
+        cluster.arm(0, 0, 1)
+        cluster.live = 1  # one PE still waiting or executing
         assert cluster.busy
         with pytest.raises(AssertionError):
-            cluster.arm(1, 10, 11, 0x1000)
+            cluster.arm(1, 10, 11)
 
 
 class TestRingResourceManagement:

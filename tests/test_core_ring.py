@@ -376,7 +376,8 @@ class TestDisabledRuns:
             ring.step()
             for activation in {id(e.activation): e.activation
                                for e in ring.window}.values():
-                entries = activation.entries
+                entries = [e for e in ring.window
+                           if e.activation is activation]
                 for left, right in zip(entries, entries[1:]):
                     assert not (isinstance(left, DisabledRun)
                                 and isinstance(right, DisabledRun))
@@ -442,7 +443,7 @@ def test_interrupt_in_a_flush_penalty_saves_the_redirect_pc():
 
 class TestLiveCounts:
     """The ring keeps two counts instead of scanning for them: each
-    activation's unfinished entries (``Activation.live``, what makes a
+    cluster's unfinished entries (``Cluster.live``, what makes a
     cluster busy) and the executing entries the energy census charges.
     Both must equal a census of the entries after every cycle, through
     mispredict squashes of executing FP work and an interrupt."""
@@ -473,10 +474,9 @@ class TestLiveCounts:
         unfinished = (PEState.WAITING, PEState.EXECUTING)
         for group in ring.clusters.values():
             for cluster in group:
-                act = cluster.active_activation
-                if act is not None:
-                    assert act.live == sum(
-                        e.state in unfinished for e in act.entries)
+                assert cluster.live == sum(
+                    e.state in unfinished for e in ring.window
+                    if e.activation.cluster is cluster)
         executing = [e for e in ring.window
                      if e.state is PEState.EXECUTING]
         assert ring._executing_pes == len(executing)

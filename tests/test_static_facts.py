@@ -12,11 +12,12 @@ import pickle
 
 from repro.asm import assemble
 from repro.core import F4C2, DiAGProcessor
-from repro.core.cluster import Activation
+from repro.core.cluster import Cluster
 from repro.isa import encode
 from repro.isa import instructions
 from repro.isa.decoder import decode
 from repro.isa.instructions import Facts, Instruction
+from repro.memory.hierarchy import MemoryHierarchy
 
 #: every public property backed by Instruction.facts
 FACT_PROPERTIES = (
@@ -112,22 +113,30 @@ def test_simt_e_lane_is_its_control_register():
     assert Instruction("add", rd=0, rs1=1, rs2=2).lane is None
 
 
+def _armed_cluster():
+    cluster = Cluster(0, 0x1000, [None] * F4C2.pes_per_cluster,
+                      MemoryHierarchy(F4C2.hierarchy_config()), F4C2)
+    cluster.arm(0, 0, 1)
+    return cluster
+
+
 def test_out_of_order_finish_keeps_activation_busy():
-    """The ring counts an activation's live entries down as they
-    finish, in any order: it is busy until the last one does."""
-    activation = Activation(0, None, 0, 1, 0x1000)
-    activation.live = 4
+    """The ring counts an activation's live entries (on its cluster)
+    down as they finish, in any order: the cluster is busy until the
+    last one does."""
+    cluster = _armed_cluster()
+    cluster.live = 4
     for __ in range(3):
-        activation.live -= 1
-        assert not activation.drained
-    activation.live -= 1
-    assert activation.drained
+        cluster.live -= 1
+        assert cluster.busy
+    cluster.live -= 1
+    assert not cluster.busy
 
 
 def test_empty_activation_is_drained_without_latching():
-    activation = Activation(0, None, 0, 1, 0x1000)
-    assert activation.drained
-    activation.live += 1
-    assert not activation.drained
-    activation.live -= 1
-    assert activation.drained
+    cluster = _armed_cluster()
+    assert not cluster.busy
+    cluster.live += 1
+    assert cluster.busy
+    cluster.live -= 1
+    assert not cluster.busy
