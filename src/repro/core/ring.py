@@ -677,13 +677,16 @@ class RingEngine:
         """Whether no other PE of ``entry``'s FU group (the
         ``fu_share_factor`` adjacent PEs of its activation that share
         one FU) is executing. An activation's slots took consecutive
-        sequence numbers, so the group is the window's run of entries
-        with seq in ``[lo, lo + share)``; every EXECUTING entry is in
-        the window, which is ordered by seq."""
+        sequence numbers, so the group is among the window's entries
+        with seq in ``[lo, lo + share)``: those of ``entry``'s
+        activation (one that stopped early at an unpredictable jump
+        leaves later seqs in that range to the next). Every EXECUTING
+        entry is in the window, which is ordered by seq."""
         share = self.config.fu_share_factor
         if share <= 1:
             return True
         lo = entry.seq - entry.pe_index % share
+        activation = entry.activation
         window = self.window
         left, right = 0, len(window)
         while left < right:  # first window entry with seq >= lo
@@ -696,7 +699,8 @@ class RingEngine:
             other = window[index]
             if other.seq >= lo + share:
                 break
-            if other.state is _EXECUTING:
+            if other.state is _EXECUTING \
+                    and other.activation is activation:
                 return False
         return True
 

@@ -191,7 +191,7 @@ def run_machine(machine, workload, config=None, scale=1.0, threads=1,
             if tracer is not None:
                 attach_tracer_names(tracer, machine, use_threads)
             with profiler.phase("run"):
-                gc_runs, gc_freed = gc_totals()
+                gc_start = gc_totals()
                 result = built.sim.run(max_cycles=max_cycles)
                 gc_end = gc_totals()
             record.cycles = result.cycles
@@ -220,8 +220,8 @@ def run_machine(machine, workload, config=None, scale=1.0, threads=1,
                               ff_skips=sum(e.ff_skips for e in engines),
                               ff_skipped_cycles=sum(e.ff_skipped_cycles
                                                     for e in engines),
-                              gc_collections=gc_end[0] - gc_runs,
-                              gc_collected=gc_end[1] - gc_freed)
+                              gc_collections=gc_end[0] - gc_start[0],
+                              gc_collected=gc_end[1] - gc_start[1])
             record.stats = registry.as_dict()
         except Exception as exc:
             return _close(record, start, exc)

@@ -29,6 +29,7 @@ from repro.core.pe import DisabledRun, PEEntry
 from repro.harness import clear_cache, run_diag
 from repro.memory.cache import Cache
 from repro.memory.main_memory import MainMemory
+from repro.obs import deterministic_view, gc_totals
 from repro.sampling import SamplingParams, run_sampled
 from repro.verify.lockstep import run_lockstep
 
@@ -166,3 +167,25 @@ def test_census_sees_a_cycle():
         entry = PEEntry(0, None, None, 0x1000, None, 0)
         entry.blocked_on = entry
     assert unreachable_engine_objects(case) == {"PEEntry": 1}
+
+
+def test_record_meters_the_collector():
+    """``sim.host.gc_collections``/``gc_collected`` are a
+    ``gc_totals`` delta around the run loop, outside the deterministic
+    view; ``gc_totals`` counts what a collection freed."""
+    clear_cache()
+    record = run_diag("nn", config="F4C2", scale=0.1)
+    clear_cache()
+    view = deterministic_view(record.stats)
+    for name in ("sim.host.gc_collections", "sim.host.gc_collected"):
+        assert record.stats[name] >= 0
+        assert name not in view
+    runs, freed = gc_totals()
+    for __ in range(10):
+        pair = [[], []]
+        pair[0].append(pair[1])
+        pair[1].append(pair[0])
+    del pair
+    gc.collect()
+    after = gc_totals()
+    assert after[0] > runs and after[1] - freed >= 20
