@@ -674,35 +674,15 @@ class RingEngine:
                 self._try_start(entry)
 
     def _fu_available(self, entry):
-        """Whether no other PE of ``entry``'s FU group (the
-        ``fu_share_factor`` adjacent PEs of its activation that share
-        one FU) is executing. An activation's slots took consecutive
-        sequence numbers, so the group is among the window's entries
-        with seq in ``[lo, lo + share)``: those of ``entry``'s
-        activation (one that stopped early at an unpredictable jump
-        leaves later seqs in that range to the next). Every EXECUTING
-        entry is in the window, which is ordered by seq."""
         share = self.config.fu_share_factor
         if share <= 1:
             return True
-        lo = entry.seq - entry.pe_index % share
+        # every EXECUTING entry is in the window
+        group = entry.pe_index // share
         activation = entry.activation
-        window = self.window
-        left, right = 0, len(window)
-        while left < right:  # first window entry with seq >= lo
-            mid = (left + right) // 2
-            if window[mid].seq < lo:
-                left = mid + 1
-            else:
-                right = mid
-        for index in range(left, len(window)):
-            other = window[index]
-            if other.seq >= lo + share:
-                break
-            if other.state is _EXECUTING \
-                    and other.activation is activation:
-                return False
-        return True
+        return not any(e.state is _EXECUTING and e.activation is activation
+                       and e.pe_index // share == group
+                       for e in self.window)
 
     def _try_start(self, entry):
         """Operands are lane-valid; attempt to begin execution."""

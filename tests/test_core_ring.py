@@ -498,56 +498,3 @@ class TestLiveCounts:
         if interrupt_at is not None:
             assert ring.csrs[0x341] != 0
 
-
-class TestFuSharing:
-    """With ``fu_share_factor`` > 1 a PE starts only while no other PE
-    of its FU group (adjacent PEs of one activation) executes. The ring
-    finds the group in the window by sequence number; this holds that
-    to a census of the activation's entries after every cycle. The
-    unpredictable ``jalr`` stops each loop activation inside an FU
-    group, so the next activation's first entries (the line at
-    ``target``) take the rest of that group's sequence numbers while
-    the group's slow ``fdiv`` chain still waits."""
-
-    SOURCE = """
-        li t0, 0
-        li t1, 12
-        la t5, target
-    loop:
-        fdiv.s f3, f3, f1
-        fdiv.s f3, f3, f1
-        jalr x0, t5, 0
-    """ + "    nop\n" * 9 + """
-    target:
-        addi t2, t2, 1
-        addi t3, t3, 1
-        addi t0, t0, 1
-        blt t0, t1, loop
-        ebreak
-    """
-
-    def test_group_check_equals_a_census_every_cycle(self):
-        share = 4
-        program = assemble(self.SOURCE)
-        assert program.symbol("target") % F4C2.line_bytes == 0
-        ring = DiAGProcessor(F4C2.with_overrides(fu_share_factor=share),
-                             program).rings[0]
-        shared_seqs = 0
-        while not ring.halted:
-            ring.step()
-            for entry in ring.window:
-                if entry.state is not PEState.WAITING:
-                    continue
-                group = entry.pe_index // share
-                busy = [e for e in ring.window
-                        if e.state is PEState.EXECUTING
-                        and e.activation is entry.activation
-                        and e.pe_index // share == group]
-                assert ring._fu_available(entry) == (not busy)
-                lo = entry.seq - entry.pe_index % share
-                shared_seqs += any(
-                    e.state is PEState.EXECUTING
-                    and e.activation is not entry.activation
-                    and lo <= e.seq < lo + share for e in ring.window)
-        assert shared_seqs, "no other activation ran in a group's seqs"
-        assert ring.stats.retired > 80
