@@ -17,6 +17,12 @@ class StallReason(enum.Enum):
     CONTROL = "control"     # flushes, line reload after branch
     STRUCTURAL = "other"    # bus busy, no free cluster, shared FU
 
+    #: members are singletons compared by identity, so the identity
+    #: hash is consistent with ``==``; ``Enum.__hash__`` is Python code
+    #: that runs twice per ``EngineStats.stall``. Stall dicts keep
+    #: insertion order, so no output depends on the hash value.
+    __hash__ = object.__hash__
+
 
 class EngineStats:
     """What both engines' counters share. A subclass is a dataclass

@@ -17,9 +17,10 @@ Two execution paths share one set of semantics (docs/PERFORMANCE.md
   often enough (:data:`repro.iss.superblock.HOT`) are compiled once
   into blocks of pre-resolved execute thunks
   (:mod:`repro.iss.superblock`) and the hot loop dispatches once per
-  block; colder lines are stepped scalar. Both paths are bit-exact
-  for architectural state, stats and the ``warm_trace`` stream;
-  blocks that would overrun a step budget fall back to scalar
+  block, or once per stay in a hot loop whose blocks compiled into
+  one looping region; colder lines are stepped scalar. Both paths are
+  bit-exact for architectural state, stats and the ``warm_trace``
+  stream; blocks that would overrun a step budget fall back to scalar
   stepping so pause boundaries land exactly.
 """
 
@@ -38,6 +39,11 @@ MASK32 = 0xFFFFFFFF
 #: the array back into a dict lazily).
 SLOT_MNEMONICS = tuple(sorted(MNEMONICS))
 MN_SLOTS = {mnemonic: slot for slot, mnemonic in enumerate(SLOT_MNEMONICS)}
+
+#: a loop region's step budget inside an open SIMT region, where
+#: ``run_to_boundary`` waives the budget (a region returns early only
+#: at a block entry, which the run loop resumes exactly)
+_WAIVED = 1 << 62
 
 #: what the ISS feeds a functional-warming recorder (:func:`warm_mode`)
 WARM_OFF, WARM_LINES, WARM_FRONT_END = 0, 1, 2
@@ -203,16 +209,21 @@ class ISS:
         return self.halt_reason
 
     def _run_blocks(self, max_steps, boundary):
-        """Superblock hot loop: dispatch once per straight-line block.
+        """Superblock hot loop: dispatch once per straight-line block,
+        or once per stay in a hot loop (a block that heads a compiled
+        loop region runs the region, ``Block.loop``).
 
         Exactness contract: a block executes only when it fits the
         remaining step budget entirely (inside an open SIMT region the
         boundary pause is deferred, so the budget check is waived);
         otherwise execution falls back to scalar :meth:`step` so the
         MAX_STEPS pause lands on exactly the same instruction as the
-        scalar loop. ``halt_reason`` is re-checked at the loop head —
-        before the step-count comparison — so a halt on the boundary
-        step is reported as the halt, not the pause (see
+        scalar loop. A region makes the same check before each of its
+        blocks against the ``room`` it is passed, and holds no
+        instruction that halts or opens or closes a SIMT region.
+        ``halt_reason`` is re-checked at the loop head — before the
+        step-count comparison — so a halt on the boundary step is
+        reported as the halt, not the pause (see
         :meth:`run_to_boundary`)."""
         stats = self.stats
         simt_stack = self._simt_stack
@@ -237,11 +248,13 @@ class ISS:
             if run is None:  # scalar-only instruction (simt/csr/...)
                 step()
                 continue
-            if not (boundary and simt_stack) \
-                    and block.length > max_steps - stats.instructions:
+            room = _WAIVED if boundary and simt_stack \
+                else max_steps - stats.instructions
+            if block.length > room:
                 step()  # partial block: finish the budget scalar-exact
                 continue
-            self.pc = run()
+            loop = block.loop
+            self.pc = run() if loop is None else loop(room)
         return self.halt_reason
 
     def run_until_pc(self, target_pc, max_steps):
@@ -359,7 +372,8 @@ class ISS:
             raise SimError(f"no instruction at pc={self.pc:#010x}")
         if self.trace is not None:
             self.trace(self.pc, instr)
-        self._count(instr)
+        facts = instr.facts
+        self._count(instr, facts)
         # Computed dispatch: system/SIMT/CSR instructions bind their
         # handler method onto the Instruction once; everything else
         # takes the dataflow path below.
@@ -397,13 +411,13 @@ class ISS:
                 self.write_x(instr.rd, result.value)
 
         if self.warm_trace is not None and \
-                (instr.is_branch or instr.mnemonic in ("jal", "jalr")) \
+                (facts.is_branch or instr.mnemonic in ("jal", "jalr")) \
                 and warm_mode(self.warm_trace) == WARM_FRONT_END:
             self.warm_trace.branch(self.pc, instr, result.taken,
                                    result.target)
 
         if result.taken:
-            if instr.is_branch:
+            if facts.is_branch:
                 self.stats.taken_branches += 1
             self.pc = result.target
         else:
@@ -495,16 +509,18 @@ class ISS:
 
     # ------------------------------------------------------------- stats
 
-    def _count(self, instr):
+    def _count(self, instr, facts):
+        """Count one step of ``instr``, whose :class:`Facts` the
+        caller has read once (each ``is_*`` property re-reads them)."""
         stats = self.stats
         stats.instructions += 1
-        if instr.is_load:
+        if facts.is_load:
             stats.loads += 1
-        elif instr.is_store:
+        elif facts.is_store:
             stats.stores += 1
-        elif instr.is_branch:
+        elif facts.is_branch:
             stats.branches += 1
-        if instr.is_fp:
+        if facts.is_fp:
             stats.fp_ops += 1
         try:
             slot = instr._mn_slot

@@ -44,7 +44,33 @@ Exactness rules (enforced by tests/test_iss_superblock.py):
 * ``simt_s``/``simt_e``, CSR ops (they read the live instruction
   counter) and unknown mnemonics never enter a block: the run loop
   falls back to scalar stepping for them (``Block.run is None``).
+
+Loop regions: a block whose terminal ``b*``/``jal`` jumps back to a
+head at or before its own start is a loop latch. When a latch gets hot
+(its factory is built), :func:`_build_region` compiles the loop's
+*region* — every straight-line block reachable from the head without
+leaving the span from the head to the latch — into one more generated
+function that loops internally, dispatching block to block on a local
+``pc`` (an ``if pc == ...`` chain in address order, so an iteration
+that only moves forward walks the chain once). Each block keeps its
+own stat deltas and recorder calls, in the block's order, and is
+preceded by the run loop's "does the whole block fit the budget"
+check against ``room``, the caller's remaining step budget; so
+``run(N)``, ``run_to_boundary`` and checkpoint splits stop on exactly
+the same instruction as block-at-a-time dispatch. A region holds no
+``ebreak``/``ecall``, ``simt_*``, CSR or unknown instruction (a block
+that would reach one is an exit), so nothing in it halts or changes
+the SIMT stack. Every transfer that leaves the region — a target
+outside it, any ``jalr``, an exhausted budget — returns the next pc.
+The head's :class:`Block` carries the bound region as ``loop``;
+:meth:`repro.iss.simulator.ISS._run_blocks` calls it in place of
+``run`` (``run_until_pc`` keeps per-block dispatch). Region factories
+share the Program's factory cache under (head, warm mode,
+:data:`LOOP`); a region larger than :data:`MAX_REGION` instructions is
+not built (its cache entry is None).
 """
+
+from typing import NamedTuple
 
 from repro.iss.semantics import (LOAD_SIGNED, LOAD_SIZES, STORE_SIZES,
                                  _ALU_IMM, _ALU_OPS, _BRANCH_OPS,
@@ -61,6 +87,13 @@ MAX_BLOCK = 256
 #: the prescreen sweep in docs/PERFORMANCE.md §6.
 HOT = 8
 
+#: a loop region's size cap, in instructions summed over its blocks
+#: (blocks may overlap): bounds region compile latency and source size
+MAX_REGION = 256
+
+#: third key field of a loop region's factory-cache entry
+LOOP = "loop"
+
 #: control/system terminals a block may end with (inclusive)
 _TERMINALS = frozenset(_BRANCH_OPS) | {"jal", "jalr", "ebreak", "ecall"}
 
@@ -73,24 +106,22 @@ _INT_RR = {
     "srl": "x[{a}] >> (x[{b}] & 31)",
     "sra": "((x[{a}] - ((x[{a}] & 2147483648) << 1)) "
            ">> (x[{b}] & 31)) & 4294967295",
-    "slt": "1 if (x[{a}] - ((x[{a}] & 2147483648) << 1)) "
-           "< (x[{b}] - ((x[{b}] & 2147483648) << 1)) else 0",
+    "slt": "1 if (x[{a}] ^ 2147483648) < (x[{b}] ^ 2147483648) else 0",
     "sltu": "1 if x[{a}] < x[{b}] else 0",
     "xor": "x[{a}] ^ x[{b}]",
     "or": "x[{a}] | x[{b}]",
     "and": "x[{a}] & x[{b}]",
 }
 
-#: branch condition expressions (operands are masked patterns)
+#: branch condition expressions (operands are masked patterns; a
+#: signed comparison flips both sign bits and compares unsigned)
 _BRANCH_EXPR = {
     "beq": "x[{a}] == x[{b}]",
     "bne": "x[{a}] != x[{b}]",
     "bltu": "x[{a}] < x[{b}]",
     "bgeu": "x[{a}] >= x[{b}]",
-    "blt": "(x[{a}] - ((x[{a}] & 2147483648) << 1)) "
-           "< (x[{b}] - ((x[{b}] & 2147483648) << 1))",
-    "bge": "(x[{a}] - ((x[{a}] & 2147483648) << 1)) "
-           ">= (x[{b}] - ((x[{b}] & 2147483648) << 1))",
+    "blt": "(x[{a}] ^ 2147483648) < (x[{b}] ^ 2147483648)",
+    "bge": "(x[{a}] ^ 2147483648) >= (x[{b}] ^ 2147483648)",
 }
 
 #: integer ops dispatched through a helper function (64-bit
@@ -109,13 +140,29 @@ class Block:
 
     ``run is None`` marks a pc the run loop must step scalar;
     otherwise ``run()`` executes the whole block — stat deltas
-    included — and returns the next pc."""
+    included — and returns the next pc. ``loop``, when set, is the
+    bound region of the loop this block heads: ``loop(room)`` runs
+    blocks of the loop while each fits ``room`` more instructions and
+    returns the pc it stopped at."""
 
-    __slots__ = ("run", "length")
+    __slots__ = ("run", "length", "loop")
 
     def __init__(self, run, length):
         self.run = run
         self.length = length
+        self.loop = None
+
+
+class _Factory(NamedTuple):
+    """A compiled block or region, cached on the Program."""
+
+    make: object      # _make(x, f, mem, stats, mn, touch, branch, iss, ...)
+    helpers: tuple    # closure-scope helper values, in parameter order
+    length: int       # instructions (a region: summed over its blocks)
+    source: str
+    #: the loop head a latch block's terminal jumps back to; None for
+    #: any other block and for a region
+    head: object
 
 
 #: shared sentinel for pcs that must execute through step()
@@ -131,13 +178,15 @@ def _int_ri_expr(mnem, a, imm):
     """RHS for a reg-imm integer op (imm folded as a literal)."""
     base = _ALU_IMM[mnem]
     if base == "add":
+        if not imm:
+            return f"x[{a}]"  # mv: the source is already masked
         return f"(x[{a}] + {_signed_literal(imm)}) & 4294967295"
     if base in ("xor", "or", "and"):
         op = {"xor": "^", "or": "|", "and": "&"}[base]
         return f"x[{a}] {op} {imm & MASK32}"
     if base == "slt":
-        return (f"1 if (x[{a}] - ((x[{a}] & 2147483648) << 1)) "
-                f"< {_signed_literal(imm)} else 0")
+        return (f"1 if (x[{a}] ^ 2147483648) "
+                f"< {(imm & MASK32) ^ 2147483648} else 0")
     if base == "sltu":
         return f"1 if x[{a}] < {imm & MASK32} else 0"
     sh = imm & 31
@@ -150,14 +199,37 @@ def _int_ri_expr(mnem, a, imm):
             f"& 4294967295")
 
 
-class _Codegen:
-    """Accumulates source lines + closure-scope helpers for one block."""
+def _address(instr):
+    """The line computing a load/store's effective address ``_a``."""
+    if not instr.imm:
+        return f"_a = x[{instr.rs1}]"
+    return (f"_a = (x[{instr.rs1}] + {_signed_literal(instr.imm)}) "
+            f"& 4294967295")
 
-    def __init__(self, mode):
+
+class _Codegen:
+    """Accumulates source lines + closure-scope helpers for one block,
+    or for the blocks of one loop region (``entries``: the region's
+    block start pcs; ``start``: the block being emitted)."""
+
+    def __init__(self, mode, entries=()):
         self.lines = []
         self.helpers = {}
         self.touch = mode >= WARM_LINES
         self.branch = mode == WARM_FRONT_END
+        self.entries = entries
+        self.start = None
+
+    def jump(self, target):
+        """Lines that pass control to the literal pc ``target``: the
+        next block of the region's chain (``continue`` back to the
+        chain's top for a target at or before this block), or a
+        return."""
+        if target not in self.entries:
+            return [f"return {target}"]
+        if target <= self.start:
+            return [f"pc = {target}", "continue"]
+        return [f"pc = {target}"]
 
     def helper(self, value):
         name = f"_h{len(self.helpers)}"
@@ -231,8 +303,7 @@ class _Codegen:
         mnem = instr.mnemonic
         size = LOAD_SIZES[mnem]
         to_f = instr.info.rd_file == "f"
-        self.emit(f"_a = (x[{instr.rs1}] + "
-                  f"{_signed_literal(instr.imm)}) & 4294967295")
+        self.emit(_address(instr))
         if self.touch:
             self.emit("touch(_a)")
         self.emit(f"_v = mem.load(_a, {size})")
@@ -247,8 +318,7 @@ class _Codegen:
 
     def store(self, instr):
         src = "f" if instr.info.rs2_file == "f" else "x"
-        self.emit(f"_a = (x[{instr.rs1}] + "
-                  f"{_signed_literal(instr.imm)}) & 4294967295")
+        self.emit(_address(instr))
         if self.touch:
             self.emit("touch(_a)")
         self.emit(f"mem.store(_a, {src}[{instr.rs2}], "
@@ -260,30 +330,32 @@ class _Codegen:
         mnem = instr.mnemonic
         if mnem in _BRANCH_EXPR:
             cond = _BRANCH_EXPR[mnem].format(a=instr.rs1, b=instr.rs2)
-            target = (pc + instr.imm) & MASK32
+            target = _target(pc, instr)
             fall = pc + 4
             if self.branch:
                 iname = self.helper(instr)
                 self.emit(f"_t = {cond}",
                           f"branch({pc}, {iname}, _t, {target})",
-                          "if _t:",
-                          "    stats.taken_branches += 1",
-                          f"    return {target}",
-                          f"return {fall}")
+                          "if _t:")
             else:
-                self.emit(f"if {cond}:",
-                          "    stats.taken_branches += 1",
-                          f"    return {target}",
-                          f"return {fall}")
+                self.emit(f"if {cond}:")
+            taken = self.jump(target)
+            self.emit("    stats.taken_branches += 1",
+                      *(f"    {line}" for line in taken))
+            if taken[-1].startswith("pc ="):  # on down the chain
+                self.emit("else:",
+                          *(f"    {line}" for line in self.jump(fall)))
+            else:
+                self.emit(*self.jump(fall))
             return
         if mnem == "jal":
-            target = (pc + instr.imm) & MASK32
+            target = _target(pc, instr)
             if instr.rd:
                 self.emit(f"x[{instr.rd}] = {(pc + 4) & MASK32}")
             if self.branch:
                 iname = self.helper(instr)
                 self.emit(f"branch({pc}, {iname}, True, {target})")
-            self.emit(f"return {target}")
+            self.emit(*self.jump(target))
             return
         if mnem == "jalr":
             # target resolves before the link write: rd may alias rs1
@@ -304,72 +376,160 @@ class _Codegen:
 
     # -------------------------------------------------------- output
 
-    def source(self, name, counts):
-        """Assemble the factory source; stat deltas are the prologue
-        (the scalar path also counts before executing)."""
-        prologue = [f"stats.instructions += {counts['length']}"]
-        for field in ("loads", "stores", "branches", "fp_ops"):
-            if counts[field]:
-                prologue.append(f"stats.{field} += {counts[field]}")
-        for slot, tally in sorted(counts["mn"].items()):
-            prologue.append(f"mn[{slot}] += {tally}")
-        body = "\n".join(f"        {line}"
-                         for line in prologue + self.lines)
-        params = "".join(f", {h}" for h in self.helpers)
+    def source(self, name, params, body):
+        """The factory source: ``_make`` binds the per-ISS state and
+        the helpers, and returns function ``name``."""
+        helpers = "".join(f", {h}" for h in self.helpers)
+        text = "\n".join(f"        {line}" for line in body)
         return (f"def _make(x, f, mem, stats, mn, touch, branch, iss"
-                f"{params}):\n"
-                f"    def {name}():\n{body}\n"
+                f"{helpers}):\n"
+                f"    def {name}({params}):\n{text}\n"
                 f"    return {name}\n")
 
 
-def _build_factory(program, start_pc, mode):
-    """Compile the superblock source at ``start_pc`` for warm ``mode``;
-    returns (factory, helper values, length) or None for scalar
-    territory."""
-    gen = _Codegen(mode)
-    mn = {}
-    counts = {"length": 0, "loads": 0, "stores": 0, "branches": 0,
-              "fp_ops": 0, "mn": mn}
+def _line(program, start_pc):
+    """The instructions of the block at ``start_pc``, as (pc, instr)
+    pairs: the straight-line run up to and including its first
+    terminal, cut before a SIMT/CSR/unknown mnemonic or a pc with no
+    instruction, and at :data:`MAX_BLOCK`."""
+    line = []
     pc = start_pc
-    terminated = False
-    while True:
+    while len(line) < MAX_BLOCK:
         instr = program.instruction_at(pc)
         if instr is None:
             break
         mnem = instr.mnemonic
-        terminal = mnem in _TERMINALS
-        if not terminal and mnem not in _STRAIGHT:
+        if mnem in _TERMINALS:
+            line.append((pc, instr))
+            break
+        if mnem not in _STRAIGHT:
             break  # SIMT / CSR / unknown: scalar territory
-        counts["length"] += 1
-        slot = MN_SLOTS[mnem]
-        mn[slot] = mn.get(slot, 0) + 1
-        if instr.is_load:
-            counts["loads"] += 1
-        elif instr.is_store:
-            counts["stores"] += 1
-        elif instr.is_branch:
-            counts["branches"] += 1
-        if instr.is_fp:
-            counts["fp_ops"] += 1
-        if terminal:
-            gen.terminal(instr, pc)
-            terminated = True
-            break
-        gen.straight(instr, pc)
+        line.append((pc, instr))
         pc += 4
-        if counts["length"] >= MAX_BLOCK:
-            break
-    if counts["length"] == 0:
-        return None
-    if not terminated:
-        gen.emit(f"return {pc}")  # fall through to the next block
-    name = f"_sb_{start_pc:x}"
-    source = gen.source(name, counts)
+    return line
+
+
+def _emit_block(gen, line):
+    """Emit ``line`` (a non-empty :func:`_line`) into ``gen``; returns
+    its stat-delta lines. Stat deltas are the prologue (the scalar
+    path also counts before executing)."""
+    loads = stores = branches = fp_ops = 0
+    mn = {}
+    for pc, instr in line:
+        slot = MN_SLOTS[instr.mnemonic]
+        mn[slot] = mn.get(slot, 0) + 1
+        facts = instr.facts
+        if facts.is_load:
+            loads += 1
+        elif facts.is_store:
+            stores += 1
+        elif facts.is_branch:
+            branches += 1
+        if facts.is_fp:
+            fp_ops += 1
+        if instr.mnemonic in _TERMINALS:
+            gen.terminal(instr, pc)
+        else:
+            gen.straight(instr, pc)
+    last_pc, last = line[-1]
+    if last.mnemonic not in _TERMINALS:
+        gen.emit(*gen.jump(last_pc + 4))  # fall through to the next block
+    prologue = [f"stats.instructions += {len(line)}"]
+    for name, count in (("loads", loads), ("stores", stores),
+                        ("branches", branches), ("fp_ops", fp_ops)):
+        if count:
+            prologue.append(f"stats.{name} += {count}")
+    for slot, tally in sorted(mn.items()):
+        prologue.append(f"mn[{slot}] += {tally}")
+    return prologue
+
+
+def _target(pc, instr):
+    """The literal target of a ``b*``/``jal`` at ``pc``."""
+    return (pc + instr.imm) & MASK32
+
+
+def _finish(gen, name, params, body, length, head, label):
+    """Compile ``gen``'s factory for function ``name`` into a
+    :class:`_Factory`."""
+    source = gen.source(name, params, body)
     namespace = {}
-    exec(compile(source, f"<superblock@{start_pc:#x}>", "exec"),
-         {"__builtins__": {}}, namespace)
-    return (namespace["_make"], tuple(gen.helpers.values()),
-            counts["length"], source)
+    exec(compile(source, label, "exec"), {"__builtins__": {}}, namespace)
+    return _Factory(namespace["_make"], tuple(gen.helpers.values()),
+                    length, source, head)
+
+
+def _build_factory(program, start_pc, mode):
+    """Compile the superblock source at ``start_pc`` for warm ``mode``;
+    returns a :class:`_Factory`, or None for scalar territory."""
+    line = _line(program, start_pc)
+    if not line:
+        return None
+    gen = _Codegen(mode)
+    prologue = _emit_block(gen, line)
+    last_pc, last = line[-1]
+    head = None
+    if last.mnemonic == "jal" or last.mnemonic in _BRANCH_EXPR:
+        target = _target(last_pc, last)
+        if target <= start_pc:
+            head = target  # a loop latch
+    return _finish(gen, f"_sb_{start_pc:x}", "", prologue + gen.lines,
+                   len(line), head, f"<superblock@{start_pc:#x}>")
+
+
+def _region_lines(program, head, latch_pc):
+    """{start pc: line} of the loop region: the blocks reachable from
+    ``head`` without leaving [head, latch_pc]. A block ending in
+    ``ebreak``/``ecall`` or starting on scalar territory is an exit,
+    not a member. None when the head is not a member or the region
+    exceeds :data:`MAX_REGION` instructions."""
+    lines = {}
+    size = 0
+    todo = [head]
+    while todo:
+        pc = todo.pop()
+        if pc in lines or not head <= pc <= latch_pc:
+            continue
+        line = _line(program, pc)
+        if not line or line[-1][1].mnemonic in ("ebreak", "ecall"):
+            continue
+        size += len(line)
+        if size > MAX_REGION:
+            return None
+        lines[pc] = line
+        last_pc, last = line[-1]
+        mnem = last.mnemonic
+        if mnem in _BRANCH_EXPR:
+            todo += [_target(last_pc, last), last_pc + 4]
+        elif mnem == "jal":
+            todo.append(_target(last_pc, last))
+        elif mnem != "jalr":
+            todo.append(last_pc + 4)
+    return lines if head in lines else None
+
+
+def _build_region(program, head, latch_pc, mode):
+    """Compile the loop region headed by ``head`` whose latch ends at
+    ``latch_pc`` for warm ``mode``; returns a :class:`_Factory`, or
+    None when there is no region (:func:`_region_lines`)."""
+    lines = _region_lines(program, head, latch_pc)
+    if lines is None:
+        return None
+    gen = _Codegen(mode, frozenset(lines))
+    body = [f"pc = {head}", "while True:"]
+    for start in sorted(lines):
+        line = lines[start]
+        gen.lines = []
+        gen.start = start
+        prologue = _emit_block(gen, line)
+        body += [f"    if pc == {start}:",
+                 f"        if room < {len(line)}:",
+                 f"            return {start}",
+                 f"        room -= {len(line)}"]
+        body += [f"        {text}" for text in prologue + gen.lines]
+    return _finish(gen, f"_rg_{head:x}", "room", body,
+                   sum(map(len, lines.values())), None,
+                   f"<region@{head:#x}>")
 
 
 def block_source(program, pc, mode=0):
@@ -378,7 +538,15 @@ def block_source(program, pc, mode=0):
     entry = _factories(program).get((pc, mode))
     if entry is None or entry.__class__ is int:
         entry = _build_factory(program, pc, mode)
-    return entry[3] if entry else None
+    return entry.source if entry else None
+
+
+def region_source(program, head, mode=0):
+    """The generated source of the loop region headed by ``head`` for
+    warm ``mode``, or None while no hot latch has built it
+    (debug/tests)."""
+    entry = _factories(program).get((head, mode, LOOP))
+    return entry.source if entry else None
 
 
 def _factories(program):
@@ -387,6 +555,17 @@ def _factories(program):
     except AttributeError:
         cache = program._sb_factories = {}
         return cache
+
+
+def _bind(entry, iss, warm, mode):
+    """Bind ``entry``'s factory to ``iss`` and the recorder's
+    ``touch``/``branch`` methods, so generated code calls them
+    directly."""
+    touch = warm.touch if mode else None
+    branch = warm.branch if mode == WARM_FRONT_END else None
+    return entry.make(iss.x, iss.f, iss.memory, iss.stats,
+                      iss.stats.mn_counts, touch, branch, iss,
+                      *entry.helpers)
 
 
 def compile_block(iss, start_pc, warm):
@@ -400,8 +579,11 @@ def compile_block(iss, start_pc, warm):
     instruction must run through the scalar path (SIMT/CSR/unknown
     mnemonic, or no instruction at the pc — step() then raises the
     canonical SimError). Factories are cached on the Program; only
-    the cheap binding call is per-ISS, and it binds the recorder's
-    ``touch``/``branch`` methods so a block calls them directly."""
+    the cheap binding call is per-ISS.
+
+    A latch's factory build also builds its loop's region (the loop is
+    as hot as its latch) and binds it to the head's block if ``iss``
+    has one; a head's block binds its region when it is compiled."""
     program = iss.program
     factories = _factories(program)
     mode = warm_mode(warm)
@@ -412,11 +594,26 @@ def compile_block(iss, start_pc, warm):
             factories[key] = entry + 1
             return None
         entry = factories[key] = _build_factory(program, start_pc, mode)
+        if entry is not None and entry.head is not None:
+            _add_region(iss, factories, entry.head,
+                        start_pc + 4 * (entry.length - 1), warm, mode)
     if entry is None:
         return SCALAR
-    factory, helpers, length, _ = entry
-    touch = warm.touch if mode else None
-    branch = warm.branch if mode == WARM_FRONT_END else None
-    run = factory(iss.x, iss.f, iss.memory, iss.stats,
-                  iss.stats.mn_counts, touch, branch, iss, *helpers)
-    return Block(run, length)
+    block = Block(_bind(entry, iss, warm, mode), entry.length)
+    region = factories.get((start_pc, mode, LOOP))
+    if region is not None:
+        block.loop = _bind(region, iss, warm, mode)
+    return block
+
+
+def _add_region(iss, factories, head, latch_pc, warm, mode):
+    """Build the region of the loop a hot latch closes (the first
+    latch of a head to get hot sets the region's span) and bind it to
+    the head's block in ``iss``, if that block is compiled."""
+    key = (head, mode, LOOP)
+    if key not in factories:
+        factories[key] = _build_region(iss.program, head, latch_pc, mode)
+    region = factories[key]
+    block = iss._sb_cache.get(head)
+    if region is not None and block is not None and block.loop is None:
+        block.loop = _bind(region, iss, warm, mode)

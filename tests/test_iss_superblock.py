@@ -15,6 +15,10 @@ programs never get that hot, so each equivalence test runs twice: with
 production threshold (cold lines). The resumability sweep runs each
 program fresh, after it is hot, and compiled on every entry, and the
 exact-stop cases pin the cold line's pauses.
+
+Hot loops also compile into loop regions (one generated function per
+loop); the region tests below pin that those stop, warm and checkpoint
+exactly like block-at-a-time dispatch.
 """
 
 import os
@@ -27,7 +31,9 @@ from hypothesis import strategies as st
 from repro.asm import assemble
 from repro.iss import superblock
 from repro.iss.simulator import ISS, WARM_OFF, HaltReason
-from repro.iss.superblock import HOT, MAX_BLOCK, block_source
+from repro.iss.superblock import (HOT, LOOP, MAX_BLOCK, block_source,
+                                  region_source)
+from repro.sampling import LineTrace, WarmTrace
 from repro.verify.shrink import corpus_files
 from repro.verify.torture import generate
 
@@ -547,3 +553,353 @@ def test_heat_counts_do_not_pickle():
     assert program._sb_factories  # entry counts of the cold blocks
     clone = pickle.loads(pickle.dumps(program))
     assert not hasattr(clone, "_sb_factories")
+
+
+# ---------------------------------------------------------------------
+# loop regions
+# ---------------------------------------------------------------------
+
+#: an if/else diamond in a loop: both arms rejoin before the latch
+_DIAMOND = """
+    .text
+main:
+    li   x5, 0
+    li   x6, {n}
+    li   x7, 0x2000
+    li   x10, 0
+loop:
+    andi x8, x5, 1
+    beqz x8, even
+    addi x10, x10, 3
+    sw   x10, 0(x7)
+    j    join
+even:
+    lw   x11, 0(x7)
+    add  x10, x10, x11
+join:
+    addi x5, x5, 1
+    blt  x5, x6, loop
+    ebreak
+"""
+
+#: an inner loop nested in an outer one: two regions, the outer one
+#: holding the inner loop's blocks
+_NESTED = """
+    .text
+main:
+    li   x5, 0
+    li   x6, {n}
+    li   x12, 0
+outer:
+    li   x7, 0
+inner:
+    add  x12, x12, x7
+    addi x7, x7, 1
+    slti x9, x7, 11
+    bnez x9, inner
+    fcvt.s.w f1, x12
+    fadd.s f2, f2, f1
+    addi x5, x5, 1
+    blt  x5, x6, outer
+    ebreak
+"""
+
+#: a loop left through a jalr (a computed jump back into the loop) and
+#: a call out of it, which returns through a jalr
+_JALR = """
+    .text
+main:
+    li   x5, 0
+    li   x6, {n}
+    li   x10, 0
+loop:
+    addi x5, x5, 1
+    andi x9, x5, 1
+    slli x9, x9, 2
+    la   x8, land
+    add  x8, x8, x9
+    jalr x1, x8, 0
+land:
+    addi x10, x10, 1
+    addi x11, x11, 2
+    call twice
+    blt  x5, x6, loop
+    ebreak
+twice:
+    add  x10, x10, x10
+    ret
+"""
+
+_REGION_PROGRAMS = {"diamond": _DIAMOND, "nested": _NESTED,
+                    "jalr": _JALR}
+
+
+def _region_heads(program):
+    return {key[0] for key, entry in getattr(program, "_sb_factories",
+                                             {}).items()
+            if len(key) == 3 and key[2] == LOOP and entry is not None}
+
+
+def _scalar_snaps(program, warm=None):
+    """The scalar reference's snapshot after every step, and the
+    recorder it fed."""
+    ref = _recorded(program)
+    ref.warm_trace = warm
+    snaps = [_snap(ref)]
+    while ref.halt_reason is None:
+        ref.step()
+        snaps.append(_snap(ref))
+    return snaps, ref
+
+
+@pytest.mark.parametrize("name", sorted(_REGION_PROGRAMS))
+def test_region_matches_scalar(name, monkeypatch):
+    source = _REGION_PROGRAMS[name].format(n=3 * HOT)
+    _, ref = _scalar_snaps(assemble(source))
+    for _ in _each_threshold(monkeypatch):
+        program = assemble(source)
+        sut = _recorded(program)
+        assert sut.run() is HaltReason.EBREAK
+        _assert_same_run(sut, ref)
+        assert _region_heads(program)
+        heads = [sut._sb_cache[head] for head in _region_heads(program)
+                 if head in sut._sb_cache]
+        assert heads and all(block.loop is not None for block in heads)
+
+
+def test_nested_loops_build_both_regions():
+    program = assemble(_NESTED.format(n=3 * HOT))
+    ISS(program).run()
+    outer, inner = program.symbol("outer"), program.symbol("inner")
+    assert _region_heads(program) == {outer, inner}
+    # the outer region holds the inner loop: its back edge stays inside
+    assert f"if pc == {inner}:" in region_source(program, outer)
+
+
+def test_jalr_leaves_the_region():
+    program = assemble(_JALR.format(n=3 * HOT))
+    ISS(program).run()
+    head = program.symbol("loop")
+    source = region_source(program, head)
+    assert "return _t" in source  # the computed jump is an exit
+    assert f"if pc == {program.symbol('land')}:" not in source
+
+
+@pytest.mark.parametrize("name", sorted(_REGION_PROGRAMS))
+def test_region_pauses_on_every_instruction(name, monkeypatch):
+    """run(b) stops on instruction b for every b of the run, then
+    resumes to the same end, whether the pause lands before, inside
+    or after a region's block; sliced runs at every k agree too."""
+    source = _REGION_PROGRAMS[name].format(n=HOT + 4)
+    snaps, ref = _scalar_snaps(assemble(source))
+    total = len(snaps) - 1
+    for _ in _each_threshold(monkeypatch):
+        program = assemble(source)
+        for _ in range(HOT):
+            ISS(program).run()  # hot: every region is built
+        assert _region_heads(program)
+        for bound in range(1, total):
+            iss = ISS(program)
+            assert iss.run(max_steps=bound) is HaltReason.MAX_STEPS
+            expect = snaps[bound][:3] + (HaltReason.MAX_STEPS,) \
+                + snaps[bound][4:]
+            assert _snap(iss) == expect
+            iss.run()
+            assert _snap(iss) == _snap(ref)
+        for k in range(1, 40):
+            _assert_same_run(_sliced(program, k), ref)
+
+
+_SIMT_LOOP = """
+    .text
+main:
+    li     x5, 0
+    li     x6, 1
+    li     x7, 3
+    simt_s x5, x6, x7, 1
+    li     x8, 0
+inner:
+    addi   x8, x8, 1
+    add    x9, x9, x8
+    slti   x10, x8, 20
+    bnez   x10, inner
+    simt_e x5, x7
+    addi   x12, x9, 0
+    ebreak
+"""
+
+
+def test_region_runs_to_boundary_inside_open_simt_region(monkeypatch):
+    """Inside an open SIMT region the pause is deferred, so a region
+    runs with the budget waived and the pause lands on the same
+    instruction as the scalar loop's, after ``simt_e``."""
+    for target in (6, 9, 30, 61, 100):
+        ref = ISS(assemble(_SIMT_LOOP))
+        while ref.halt_reason is None:
+            if ref.stats.instructions >= target and not ref._simt_stack:
+                ref.halt_reason = HaltReason.MAX_STEPS
+                break
+            ref.step()
+        for _ in _each_threshold(monkeypatch):
+            program = assemble(_SIMT_LOOP)
+            for _ in range(HOT):
+                ISS(program).run()
+            assert _region_heads(program) == {program.symbol("inner")}
+            sut = ISS(program)
+            sut.run_to_boundary(target)
+            assert _snap(sut) == _snap(ref)
+            assert not sut._simt_stack
+
+
+class _Events:
+    """A recorder that logs what the ISS feeds it, in order."""
+
+    def __init__(self):
+        self.events = []
+
+    def touch(self, addr):
+        self.events.append(("touch", addr))
+
+    def branch(self, pc, instr, taken, target):
+        self.events.append(("branch", pc, instr.mnemonic, taken, target))
+
+
+class _Touches:
+    def __init__(self):
+        self.events = []
+
+    def touch(self, addr):
+        self.events.append(addr)
+
+
+def _warm_state(recorder):
+    if isinstance(recorder, LineTrace):
+        return list(recorder)
+    if isinstance(recorder, WarmTrace):
+        return (list(recorder.lines), recorder.btb, recorder.ras,
+                pickle.dumps(recorder.predictor))
+    return recorder.events
+
+
+@pytest.mark.parametrize("recorder", (_Events, _Touches, LineTrace,
+                                      WarmTrace))
+@pytest.mark.parametrize("name", sorted(_REGION_PROGRAMS))
+def test_region_feeds_recorders_like_scalar(name, recorder, monkeypatch):
+    source = _REGION_PROGRAMS[name].format(n=3 * HOT)
+    _, ref = _scalar_snaps(assemble(source), recorder())
+    for _ in _each_threshold(monkeypatch):
+        program = assemble(source)
+        sut = _recorded(program)
+        sut.warm_trace = recorder()
+        sut.run()
+        _assert_same_run(sut, ref)
+        assert _region_heads(program)
+        assert _warm_state(sut.warm_trace) == _warm_state(ref.warm_trace)
+
+
+def test_run_until_pc_stops_inside_a_hot_loop(monkeypatch):
+    source = _DIAMOND.format(n=6 * HOT)
+    program = assemble(source)
+    ISS(program).run()  # hot: the region is built
+    target = program.symbol("even")
+    snaps, _ = _scalar_snaps(assemble(source))
+    for _ in _each_threshold(monkeypatch):
+        sut = ISS(program)
+        sut.run(max_steps=5 * HOT)  # part-way, through the region
+        sut.halt_reason = None
+        while True:
+            sut.run_until_pc(target, 1000)
+            assert sut.pc == target
+            assert _snap(sut) == snaps[sut.stats.instructions]
+            if sut.stats.instructions > 20 * HOT:
+                break
+            sut.step()
+
+
+def test_checkpoint_inside_a_region(monkeypatch):
+    source = _NESTED.format(n=3 * HOT)
+    snaps, ref = _scalar_snaps(assemble(source))
+    for _ in _each_threshold(monkeypatch):
+        program = assemble(source)
+        for _ in range(HOT):
+            ISS(program).run()
+        for bound in (97, 98, 101, 250):
+            sut = ISS(program)
+            sut.run(max_steps=bound)
+            assert sut._sb_cache[program.symbol("outer")].loop
+            restored = ISS.restore_state(sut.save_state())
+            assert _snap(restored) == _snap(sut)
+            restored.run()
+            assert _snap(restored) == _snap(ref)
+
+
+def test_region_factories_do_not_pickle():
+    program = assemble(_NESTED.format(n=3 * HOT))
+    ISS(program).run()
+    assert _region_heads(program)
+    clone = pickle.loads(pickle.dumps(program))
+    assert not hasattr(clone, "_sb_factories")
+    fresh = ISS(clone)
+    fresh.run()
+    ref = ISS(assemble(_NESTED.format(n=3 * HOT)))
+    ref.run()
+    assert _snap(fresh) == _snap(ref)
+
+
+def test_short_loop_compiles_no_region():
+    """A torture-style loop of 6 iterations stays below ``HOT``: its
+    latch never compiles, so neither does its region."""
+    program = assemble(_DIAMOND.format(n=6))
+    assert ISS(program).run() is HaltReason.EBREAK
+    assert not _built(program)
+    assert not _region_heads(program)
+
+
+def test_oversized_region_is_not_built(monkeypatch):
+    """A loop larger than ``MAX_REGION`` keeps block-at-a-time
+    dispatch; its cache entry records that no region exists."""
+    monkeypatch.setattr(superblock, "MAX_REGION", 4)
+    source = _NESTED.format(n=3 * HOT)
+    _, ref = _scalar_snaps(assemble(source))
+    program = assemble(source)
+    sut = _recorded(program)
+    sut.run()
+    _assert_same_run(sut, ref)
+    outer = program.symbol("outer")
+    assert program._sb_factories[(outer, WARM_OFF, LOOP)] is None
+    assert _region_heads(program) == {program.symbol("inner")}
+
+
+_EDGES = (0, 1, 2047, 0x7FFFFFFF, 0x80000000, 0x80000001, 0xFFFFF800,
+          0xFFFFFFFF)
+
+
+@pytest.mark.parametrize("imm", (-2048, -1, 0, 1, 2047))
+def test_signed_compares_match_scalar_at_the_edges(imm, monkeypatch):
+    """Generated ``slt``/``slti``/``blt``/``bge`` compare sign-flipped
+    patterns; the scalar path compares signed integers."""
+    monkeypatch.setattr(superblock, "HOT", 1)
+    for a in _EDGES:
+        for b in _EDGES:
+            source = f"""
+                .text
+            main:
+                li   x5, {a}
+                li   x6, {b}
+                slt  x7, x5, x6
+                slti x8, x5, {imm}
+                addi x9, x5, 0
+                li   x10, 0
+                blt  x5, x6, lt
+                addi x10, x10, 1
+            lt:
+                bge  x5, x6, ge
+                addi x10, x10, 2
+            ge:
+                ebreak
+            """
+            ref = ISS(assemble(source))
+            _scalar_run(ref)
+            sut = ISS(assemble(source))
+            sut.run()
+            assert _snap(sut) == _snap(ref), (a, b)

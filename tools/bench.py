@@ -272,21 +272,34 @@ class LegacyISS(ISS):
         counts[instr.mnemonic] = counts.get(instr.mnemonic, 0) + 1
 
 
+#: what ``iss`` compares between the two runs, in outcome order
+ISS_OUTCOME = ("halt reason", "retired", "pc", "x", "f",
+               "mnemonic counts")
+
+
 def iss_pair(iters):
     """A: the legacy interpreter on the hot kernel; B: ``ISS.run``
-    (superblocks) on a fresh copy of it."""
+    (superblocks and loop regions) on a fresh copy of it. Both must
+    end in the same architectural state with the same per-mnemonic
+    counts (the legacy loop keeps them as a dict)."""
     seconds, outcomes = [], []
     for cls in (LegacyISS, ISS):
         iss = cls(assemble(ISS_KERNEL.format(iters=iters)))
         start = time.perf_counter()
         reason = iss.run(max_steps=ISS_MAX_STEPS)
         seconds.append(time.perf_counter() - start)
-        outcomes.append((reason.name, iss.stats.instructions))
+        counts = iss.legacy_counts if cls is LegacyISS \
+            else iss.stats.mnemonic_counts
+        outcomes.append((reason.name, iss.stats.instructions, iss.pc,
+                         list(iss.x), list(iss.f), counts))
     legacy, superblock = outcomes
     problem = None
     if legacy != superblock or legacy[0] != HaltReason.EBREAK.name:
-        problem = (f"legacy {legacy} vs superblock {superblock} "
-                   "(halt reason, retired)")
+        differ = [name for name, a, b in zip(ISS_OUTCOME, legacy,
+                                             superblock) if a != b]
+        problem = (f"legacy {legacy[:3]} vs superblock {superblock[:3]} "
+                   f"(halt reason, retired, pc); differ: "
+                   f"{', '.join(differ) or 'none'}")
     return seconds[0], seconds[1], {"kernel": problem}
 
 
