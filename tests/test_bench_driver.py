@@ -130,3 +130,16 @@ def test_table_rows_are_fixed_and_sane():
     for check in bench.TABLE.values():
         assert check.pairs >= 3
     assert bench.TABLE["sampling"].inputs["scale"] == 4.0
+
+
+def test_iss_pair_compares_architectural_state(monkeypatch):
+    """A generated block that computes a wrong register value fails
+    the ``iss`` check's equivalence even though both runs retire the
+    same count and halt at ``ebreak``."""
+    _, _, cells = bench.iss_pair(iters=40)
+    assert cells == {"kernel": None}
+    from repro.iss import superblock
+    monkeypatch.setitem(superblock._INT_RR, "xor", "x[{a}] | x[{b}]")
+    _, _, cells = bench.iss_pair(iters=40)
+    assert cells["kernel"] is not None
+    assert cells["kernel"].endswith("differ: x")
