@@ -164,22 +164,34 @@ def test_csr_mid_program_matches_scalar(monkeypatch):
         assert sut.csrs == ref.csrs
 
 
+class _Events:
+    """A recorder that logs what the ISS feeds it, in order."""
+
+    def __init__(self):
+        self.events = []
+
+    def touch(self, addr):
+        self.events.append(("touch", addr))
+
+    def branch(self, pc, instr, taken, target):
+        self.events.append(("branch", pc, instr.mnemonic, taken, target))
+
+
+class _Touches:
+    """A lines-only recorder: it has no ``branch`` method."""
+
+    def __init__(self):
+        self.events = []
+
+    def touch(self, addr):
+        self.events.append(addr)
+
+
 def test_warm_trace_sees_identical_streams(monkeypatch):
-    class _Warm:
-        def __init__(self):
-            self.events = []
-
-        def touch(self, addr):
-            self.events.append(("touch", addr))
-
-        def branch(self, pc, instr, taken, target):
-            self.events.append(("branch", pc, instr.mnemonic,
-                                taken, target))
-
     for _ in _each_threshold(monkeypatch):
         program = _torture(3, True)
         ref, sut = ISS(program), ISS(program)
-        ref.warm_trace, sut.warm_trace = _Warm(), _Warm()
+        ref.warm_trace, sut.warm_trace = _Events(), _Events()
         _scalar_run(ref)
         sut.run()
         assert _snap(sut) == _snap(ref)
@@ -190,22 +202,15 @@ def test_lines_only_recorder_sees_identical_touches(monkeypatch):
     """A recorder without ``branch`` (a machine with no dynamic branch
     predictor) is fed data accesses only: a ``branch`` call on either
     path would raise AttributeError."""
-    class _Lines:
-        def __init__(self):
-            self.touches = []
-
-        def touch(self, addr):
-            self.touches.append(addr)
-
     for _ in _each_threshold(monkeypatch):
         program = _torture(3, True)
         ref, sut = ISS(program), ISS(program)
-        ref.warm_trace, sut.warm_trace = _Lines(), _Lines()
+        ref.warm_trace, sut.warm_trace = _Touches(), _Touches()
         _scalar_run(ref)
         sut.run()
         assert _snap(sut) == _snap(ref)
-        assert sut.stats.branches and sut.warm_trace.touches
-        assert sut.warm_trace.touches == ref.warm_trace.touches
+        assert sut.stats.branches and sut.warm_trace.events
+        assert sut.warm_trace.events == ref.warm_trace.events
     base, end = program.text_range
     lines, front_end = ("".join(block_source(program, pc, mode) or ""
                                 for pc in range(base, end, 4))
@@ -749,27 +754,6 @@ def test_region_runs_to_boundary_inside_open_simt_region(monkeypatch):
             sut.run_to_boundary(target)
             assert _snap(sut) == _snap(ref)
             assert not sut._simt_stack
-
-
-class _Events:
-    """A recorder that logs what the ISS feeds it, in order."""
-
-    def __init__(self):
-        self.events = []
-
-    def touch(self, addr):
-        self.events.append(("touch", addr))
-
-    def branch(self, pc, instr, taken, target):
-        self.events.append(("branch", pc, instr.mnemonic, taken, target))
-
-
-class _Touches:
-    def __init__(self):
-        self.events = []
-
-    def touch(self, addr):
-        self.events.append(addr)
 
 
 def _warm_state(recorder):
