@@ -18,10 +18,13 @@ Two execution paths share one set of semantics (docs/PERFORMANCE.md
   into blocks of pre-resolved execute thunks
   (:mod:`repro.iss.superblock`) and the hot loop dispatches once per
   block, or once per stay in a hot loop whose blocks compiled into
-  one looping region; colder lines are stepped scalar. Both paths are
-  bit-exact for architectural state, stats and the ``warm_trace``
-  stream; blocks that would overrun a step budget fall back to scalar
-  stepping so pause boundaries land exactly.
+  one looping region; colder lines are stepped scalar. A region keeps
+  registers and stat counts in locals, flushed whenever it returns or
+  raises, and reads single-page loads straight from the memory's
+  pages. Both paths are bit-exact for architectural state, stats, the
+  ``warm_trace`` stream and the ``write_log`` store stream; blocks
+  that would overrun a step budget fall back to scalar stepping so
+  pause boundaries land exactly.
 """
 
 import enum

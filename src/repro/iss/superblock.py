@@ -38,9 +38,13 @@ Exactness rules (enforced by tests/test_iss_superblock.py):
   :meth:`ISS.step` path — same masking, same signed-immediate
   handling, same ``jalr`` target-before-link ordering, loads still
   performed when the destination is x0.
-* Generated loads and stores call ``memory.load``/``memory.store``,
-  so every write goes through ``MainMemory.store`` and reaches its
-  ``write_log`` (the lockstep oracle's write stream).
+* Every generated store calls ``memory.store``, so every write goes
+  through ``MainMemory.store`` and reaches its ``write_log`` (the
+  lockstep oracle's write stream). A block's loads call
+  ``memory.load``; a region's read the page ``bytearray`` straight
+  from the memory's page dict (bound with the region) and call
+  ``memory.load`` only for a page never written or an access that
+  crosses into the next page.
 * ``simt_s``/``simt_e``, CSR ops (they read the live instruction
   counter) and unknown mnemonics never enter a block: the run loop
   falls back to scalar stepping for them (``Block.run is None``).
@@ -53,14 +57,20 @@ leaving the span from the head to the latch — into one more generated
 function that loops internally, dispatching block to block on a local
 ``pc`` (an ``if pc == ...`` chain in address order, so an iteration
 that only moves forward walks the chain once). Each block keeps its
-own stat deltas and recorder calls, in the block's order, and is
-preceded by the run loop's "does the whole block fit the budget"
-check against ``room``, the caller's remaining step budget; so
-``run(N)``, ``run_to_boundary`` and checkpoint splits stop on exactly
-the same instruction as block-at-a-time dispatch. A region holds no
-``ebreak``/``ecall``, ``simt_*``, CSR or unknown instruction (a block
-that would reach one is an exit), so nothing in it halts or changes
-the SIMT stack. Every transfer that leaves the region — a target
+recorder calls, in the block's order, and is preceded by the run
+loop's "does the whole block fit the budget" check against ``room``,
+the caller's remaining step budget; so ``run(N)``, ``run_to_boundary``
+and checkpoint splits stop on exactly the same instruction as
+block-at-a-time dispatch. Registers and stat counts live in locals: a
+region loads every register it names at entry and counts each
+block's entries (and its taken branches); one ``finally`` stores the
+written registers back and folds the counts into the stats as
+constant multiples of each block's deltas, so a return or a raise
+leaves the registers and stats that block-at-a-time dispatch leaves
+(a block's deltas count at its entry, as its prologue does). A region
+holds no ``ebreak``/``ecall``, ``simt_*``, CSR or unknown instruction
+(a block that would reach one is an exit), so nothing in it halts or
+changes the SIMT stack. Every transfer that leaves the region — a target
 outside it, any ``jalr``, an exhausted budget — returns the next pc.
 The head's :class:`Block` carries the bound region as ``loop``;
 :meth:`repro.iss.simulator.ISS._run_blocks` calls it in place of
@@ -70,6 +80,7 @@ share the Program's factory cache under (head, warm mode,
 not built (its cache entry is None).
 """
 
+import struct
 from typing import NamedTuple
 
 from repro.iss.semantics import (LOAD_SIGNED, LOAD_SIZES, STORE_SIZES,
@@ -77,6 +88,7 @@ from repro.iss.semantics import (LOAD_SIGNED, LOAD_SIZES, STORE_SIZES,
                                  _FP_BINARY, _FP_FMA, _FP_UNARY)
 from repro.iss.simulator import (MASK32, MN_SLOTS, WARM_FRONT_END,
                                  WARM_LINES, HaltReason, warm_mode)
+from repro.memory.main_memory import _PAGE_BITS, _PAGE_MASK
 
 #: straight-line run length cap: bounds compile latency and the
 #: scalar-stepped tail when a block would overrun a step budget
@@ -98,30 +110,31 @@ LOOP = "loop"
 _TERMINALS = frozenset(_BRANCH_OPS) | {"jal", "jalr", "ebreak", "ecall"}
 
 #: integer ops whose results need no re-mask when inlined on
-#: already-masked operands (bitwise/compare/shift-right)
+#: already-masked operands (bitwise/compare/shift-right); ``{a}`` and
+#: ``{b}`` are the operands' register expressions (:meth:`_Codegen.reg`)
 _INT_RR = {
-    "add": "(x[{a}] + x[{b}]) & 4294967295",
-    "sub": "(x[{a}] - x[{b}]) & 4294967295",
-    "sll": "(x[{a}] << (x[{b}] & 31)) & 4294967295",
-    "srl": "x[{a}] >> (x[{b}] & 31)",
-    "sra": "((x[{a}] - ((x[{a}] & 2147483648) << 1)) "
-           ">> (x[{b}] & 31)) & 4294967295",
-    "slt": "1 if (x[{a}] ^ 2147483648) < (x[{b}] ^ 2147483648) else 0",
-    "sltu": "1 if x[{a}] < x[{b}] else 0",
-    "xor": "x[{a}] ^ x[{b}]",
-    "or": "x[{a}] | x[{b}]",
-    "and": "x[{a}] & x[{b}]",
+    "add": "({a} + {b}) & 4294967295",
+    "sub": "({a} - {b}) & 4294967295",
+    "sll": "({a} << ({b} & 31)) & 4294967295",
+    "srl": "{a} >> ({b} & 31)",
+    "sra": "(({a} - (({a} & 2147483648) << 1)) "
+           ">> ({b} & 31)) & 4294967295",
+    "slt": "1 if ({a} ^ 2147483648) < ({b} ^ 2147483648) else 0",
+    "sltu": "1 if {a} < {b} else 0",
+    "xor": "{a} ^ {b}",
+    "or": "{a} | {b}",
+    "and": "{a} & {b}",
 }
 
 #: branch condition expressions (operands are masked patterns; a
 #: signed comparison flips both sign bits and compares unsigned)
 _BRANCH_EXPR = {
-    "beq": "x[{a}] == x[{b}]",
-    "bne": "x[{a}] != x[{b}]",
-    "bltu": "x[{a}] < x[{b}]",
-    "bgeu": "x[{a}] >= x[{b}]",
-    "blt": "(x[{a}] ^ 2147483648) < (x[{b}] ^ 2147483648)",
-    "bge": "(x[{a}] ^ 2147483648) >= (x[{b}] ^ 2147483648)",
+    "beq": "{a} == {b}",
+    "bne": "{a} != {b}",
+    "bltu": "{a} < {b}",
+    "bgeu": "{a} >= {b}",
+    "blt": "({a} ^ 2147483648) < ({b} ^ 2147483648)",
+    "bge": "({a} ^ 2147483648) >= ({b} ^ 2147483648)",
 }
 
 #: integer ops dispatched through a helper function (64-bit
@@ -156,7 +169,8 @@ class Block:
 class _Factory(NamedTuple):
     """A compiled block or region, cached on the Program."""
 
-    make: object      # _make(x, f, mem, stats, mn, touch, branch, iss, ...)
+    make: object      # _make(x, f, mem, pages, stats, mn, touch, branch,
+                      #       iss, ...)
     helpers: tuple    # closure-scope helper values, in parameter order
     length: int       # instructions (a region: summed over its blocks)
     source: str
@@ -175,36 +189,33 @@ def _signed_literal(value):
 
 
 def _int_ri_expr(mnem, a, imm):
-    """RHS for a reg-imm integer op (imm folded as a literal)."""
+    """RHS for a reg-imm integer op on register expression ``a`` (imm
+    folded as a literal)."""
     base = _ALU_IMM[mnem]
     if base == "add":
         if not imm:
-            return f"x[{a}]"  # mv: the source is already masked
-        return f"(x[{a}] + {_signed_literal(imm)}) & 4294967295"
+            return a  # mv: the source is already masked
+        return f"({a} + {_signed_literal(imm)}) & 4294967295"
     if base in ("xor", "or", "and"):
         op = {"xor": "^", "or": "|", "and": "&"}[base]
-        return f"x[{a}] {op} {imm & MASK32}"
+        return f"{a} {op} {imm & MASK32}"
     if base == "slt":
-        return (f"1 if (x[{a}] ^ 2147483648) "
+        return (f"1 if ({a} ^ 2147483648) "
                 f"< {(imm & MASK32) ^ 2147483648} else 0")
     if base == "sltu":
-        return f"1 if x[{a}] < {imm & MASK32} else 0"
+        return f"1 if {a} < {imm & MASK32} else 0"
     sh = imm & 31
     if base == "sll":
-        return f"(x[{a}] << {sh}) & 4294967295"
+        return f"({a} << {sh}) & 4294967295"
     if base == "srl":
-        return f"x[{a}] >> {sh}"
+        return f"{a} >> {sh}"
     # srai
-    return (f"((x[{a}] - ((x[{a}] & 2147483648) << 1)) >> {sh}) "
-            f"& 4294967295")
+    return f"(({a} - (({a} & 2147483648) << 1)) >> {sh}) & 4294967295"
 
 
-def _address(instr):
-    """The line computing a load/store's effective address ``_a``."""
-    if not instr.imm:
-        return f"_a = x[{instr.rs1}]"
-    return (f"_a = (x[{instr.rs1}] + {_signed_literal(instr.imm)}) "
-            f"& 4294967295")
+#: a region's inline multi-byte page reads, by access size
+_UNPACK = {2: struct.Struct("<H").unpack_from,
+           4: struct.Struct("<I").unpack_from}
 
 
 class _Codegen:
@@ -219,17 +230,42 @@ class _Codegen:
         self.branch = mode == WARM_FRONT_END
         self.entries = entries
         self.start = None
+        #: a region's register locals: (file, index) -> local name,
+        #: and the ones it writes
+        self.named = {}
+        self.written = set()
+        self.unpackers = {}
+
+    def reg(self, file, index, write=False):
+        """The source naming register ``index`` of register file
+        ``file`` ("x" or "f"): the list item in a block, a local in a
+        region (:func:`_build_region` loads every named register at
+        entry and stores every ``write`` one back on exit)."""
+        if not self.entries:
+            return f"{file}[{index}]"
+        if write:
+            self.written.add((file, index))
+        return self.named.setdefault((file, index), f"_{file}{index}")
 
     def jump(self, target):
         """Lines that pass control to the literal pc ``target``: the
         next block of the region's chain (``continue`` back to the
         chain's top for a target at or before this block), or a
-        return."""
+        return (a region leaves its loop to return ``pc`` after its
+        ``finally``)."""
         if target not in self.entries:
+            if self.entries:
+                return [f"pc = {target}", "break"]
             return [f"return {target}"]
         if target <= self.start:
             return [f"pc = {target}", "continue"]
         return [f"pc = {target}"]
+
+    def taken(self):
+        """The line counting a taken conditional branch."""
+        if self.entries:
+            return "_tk += 1"
+        return "stats.taken_branches += 1"
 
     def helper(self, value):
         name = f"_h{len(self.helpers)}"
@@ -246,19 +282,23 @@ class _Codegen:
         info = instr.info
         rd, rs1, rs2 = instr.rd, instr.rs1, instr.rs2
         imm = instr.imm
+        reg = self.reg
         if mnem in _ALU_IMM:
             if rd:
-                self.emit(f"x[{rd}] = {_int_ri_expr(mnem, rs1, imm)}")
+                expr = _int_ri_expr(mnem, reg("x", rs1), imm)
+                self.emit(f"{reg('x', rd, True)} = {expr}")
             return
         if mnem in _INT_RR:
             if rd:
-                expr = _INT_RR[mnem].format(a=rs1, b=rs2)
-                self.emit(f"x[{rd}] = {expr}")
+                expr = _INT_RR[mnem].format(a=reg("x", rs1),
+                                            b=reg("x", rs2))
+                self.emit(f"{reg('x', rd, True)} = {expr}")
             return
         if mnem in _INT_HELPERS:
             if rd:
                 h = self.helper(_INT_HELPERS[mnem])
-                self.emit(f"x[{rd}] = {h}(x[{rs1}], x[{rs2}])")
+                self.emit(f"{reg('x', rd, True)} = "
+                          f"{h}({reg('x', rs1)}, {reg('x', rs2)})")
             return
         if mnem in LOAD_SIZES:
             self.load(instr)
@@ -268,20 +308,20 @@ class _Codegen:
             return
         if mnem == "lui":
             if rd:
-                self.emit(f"x[{rd}] = {imm & MASK32}")
+                self.emit(f"{reg('x', rd, True)} = {imm & MASK32}")
             return
         if mnem == "auipc":
             if rd:
-                self.emit(f"x[{rd}] = {(pc + imm) & MASK32}")
+                self.emit(f"{reg('x', rd, True)} = {(pc + imm) & MASK32}")
             return
         if mnem in _FP_BINARY:
             dst = "f" if info.rd_file == "f" else "x"
             if dst == "x" and rd == 0:
                 return
             h = self.helper(_FP_BINARY[mnem])
-            ap = "f" if info.rs1_file == "f" else "x"
-            bp = "f" if info.rs2_file == "f" else "x"
-            self.emit(f"{dst}[{rd}] = {h}({ap}[{rs1}], {bp}[{rs2}]) "
+            a = reg("f" if info.rs1_file == "f" else "x", rs1)
+            b = reg("f" if info.rs2_file == "f" else "x", rs2)
+            self.emit(f"{reg(dst, rd, True)} = {h}({a}, {b}) "
                       f"& 4294967295")
             return
         if mnem in _FP_UNARY:
@@ -289,47 +329,78 @@ class _Codegen:
             if dst == "x" and rd == 0:
                 return
             h = self.helper(_FP_UNARY[mnem])
-            ap = "f" if info.rs1_file == "f" else "x"
-            self.emit(f"{dst}[{rd}] = {h}({ap}[{rs1}]) & 4294967295")
+            a = reg("f" if info.rs1_file == "f" else "x", rs1)
+            self.emit(f"{reg(dst, rd, True)} = {h}({a}) & 4294967295")
             return
         if mnem in _FP_FMA:
             h = self.helper(_FP_FMA[mnem])
-            self.emit(f"f[{rd}] = {h}(f[{rs1}], f[{rs2}], "
-                      f"f[{instr.rs3}]) & 4294967295")
+            self.emit(f"{reg('f', rd, True)} = {h}({reg('f', rs1)}, "
+                      f"{reg('f', rs2)}, {reg('f', instr.rs3)}) "
+                      f"& 4294967295")
             return
         # fence: architectural no-op (still counted)
+
+    def address(self, instr):
+        """The line computing a load/store's effective address ``_a``."""
+        base = self.reg("x", instr.rs1)
+        if not instr.imm:
+            return f"_a = {base}"
+        return (f"_a = ({base} + {_signed_literal(instr.imm)}) "
+                f"& 4294967295")
 
     def load(self, instr):
         mnem = instr.mnemonic
         size = LOAD_SIZES[mnem]
-        to_f = instr.info.rd_file == "f"
-        self.emit(_address(instr))
+        self.emit(self.address(instr))
         if self.touch:
             self.emit("touch(_a)")
-        self.emit(f"_v = mem.load(_a, {size})")
+        if self.entries:
+            self.emit(*self.page_read(size))
+        else:
+            self.emit(f"_v = mem.load(_a, {size})")
         if mnem in LOAD_SIGNED:
             sign = 1 << (size * 8 - 1)
             self.emit(f"if _v & {sign}:",
                       f"    _v = (_v - {sign << 1}) & 4294967295")
-        if to_f:
-            self.emit(f"f[{instr.rd}] = _v")
+        if instr.info.rd_file == "f":
+            self.emit(f"{self.reg('f', instr.rd, True)} = _v")
         elif instr.rd:
-            self.emit(f"x[{instr.rd}] = _v")
+            self.emit(f"{self.reg('x', instr.rd, True)} = _v")
+
+    def page_read(self, size):
+        """A region's load of ``size`` bytes at ``_a`` into ``_v``: read
+        straight from the page ``bytearray`` (``page`` is the bound
+        memory's ``pages.get``), or through ``mem.load`` for a page
+        never written or an access that crosses into the next page."""
+        lines = [f"_p = page(_a >> {_PAGE_BITS})"]
+        if size == 1:
+            return lines + [f"_v = mem.load(_a, 1) if _p is None "
+                            f"else _p[_a & {_PAGE_MASK}]"]
+        unpack = self.unpackers.get(size)
+        if unpack is None:
+            unpack = self.unpackers[size] = self.helper(_UNPACK[size])
+        return lines + [f"_o = _a & {_PAGE_MASK}",
+                        f"_v = {unpack}(_p, _o)[0] if _p is not None "
+                        f"and _o <= {_PAGE_MASK + 1 - size} "
+                        f"else mem.load(_a, {size})"]
 
     def store(self, instr):
-        src = "f" if instr.info.rs2_file == "f" else "x"
-        self.emit(_address(instr))
+        src = self.reg("f" if instr.info.rs2_file == "f" else "x",
+                       instr.rs2)
+        self.emit(self.address(instr))
         if self.touch:
             self.emit("touch(_a)")
-        self.emit(f"mem.store(_a, {src}[{instr.rs2}], "
+        self.emit(f"mem.store(_a, {src}, "
                   f"{STORE_SIZES[instr.mnemonic]})")
 
     # ----------------------------------------------------- terminals
 
     def terminal(self, instr, pc):
         mnem = instr.mnemonic
+        reg = self.reg
         if mnem in _BRANCH_EXPR:
-            cond = _BRANCH_EXPR[mnem].format(a=instr.rs1, b=instr.rs2)
+            cond = _BRANCH_EXPR[mnem].format(a=reg("x", instr.rs1),
+                                             b=reg("x", instr.rs2))
             target = _target(pc, instr)
             fall = pc + 4
             if self.branch:
@@ -340,7 +411,7 @@ class _Codegen:
             else:
                 self.emit(f"if {cond}:")
             taken = self.jump(target)
-            self.emit("    stats.taken_branches += 1",
+            self.emit(f"    {self.taken()}",
                       *(f"    {line}" for line in taken))
             if taken[-1].startswith("pc ="):  # on down the chain
                 self.emit("else:",
@@ -351,7 +422,8 @@ class _Codegen:
         if mnem == "jal":
             target = _target(pc, instr)
             if instr.rd:
-                self.emit(f"x[{instr.rd}] = {(pc + 4) & MASK32}")
+                self.emit(f"{reg('x', instr.rd, True)} = "
+                          f"{(pc + 4) & MASK32}")
             if self.branch:
                 iname = self.helper(instr)
                 self.emit(f"branch({pc}, {iname}, True, {target})")
@@ -359,10 +431,11 @@ class _Codegen:
             return
         if mnem == "jalr":
             # target resolves before the link write: rd may alias rs1
-            self.emit(f"_t = (x[{instr.rs1}] + "
+            self.emit(f"_t = ({reg('x', instr.rs1)} + "
                       f"{_signed_literal(instr.imm)}) & 4294967294")
             if instr.rd:
-                self.emit(f"x[{instr.rd}] = {(pc + 4) & MASK32}")
+                self.emit(f"{reg('x', instr.rd, True)} = "
+                          f"{(pc + 4) & MASK32}")
             if self.branch:
                 iname = self.helper(instr)
                 self.emit(f"branch({pc}, {iname}, True, _t)")
@@ -381,8 +454,8 @@ class _Codegen:
         the helpers, and returns function ``name``."""
         helpers = "".join(f", {h}" for h in self.helpers)
         text = "\n".join(f"        {line}" for line in body)
-        return (f"def _make(x, f, mem, stats, mn, touch, branch, iss"
-                f"{helpers}):\n"
+        return (f"def _make(x, f, mem, pages, stats, mn, touch, branch, "
+                f"iss{helpers}):\n"
                 f"    def {name}({params}):\n{text}\n"
                 f"    return {name}\n")
 
@@ -409,24 +482,30 @@ def _line(program, start_pc):
     return line
 
 
+#: the ``ISSStats`` counters a block bumps by a per-block constant
+#: (``taken_branches`` is counted where a branch is taken)
+_BLOCK_STATS = ("instructions", "loads", "stores", "branches", "fp_ops")
+
+
 def _emit_block(gen, line):
     """Emit ``line`` (a non-empty :func:`_line`) into ``gen``; returns
-    its stat-delta lines. Stat deltas are the prologue (the scalar
-    path also counts before executing)."""
-    loads = stores = branches = fp_ops = 0
+    its stat deltas as ``{field: count}`` (every :data:`_BLOCK_STATS`
+    field, in order) and ``{mnemonic slot: count}``."""
+    counts = dict.fromkeys(_BLOCK_STATS, 0)
+    counts["instructions"] = len(line)
     mn = {}
     for pc, instr in line:
         slot = MN_SLOTS[instr.mnemonic]
         mn[slot] = mn.get(slot, 0) + 1
         facts = instr.facts
         if facts.is_load:
-            loads += 1
+            counts["loads"] += 1
         elif facts.is_store:
-            stores += 1
+            counts["stores"] += 1
         elif facts.is_branch:
-            branches += 1
+            counts["branches"] += 1
         if facts.is_fp:
-            fp_ops += 1
+            counts["fp_ops"] += 1
         if instr.mnemonic in _TERMINALS:
             gen.terminal(instr, pc)
         else:
@@ -434,14 +513,7 @@ def _emit_block(gen, line):
     last_pc, last = line[-1]
     if last.mnemonic not in _TERMINALS:
         gen.emit(*gen.jump(last_pc + 4))  # fall through to the next block
-    prologue = [f"stats.instructions += {len(line)}"]
-    for name, count in (("loads", loads), ("stores", stores),
-                        ("branches", branches), ("fp_ops", fp_ops)):
-        if count:
-            prologue.append(f"stats.{name} += {count}")
-    for slot, tally in sorted(mn.items()):
-        prologue.append(f"mn[{slot}] += {tally}")
-    return prologue
+    return counts, mn
 
 
 def _target(pc, instr):
@@ -466,7 +538,13 @@ def _build_factory(program, start_pc, mode):
     if not line:
         return None
     gen = _Codegen(mode)
-    prologue = _emit_block(gen, line)
+    # stat deltas are the prologue: the scalar path also counts
+    # before executing
+    counts, mn = _emit_block(gen, line)
+    prologue = [f"stats.{name} += {count}"
+                for name, count in counts.items() if count]
+    prologue += [f"mn[{slot}] += {tally}"
+                 for slot, tally in sorted(mn.items())]
     last_pc, last = line[-1]
     head = None
     if last.mnemonic == "jal" or last.mnemonic in _BRANCH_EXPR:
@@ -511,25 +589,66 @@ def _region_lines(program, head, latch_pc):
 def _build_region(program, head, latch_pc, mode):
     """Compile the loop region headed by ``head`` whose latch ends at
     ``latch_pc`` for warm ``mode``; returns a :class:`_Factory`, or
-    None when there is no region (:func:`_region_lines`)."""
+    None when there is no region (:func:`_region_lines`).
+
+    The region keeps its registers and its stat counts in locals: it
+    loads every register it names at entry, counts each block's entries
+    in ``_c<n>`` and taken branches in ``_tk``, and its ``finally``
+    stores the registers it writes back and folds the counts into
+    ``stats``/``mn`` -- on a return and on a raise alike, so it leaves
+    the state block-at-a-time dispatch leaves."""
     lines = _region_lines(program, head, latch_pc)
     if lines is None:
         return None
     gen = _Codegen(mode, frozenset(lines))
-    body = [f"pc = {head}", "while True:"]
-    for start in sorted(lines):
+    loop = []
+    # each stats field's and mnemonic slot's per-block fold terms
+    fields = {name: [] for name in _BLOCK_STATS}
+    slots = {}
+    for index, start in enumerate(sorted(lines)):
         line = lines[start]
         gen.lines = []
         gen.start = start
-        prologue = _emit_block(gen, line)
-        body += [f"    if pc == {start}:",
+        entered = f"_c{index}"
+        counts, mn = _emit_block(gen, line)
+        for name, count in counts.items():
+            if count:
+                fields[name].append(_times(entered, count))
+        for slot, tally in mn.items():
+            slots.setdefault(slot, []).append(_times(entered, tally))
+        loop += [f"    if pc == {start}:",
                  f"        if room < {len(line)}:",
-                 f"            return {start}",
-                 f"        room -= {len(line)}"]
-        body += [f"        {text}" for text in prologue + gen.lines]
+                 "            break",
+                 f"        room -= {len(line)}",
+                 f"        {entered} += 1"]
+        loop += [f"        {text}" for text in gen.lines]
+    if fields["branches"]:
+        fields["taken_branches"] = ["_tk"]
+    named = sorted(gen.named.items())
+    body = [f"{name} = {file}[{index}]" for (file, index), name in named]
+    body.append(" = ".join([f"_c{index}" for index in range(len(lines))]
+                           + ["_tk", "0"]))
+    if fields["loads"]:
+        body.append("page = pages.get")
+    body += [f"pc = {head}", "try:", "    while True:"]
+    body += [f"    {text}" for text in loop]
+    body.append("finally:")
+    body += [f"    {file}[{index}] = {name}"
+             for (file, index), name in named
+             if (file, index) in gen.written]
+    body += [f"    stats.{name} += {' + '.join(terms)}"
+             for name, terms in fields.items() if terms]
+    body += [f"    mn[{slot}] += {' + '.join(slots[slot])}"
+             for slot in sorted(slots)]
+    body.append("return pc")
     return _finish(gen, f"_rg_{head:x}", "room", body,
                    sum(map(len, lines.values())), None,
                    f"<region@{head:#x}>")
+
+
+def _times(counter, delta):
+    """A fold term: ``delta`` per count of local ``counter``."""
+    return counter if delta == 1 else f"{counter} * {delta}"
 
 
 def block_source(program, pc, mode=0):
@@ -558,12 +677,14 @@ def _factories(program):
 
 
 def _bind(entry, iss, warm, mode):
-    """Bind ``entry``'s factory to ``iss`` and the recorder's
+    """Bind ``entry``'s factory to ``iss`` (its register files, memory
+    and the memory's page dict, stats) and the recorder's
     ``touch``/``branch`` methods, so generated code calls them
     directly."""
     touch = warm.touch if mode else None
     branch = warm.branch if mode == WARM_FRONT_END else None
-    return entry.make(iss.x, iss.f, iss.memory, iss.stats,
+    memory = iss.memory
+    return entry.make(iss.x, iss.f, memory, memory._pages, iss.stats,
                       iss.stats.mn_counts, touch, branch, iss,
                       *entry.helpers)
 

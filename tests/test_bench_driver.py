@@ -139,7 +139,25 @@ def test_iss_pair_compares_architectural_state(monkeypatch):
     _, _, cells = bench.iss_pair(iters=40)
     assert cells == {"kernel": None}
     from repro.iss import superblock
-    monkeypatch.setitem(superblock._INT_RR, "xor", "x[{a}] | x[{b}]")
+    monkeypatch.setitem(superblock._INT_RR, "xor", "{a} | {b}")
     _, _, cells = bench.iss_pair(iters=40)
     assert cells["kernel"] is not None
     assert cells["kernel"].endswith("differ: x")
+
+
+def test_iss_pair_compares_the_warm_lines(monkeypatch):
+    """A region that drops its loads' touches leaves a different line
+    trace from the legacy interpreter's, and the ``iss`` check says
+    so."""
+    from repro.iss import superblock
+    load = superblock._Codegen.load
+
+    def untouched_load(gen, instr):
+        touch, gen.touch = gen.touch, gen.touch and not gen.entries
+        load(gen, instr)
+        gen.touch = touch
+
+    monkeypatch.setattr(superblock._Codegen, "load", untouched_load)
+    _, _, cells = bench.iss_pair(iters=40)
+    assert cells["kernel"] is not None
+    assert cells["kernel"].endswith("differ: warm lines")

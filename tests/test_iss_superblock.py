@@ -887,3 +887,256 @@ def test_signed_compares_match_scalar_at_the_edges(imm, monkeypatch):
             sut = ISS(assemble(source))
             sut.run()
             assert _snap(sut) == _snap(ref), (a, b)
+
+
+# ---------------------------------------------------------------------
+# region locals: registers and stat counts flushed in ``finally``
+# ---------------------------------------------------------------------
+
+class _Boom(Exception):
+    """Raised by a patched FP helper inside a hot region."""
+
+
+#: a diamond loop whose ``even`` arm raises mid-block (``fadd.s``) once
+#: the patched helper reaches its Nth call: registers are written both
+#: before the raise (x12, f2) and after it (x13, f3)
+_RAISING = """
+    .text
+main:
+    li   x5, 0
+    li   x6, 40
+    li   x7, 0x3000
+    li   x10, 1
+loop:
+    andi x8, x5, 1
+    beqz x8, even
+    addi x10, x10, 3
+    sw   x10, 0(x7)
+    j    join
+even:
+    lw   x11, 0(x7)
+    fcvt.s.w f2, x11
+    addi x12, x12, 1
+    fadd.s f3, f3, f2
+    addi x13, x13, 1
+    fsw  f3, 4(x7)
+join:
+    addi x5, x5, 1
+    blt  x5, x6, loop
+    ebreak
+"""
+
+
+def _raising_fadd(nth):
+    """``fadd.s``'s helper, raising :class:`_Boom` on call ``nth``."""
+    real = superblock._FP_BINARY["fadd.s"]
+    calls = []
+
+    def fadd(a, b):
+        calls.append(None)
+        if len(calls) == nth:
+            raise _Boom
+        return real(a, b)
+    return fadd
+
+
+def _raised_state(monkeypatch, nth):
+    """Run ``_RAISING`` until the helper raises; returns the state it
+    leaves (every register, ISSStats field and mnemonic tally, the
+    recorder's stream and the store stream) and the Program."""
+    monkeypatch.setitem(superblock._FP_BINARY, "fadd.s", _raising_fadd(nth))
+    program = assemble(_RAISING)
+    iss = _recorded(program)
+    iss.warm_trace = _Events()
+    with pytest.raises(_Boom):
+        iss.run()
+    stats = iss.stats
+    return (list(iss.x), list(iss.f), stats.instructions, stats.loads,
+            stats.stores, stats.branches, stats.taken_branches,
+            stats.fp_ops, stats.simt_iterations, list(stats.mn_counts),
+            iss.warm_trace.events, iss.memory.writes), program
+
+
+@pytest.mark.parametrize("nth", (2, 7, 19))
+def test_raise_inside_a_region_leaves_block_dispatch_state(nth,
+                                                           monkeypatch):
+    """A helper that raises inside a region leaves the registers,
+    stats, tallies and streams that block-at-a-time dispatch leaves
+    (``MAX_REGION`` 0: no region is built): the region's ``finally``
+    stores its register locals back and folds its counts, including
+    the whole raising block's, as the block's prologue counted them.
+    (The pc is not compared: dispatch leaves it on the raising block,
+    a region on the pc it was entered at.)"""
+    monkeypatch.setattr(superblock, "HOT", 1)  # every entry compiled
+    monkeypatch.setattr(superblock, "MAX_REGION", 0)
+    ref, program = _raised_state(monkeypatch, nth)
+    assert not _region_heads(program)
+    monkeypatch.setattr(superblock, "MAX_REGION", 256)
+    sut, program = _raised_state(monkeypatch, nth)
+    assert _region_heads(program) == {program.symbol("loop")}
+    assert sut == ref
+    x, f = sut[:2]
+    assert x[12] == nth and x[13] == nth - 1  # the raise split a block
+
+
+# ---------------------------------------------------------------------
+# region loads read memory pages inline
+# ---------------------------------------------------------------------
+
+_PAGE = 4096
+
+#: every load mnemonic at a pointer (x7) that slides one byte an
+#: iteration, and a store read straight back at a second sliding
+#: pointer (x8); x20.. accumulate what was loaded, x22 collects any
+#: store/load mismatch
+_LOADS = """
+    .text
+main:
+    li   x5, 0
+    li   x6, {n}
+    li   x7, {load_at}
+    li   x8, {store_at}
+loop:
+    lb   x10, 0(x7)
+    lbu  x11, 1(x7)
+    lh   x12, 2(x7)
+    lhu  x13, 3(x7)
+    lw   x14, 4(x7)
+    flw  f1, 5(x7)
+    fmv.x.w x15, f1
+    add  x20, x20, x10
+    add  x21, x21, x11
+    add  x23, x23, x12
+    add  x24, x24, x13
+    xor  x25, x25, x14
+    xor  x26, x26, x15
+    li   x9, 0x81828384
+    xor  x9, x9, x5
+    sw   x9, 0(x8)
+    lw   x16, 0(x8)
+    sub  x17, x16, x9
+    or   x22, x22, x17
+    sh   x9, 5(x8)
+    lh   x18, 5(x8)
+    add  x27, x27, x18
+    addi x7, x7, 1
+    addi x8, x8, 1
+    addi x5, x5, 1
+    blt  x5, x6, loop
+    ebreak
+"""
+
+#: a page whose last 12 bytes the load pointer starts at
+_LOAD_PAGE = 0x40000
+#: the store pointer's page, likewise (its next page starts unmapped)
+_STORE_PAGE = 0x60000
+
+
+def _loads_program(mapped):
+    """``_LOADS`` over the last bytes of a page and on into the next,
+    and the memory writes made before it runs: the load page and its
+    next page both written (``"both"``), only the load page (``"one"``),
+    or neither (``"none"``, the pages are never written)."""
+    source = _LOADS.format(n=3 * HOT, load_at=_LOAD_PAGE + _PAGE - 12,
+                           store_at=_STORE_PAGE + _PAGE - 12)
+    pages = {"both": 2, "one": 1, "none": 0}[mapped]
+    pattern = bytes((i * 37 + 0x80) & 0xFF for i in range(pages * _PAGE))
+    return source, pattern
+
+
+def _loads_iss(source, pattern):
+    iss = ISS(assemble(source))
+    iss.memory.write_bytes(_LOAD_PAGE, pattern)
+    iss.memory.write_log = []
+    return iss
+
+
+@pytest.mark.parametrize("mapped", ("both", "one", "none"))
+def test_region_loads_match_scalar_at_page_edges(mapped, monkeypatch):
+    """Loads of every size and signedness, in a page's last 8 bytes,
+    across into a mapped and an unmapped next page and on a page never
+    written, read what ``step()`` reads; a load reads the store before
+    it; ``write_log`` gets every store, in order."""
+    source, pattern = _loads_program(mapped)
+    ref = _loads_iss(source, pattern)
+    _scalar_run(ref)
+    assert ref.x[22] == 0 and ref.memory.write_log
+    for _ in _each_threshold(monkeypatch):
+        sut = _loads_iss(source, pattern)
+        program = sut.program
+        assert sut.run() is HaltReason.EBREAK
+        assert _snap(sut) == _snap(ref)
+        assert sut.stats.mn_counts == ref.stats.mn_counts
+        assert sut.memory.write_log == ref.memory.write_log
+        head = program.symbol("loop")
+        assert _region_heads(program) == {head}
+        assert "page(_a >> 12)" in region_source(program, head)
+
+
+#: a loop summing a word of the program's data page (x7) and one of a
+#: page (x8) that is not written until the run is under way
+_RELOAD = """
+    .text
+main:
+    li   x5, 0
+    li   x6, 200
+    la   x7, word
+    li   x8, 0x49000
+loop:
+    lw   x10, 0(x7)
+    lw   x11, 0(x8)
+    add  x20, x20, x10
+    add  x21, x21, x11
+    addi x5, x5, 1
+    blt  x5, x6, loop
+    ebreak
+    .data
+word: .word 3
+"""
+
+#: (run bound, word written to both pages before the run); the copy
+#: is taken after the first run
+_RELOADS = ((300, 5), (600, 7), (None, 1000))
+
+
+def _pickled(iss):
+    return pickle.loads(pickle.dumps(iss))
+
+
+def _checkpointed(iss):
+    return ISS.restore_state(iss.save_state())
+
+
+def _reload(iss, value, bound, run):
+    iss.memory.write_word(iss.program.symbol("word"), value)
+    iss.memory.write_word(0x49000, value + 1)
+    run(iss, bound or 5_000_000)
+
+
+@pytest.mark.parametrize("copy", (_pickled, _checkpointed))
+def test_restored_region_reads_its_own_pages(copy):
+    """A region reads the pages of the ISS its block is bound to, not
+    those of the ISS that built it, and a restored copy of an ISS
+    rebinds to its own memory; pages written from outside between
+    runs -- the x8 page new -- are read at once."""
+    ref = ISS(assemble(_RELOAD))
+    for bound, value in _RELOADS:
+        _reload(ref, value, bound, _scalar_run)
+    program = assemble(_RELOAD)
+    for _ in range(HOT):
+        ISS(program).run()  # hot: another ISS builds the region
+    head = program.symbol("loop")
+    original = ISS(program)
+    (bound, value), *later = _RELOADS
+    _reload(original, value, bound, ISS.run)
+    assert original._sb_cache[head].loop is not None
+    sut = copy(original)
+    for bound, value in later:
+        _reload(sut, value, bound, ISS.run)
+    assert _snap(sut) == _snap(ref)
+    assert sut._sb_cache[head].loop is not None
+    # the original never sees the copy's writes
+    original.run()
+    alone = ISS(assemble(_RELOAD))
+    _reload(alone, 5, None, _scalar_run)
+    assert _snap(original) == _snap(alone)

@@ -145,7 +145,8 @@ def engine_pair(workloads, scale, l1d_size, dram):
 # The superblock ISS against the pre-superblock interpreter, kept
 # runnable here as the baseline: a ratio to it, not an absolute KIPS
 # floor, makes the gate portable across hosts. Both must halt at
-# ebreak having retired the same instructions.
+# ebreak having retired the same instructions, and an untimed run of
+# each with a line trace attached must leave the same trace.
 
 ISS_KERNEL = """
     .text
@@ -168,6 +169,28 @@ loop:
 #: step cap of every kernel run; the kernel retires far fewer
 ISS_MAX_STEPS = 20_000_000
 
+#: the untimed recorder run's kernel: its store and load pointers walk
+#: two arrays at different strides, so every touch decides the order
+#: of the lines a small ``LineTrace`` keeps
+ISS_WARM_KERNEL = """
+    .text
+main:
+    li   x5, 0
+    li   x6, 1000
+    li   x7, 0x10000
+    li   x14, 0x20000
+loop:
+    addi x5, x5, 1
+    xor  x8, x5, x6
+    sw   x8, 0(x7)
+    lw   x12, 0(x14)
+    add  x10, x10, x12
+    addi x7, x7, 20
+    addi x14, x14, 36
+    bne  x5, x6, loop
+    ebreak
+"""
+
 
 class LegacyISS(ISS):
     """The pre-superblock interpreter, kept as the ``iss`` baseline.
@@ -175,7 +198,8 @@ class LegacyISS(ISS):
     ``run`` and ``step`` are byte-for-byte the old hot loop: mnemonic
     string comparisons for dispatch, ``dict.get`` accumulation for the
     per-mnemonic histogram, and the trace/warm hooks tested on every
-    step."""
+    step. One change: a recorder without ``branch`` (a ``LineTrace``)
+    is fed data accesses only, as ``ISS`` feeds it."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -246,7 +270,8 @@ class LegacyISS(ISS):
                 self.write_x(instr.rd, result.value)
 
         if self.warm_trace is not None and \
-                (instr.is_branch or mnem in ("jal", "jalr")):
+                (instr.is_branch or mnem in ("jal", "jalr")) and \
+                hasattr(self.warm_trace, "branch"):
             self.warm_trace.branch(self.pc, instr, result.taken,
                                    result.target)
 
@@ -274,14 +299,17 @@ class LegacyISS(ISS):
 
 #: what ``iss`` compares between the two runs, in outcome order
 ISS_OUTCOME = ("halt reason", "retired", "pc", "x", "f",
-               "mnemonic counts")
+               "mnemonic counts", "warm lines")
 
 
 def iss_pair(iters):
     """A: the legacy interpreter on the hot kernel; B: ``ISS.run``
     (superblocks and loop regions) on a fresh copy of it. Both must
     end in the same architectural state with the same per-mnemonic
-    counts (the legacy loop keeps them as a dict)."""
+    counts (the legacy loop keeps them as a dict), and an untimed run
+    of each on :data:`ISS_WARM_KERNEL` with a ``LineTrace(64, 64)``
+    attached must leave the same lines in the same order."""
+    from repro.sampling import LineTrace
     seconds, outcomes = [], []
     for cls in (LegacyISS, ISS):
         iss = cls(assemble(ISS_KERNEL.format(iters=iters)))
@@ -290,8 +318,12 @@ def iss_pair(iters):
         seconds.append(time.perf_counter() - start)
         counts = iss.legacy_counts if cls is LegacyISS \
             else iss.stats.mnemonic_counts
+        warm = cls(assemble(ISS_WARM_KERNEL))
+        warm.warm_trace = LineTrace(64, 64)
+        warm.run(max_steps=ISS_MAX_STEPS)
         outcomes.append((reason.name, iss.stats.instructions, iss.pc,
-                         list(iss.x), list(iss.f), counts))
+                         list(iss.x), list(iss.f), counts,
+                         list(warm.warm_trace)))
     legacy, superblock = outcomes
     problem = None
     if legacy != superblock or legacy[0] != HaltReason.EBREAK.name:
