@@ -596,7 +596,7 @@ def _build_region(program, head, latch_pc, mode):
     in ``_c<n>`` and taken branches in ``_tk``, and its ``finally``
     stores the registers it writes back and folds the counts into
     ``stats``/``mn`` -- on a return and on a raise alike, so it leaves
-    the state block-at-a-time dispatch leaves."""
+    the registers and stats block-at-a-time dispatch leaves."""
     lines = _region_lines(program, head, latch_pc)
     if lines is None:
         return None
