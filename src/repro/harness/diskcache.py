@@ -27,9 +27,17 @@ Design constraints (enforced by ``tests/test_diskcache.py``):
   visible entry.
 * **Corruption is a miss, never a crash** — a truncated, garbage or
   schema-mismatched entry file is dropped and treated as a miss.
-* **LRU size bound** — reads touch the entry's mtime; every write
-  (a ``put`` or a remote read-through) evicts the oldest entries
-  beyond ``max_entries``.
+* **LRU size bound** — each instance keeps an in-memory LRU index of
+  the entries it knows (path -> None, oldest first). Reads touch the
+  entry's mtime and move it to the newest end; every write (a ``put``
+  or a remote read-through) indexes its entry as the newest and
+  unlinks the oldest indexed entries beyond ``max_entries``, with no
+  directory walk. The index cannot see other writers of the same
+  directory, so once every ``max_entries`` of its own writes (and on
+  its first write) the instance re-seeds it with one full walk in
+  mtime order (:meth:`DiskCache._evict`, counted in ``walks``): O(1)
+  walks per write amortized, and a directory shared by K writing
+  instances holds at most K x ``max_entries`` entries (docs/PARALLEL.md).
 * **Sharded layout** — entries live under 256 first-byte fan-out
   subdirectories (``<root>/<key[:2]>/<key>.json``), so a large cache
   never forces a reader or evictor to scan one flat directory. Legacy
@@ -54,6 +62,7 @@ import hashlib
 import json
 import os
 import tempfile
+import threading
 from collections import OrderedDict
 from dataclasses import asdict
 from pathlib import Path
@@ -215,6 +224,15 @@ class DiskCache:
         self.remote_hits = 0    # misses satisfied by the peer tier
         self.remote_errors = 0  # peer probes that failed/decoded corrupt
         self.stale_skips = 0    # non-ok entries skipped, never served
+        self.walks = 0          # full walks that re-seeded the index
+        #: the LRU index: entry path -> None, oldest first
+        self._index = OrderedDict()
+        #: own writes since the last walk; starts due, so the first
+        #: write seeds the index
+        self._unwalked = max_entries
+        #: guards the index: the service reads on its event-loop
+        #: thread and writes on executor threads
+        self._lock = threading.Lock()
         self._migrate()
 
     # ------------------------------------------------------------ paths
@@ -263,11 +281,13 @@ class DiskCache:
     def _migrate_one(self, key):
         """Move one flat entry into its shard; False if nothing moved."""
         target = self._path(key)
+        flat = self._flat_path(key)
         try:
             target.parent.mkdir(parents=True, exist_ok=True)
-            os.replace(self._flat_path(key), target)
+            os.replace(flat, target)
         except OSError:
             return False
+        self._forget(flat)
         return True
 
     # ------------------------------------------------------------- read
@@ -303,7 +323,7 @@ class DiskCache:
             record = self._decode(raw, key)
             if record is None:
                 self.dropped += 1
-                self._remove(path)
+                self._drop(path)
             elif self._servable(record):
                 self.hits += 1
                 telemetry.emit("cache_hit", run=key[:12], tier="disk")
@@ -311,6 +331,9 @@ class DiskCache:
                     os.utime(path)
                 except OSError:
                     pass
+                with self._lock:
+                    self._index[path] = None
+                    self._index.move_to_end(path)
                 return record
         if remote:
             record = self.remote_probe(key)
@@ -420,8 +443,8 @@ class DiskCache:
     def _write(self, key, text):
         """Atomic write of pre-encoded entry text into ``key``'s shard
         (temp file + ``os.replace`` in the same directory), counted
-        and followed by LRU eviction. Returns False instead of raising
-        on any filesystem refusal."""
+        and followed by LRU eviction (:meth:`_admit`). Returns False
+        instead of raising on any filesystem refusal."""
         path = self._path(key)
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
@@ -439,21 +462,54 @@ class DiskCache:
         except OSError:
             return False
         self.writes += 1
-        self._evict()
+        self._admit(path)
         return True
 
-    def _evict(self):
-        entries = self._entries()
-        if len(entries) <= self.max_entries:
+    def _admit(self, path):
+        """Index the entry just written at ``path`` as the newest and
+        unlink the oldest indexed entries beyond ``max_entries``. Every
+        ``max_entries`` of this instance's writes (and its first) run
+        the full walk of :meth:`_evict` instead, which also picks up
+        entries other writers added."""
+        with self._lock:
+            walk = self._unwalked >= self.max_entries
+            if walk:
+                self._unwalked = 0
+            else:
+                self._unwalked += 1
+                index = self._index
+                index[path] = None
+                index.move_to_end(path)
+                victims = [index.popitem(last=False)[0]
+                           for _ in range(len(index) - self.max_entries)]
+        if walk:
+            self._evict()
             return
-        def mtime(path):
-            try:
-                return path.stat().st_mtime
-            except OSError:
-                return 0.0
-        for path in sorted(entries, key=mtime)[
-                :len(entries) - self.max_entries]:
+        for victim in victims:
+            self._remove(victim)
+
+    def _evict(self):
+        """The full walk: re-seed the index with every entry file,
+        oldest mtime first, and unlink the oldest beyond
+        ``max_entries``."""
+        entries = sorted(self._entries(), key=_mtime)
+        excess = max(0, len(entries) - self.max_entries)
+        with self._lock:
+            self._index = OrderedDict.fromkeys(entries[excess:])
+            self._unwalked = 0
+            self.walks += 1
+        for path in entries[:excess]:
             self._remove(path)
+
+    def _forget(self, path):
+        """Drop ``path`` from the index (its file is gone)."""
+        with self._lock:
+            self._index.pop(path, None)
+
+    def _drop(self, path):
+        """Remove an entry file and forget it."""
+        self._forget(path)
+        self._remove(path)
 
     @staticmethod
     def _remove(path):
@@ -464,8 +520,18 @@ class DiskCache:
 
     # ------------------------------------------------------ maintenance
 
+    def counters(self):
+        """The session counters. Touches no file, so it is cheap
+        enough for every ``/metrics`` scrape."""
+        return {"hits": self.hits, "misses": self.misses,
+                "writes": self.writes, "dropped": self.dropped,
+                "repaired": self.repaired, "migrated": self.migrated,
+                "remote_hits": self.remote_hits,
+                "remote_errors": self.remote_errors,
+                "stale_skips": self.stale_skips, "walks": self.walks}
+
     def stats(self):
-        """Session hit/miss counters + on-disk totals."""
+        """Session counters + on-disk totals (a full walk)."""
         entries = self._entries()
         size = 0
         for path in entries:
@@ -475,19 +541,13 @@ class DiskCache:
                 pass
         return {"root": str(self.root), "entries": len(entries),
                 "bytes": size, "max_entries": self.max_entries,
-                "hits": self.hits, "misses": self.misses,
-                "writes": self.writes, "dropped": self.dropped,
-                "repaired": self.repaired, "migrated": self.migrated,
-                "remote": self.remote or "",
-                "remote_hits": self.remote_hits,
-                "remote_errors": self.remote_errors,
-                "stale_skips": self.stale_skips}
+                "remote": self.remote or "", **self.counters()}
 
     def clear(self):
         """Remove every entry file; returns how many were removed."""
         entries = self._entries()
         for path in entries:
-            self._remove(path)
+            self._drop(path)
         return len(entries)
 
     def verify(self, repair=False):
@@ -509,7 +569,7 @@ class DiskCache:
             if raw is None or self._decode(raw, key=path.stem) is None:
                 corrupt += 1
                 if repair:
-                    self._remove(path)
+                    self._drop(path)
                     self.dropped += 1
                     self.repaired += 1
                     removed += 1
@@ -517,6 +577,13 @@ class DiskCache:
                 ok += 1
         return {"checked": checked, "ok": ok, "corrupt": corrupt,
                 "removed": removed}
+
+
+def _mtime(path):
+    try:
+        return path.stat().st_mtime
+    except OSError:
+        return 0.0
 
 
 # =====================================================================

@@ -223,7 +223,10 @@ class ISS:
         MAX_STEPS pause lands on exactly the same instruction as the
         scalar loop. A region makes the same check before each of its
         blocks against the ``room`` it is passed, and holds no
-        instruction that halts or opens or closes a SIMT region.
+        instruction that halts or opens or closes a SIMT region. A
+        raise inside a region leaves ``pc`` at the start of the
+        raising block (the region's ``at`` cell), as a raise inside a
+        block does.
         ``halt_reason`` is re-checked at the loop head — before the
         step-count comparison — so a halt on the boundary step is
         reported as the halt, not the pause (see
@@ -233,6 +236,7 @@ class ISS:
         step = self.step
         cache = self._blocks()
         cache_get = cache.get
+        at = [None]
         while self.halt_reason is None:
             if stats.instructions >= max_steps \
                     and not (boundary and simt_stack):
@@ -257,7 +261,14 @@ class ISS:
                 step()  # partial block: finish the budget scalar-exact
                 continue
             loop = block.loop
-            self.pc = run() if loop is None else loop(room)
+            if loop is None:
+                self.pc = run()
+                continue
+            try:
+                self.pc = loop(room, at)
+            except BaseException:
+                self.pc = at[0]
+                raise
         return self.halt_reason
 
     def run_until_pc(self, target_pc, max_steps):

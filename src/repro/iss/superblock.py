@@ -67,7 +67,12 @@ block's entries (and its taken branches); one ``finally`` stores the
 written registers back and folds the counts into the stats as
 constant multiples of each block's deltas, so a return or a raise
 leaves the registers and stats that block-at-a-time dispatch leaves
-(a block's deltas count at its entry, as its prologue does). A region
+(a block's deltas count at its entry, as its prologue does). The
+``finally`` also writes the start pc of the block it stopped in to the
+caller's one-item list ``at``, which the run loop makes ``ISS.pc``
+after a raise, as block dispatch leaves it; the region never holds
+the ISS itself, which would make ISS -> block cache -> region -> ISS
+a reference cycle. A region
 holds no ``ebreak``/``ecall``, ``simt_*``, CSR or unknown instruction
 (a block that would reach one is an exit), so nothing in it halts or
 changes the SIMT stack. Every transfer that leaves the region — a target
@@ -154,9 +159,10 @@ class Block:
     ``run is None`` marks a pc the run loop must step scalar;
     otherwise ``run()`` executes the whole block — stat deltas
     included — and returns the next pc. ``loop``, when set, is the
-    bound region of the loop this block heads: ``loop(room)`` runs
+    bound region of the loop this block heads: ``loop(room, at)`` runs
     blocks of the loop while each fits ``room`` more instructions and
-    returns the pc it stopped at."""
+    returns the pc it stopped at (also written to ``at[0]``, which
+    holds the raising block's pc after a raise)."""
 
     __slots__ = ("run", "length", "loop")
 
@@ -594,9 +600,10 @@ def _build_region(program, head, latch_pc, mode):
     The region keeps its registers and its stat counts in locals: it
     loads every register it names at entry, counts each block's entries
     in ``_c<n>`` and taken branches in ``_tk``, and its ``finally``
-    stores the registers it writes back and folds the counts into
-    ``stats``/``mn`` -- on a return and on a raise alike, so it leaves
-    the registers and stats block-at-a-time dispatch leaves."""
+    stores the registers it writes back, folds the counts into
+    ``stats``/``mn`` and writes its ``pc`` to ``at[0]`` -- on a return
+    and on a raise alike, so it leaves the registers, stats and pc
+    block-at-a-time dispatch leaves."""
     lines = _region_lines(program, head, latch_pc)
     if lines is None:
         return None
@@ -632,7 +639,7 @@ def _build_region(program, head, latch_pc, mode):
         body.append("page = pages.get")
     body += [f"pc = {head}", "try:", "    while True:"]
     body += [f"    {text}" for text in loop]
-    body.append("finally:")
+    body += ["finally:", "    at[0] = pc"]
     body += [f"    {file}[{index}] = {name}"
              for (file, index), name in named
              if (file, index) in gen.written]
@@ -641,7 +648,7 @@ def _build_region(program, head, latch_pc, mode):
     body += [f"    mn[{slot}] += {' + '.join(slots[slot])}"
              for slot in sorted(slots)]
     body.append("return pc")
-    return _finish(gen, f"_rg_{head:x}", "room", body,
+    return _finish(gen, f"_rg_{head:x}", "room, at", body,
                    sum(map(len, lines.values())), None,
                    f"<region@{head:#x}>")
 

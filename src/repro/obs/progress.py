@@ -325,7 +325,7 @@ def summary_extras(monitor=None):
     else:
         from repro.harness import diskcache
         disk = diskcache.active()
-        stats = disk.stats() if disk is not None else {}
+        stats = disk.counters() if disk is not None else {}
         hits = stats.get("hits", 0)
         lookups = hits + stats.get("misses", 0)
         ratio = hits / lookups if lookups else None

@@ -304,11 +304,10 @@ class Service:
         for name, value in self.scheduler.snapshot().items():
             reg.set(name, value)
         if self.cache is not None:
-            stats = self.cache.stats()
-            reg.set("service.cache.hits", stats["hits"])
-            reg.set("service.cache.misses", stats["misses"])
-            reg.set("service.cache.writes", stats["writes"])
-            reg.set("service.cache.remote_hits", stats["remote_hits"])
+            stats = self.cache.counters()
+            for name in ("hits", "misses", "writes", "remote_hits",
+                         "walks"):
+                reg.set(f"service.cache.{name}", stats[name])
             lookups = stats["hits"] + stats["misses"]
             if lookups:
                 reg.set("service.cache.hit_ratio",

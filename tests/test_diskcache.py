@@ -664,3 +664,118 @@ class TestOkOnlyStore:
         assert local.remote_hits == 3
         assert local.writes == 3
         assert local.stats()["entries"] == 2
+
+
+# =====================================================================
+# the in-memory LRU index: O(1) directory walks per write, amortized
+# =====================================================================
+
+def count_walks(monkeypatch, cache):
+    """Count ``cache``'s full directory walks (calls of ``_entries``)."""
+    calls = []
+    entries = cache._entries
+
+    def counted():
+        calls.append(None)
+        return entries()
+    monkeypatch.setattr(cache, "_entries", counted)
+    return calls
+
+
+def indexed(cache):
+    return len(cache._index)
+
+
+class TestLruIndex:
+    def test_filling_puts_walk_once(self, tmp_path, monkeypatch):
+        cache = DiskCache(tmp_path, max_entries=16)
+        walks = count_walks(monkeypatch, cache)
+        for i in range(16):
+            assert cache.put(f"{i:064x}", make_record(cycles=i))
+        assert len(walks) == 1 == cache.walks
+        assert indexed(cache) == 16
+
+    def test_full_cache_walks_once_per_max_entries_writes(
+            self, tmp_path, monkeypatch):
+        cache = DiskCache(tmp_path, max_entries=8)
+        walks = count_walks(monkeypatch, cache)
+        for i in range(40):
+            assert cache.put(f"{i:064x}", make_record(cycles=i))
+        assert len(walks) <= 40 // 8
+        assert len(walks) == cache.walks
+        monkeypatch.undo()
+        assert cache.stats()["entries"] == indexed(cache) == 8
+
+    def test_index_eviction_drops_the_least_recently_used(self, tmp_path):
+        cache = DiskCache(tmp_path, max_entries=3)
+        keys = [c * 64 for c in "abcd"]
+        for key in keys[:3]:
+            cache.put(key, make_record())
+        assert cache.get(keys[0]) is not None  # a is now the newest
+        cache.put(keys[3], make_record())      # evicts b, no walk
+        assert cache.walks == 1
+        assert cache.get(keys[1]) is None
+        for key in (keys[0], keys[2], keys[3]):
+            assert cache.get(key) is not None
+
+    def test_shared_directory_stays_within_the_bound(self, tmp_path):
+        """K instances writing one directory hold at most K x
+        ``max_entries`` entries, and any one's next walk trims it back
+        to ``max_entries`` (docs/PARALLEL.md)."""
+        first = DiskCache(tmp_path, max_entries=8)
+        second = DiskCache(tmp_path, max_entries=8)
+        for i in range(40):
+            for n, cache in enumerate((first, second)):
+                cache.put(f"{n}{i:063x}", make_record(cycles=i))
+                assert len(first._entries()) <= 2 * 8
+        second._evict()
+        assert len(first._entries()) == 8
+
+    def test_stats_entries_match_the_index_after_removals(self, tmp_path):
+        cache = DiskCache(tmp_path)
+        keys = [c * 64 for c in "abcd"]
+        for key in keys:
+            cache.put(key, make_record())
+        # a damaged entry dropped on get
+        path = cache._path(keys[0])
+        path.write_text("junk")
+        assert cache.get(keys[0]) is None
+        assert cache.stats()["entries"] == indexed(cache) == 3
+        # verify(repair=True)
+        cache._path(keys[1]).write_text("junk")
+        assert cache.verify(repair=True)["removed"] == 1
+        assert cache.stats()["entries"] == indexed(cache) == 2
+        # clear()
+        assert cache.clear() == 2
+        assert cache.stats()["entries"] == indexed(cache) == 0
+
+    def test_remote_read_through_writes_are_indexed(self, tmp_path,
+                                                    monkeypatch):
+        import io
+        import urllib.request
+
+        peer = DiskCache(tmp_path / "peer")
+        keys = [c * 64 for c in "abc"]
+        for key in keys:
+            peer.put(key, make_record())
+
+        def urlopen(url, timeout):
+            return io.BytesIO(peer.raw_entry(url.rsplit("/", 1)[1])
+                              .encode())
+        monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+        local = DiskCache(tmp_path / "local", max_entries=2,
+                          remote="http://peer.invalid")
+        for key in keys:
+            assert local.get(key) is not None
+        assert local.remote_hits == local.writes == 3
+        assert local.walks == 1
+        assert local.stats()["entries"] == indexed(local) == 2
+
+    def test_counters_touch_no_file(self, tmp_path, monkeypatch):
+        cache = DiskCache(tmp_path)
+        cache.put("a" * 64, make_record())
+        walks = count_walks(monkeypatch, cache)
+        counters = cache.counters()
+        assert not walks
+        assert counters["writes"] == 1 and counters["walks"] == 1
+        assert {**cache.stats(), **counters} == cache.stats()

@@ -951,7 +951,8 @@ def _raised_state(monkeypatch, nth):
     with pytest.raises(_Boom):
         iss.run()
     stats = iss.stats
-    return (list(iss.x), list(iss.f), stats.instructions, stats.loads,
+    return (iss.pc, list(iss.x), list(iss.f), stats.instructions,
+            stats.loads,
             stats.stores, stats.branches, stats.taken_branches,
             stats.fp_ops, stats.simt_iterations, list(stats.mn_counts),
             iss.warm_trace.events, iss.memory.writes), program
@@ -960,13 +961,12 @@ def _raised_state(monkeypatch, nth):
 @pytest.mark.parametrize("nth", (2, 7, 19))
 def test_raise_inside_a_region_leaves_block_dispatch_state(nth,
                                                            monkeypatch):
-    """A helper that raises inside a region leaves the registers,
+    """A helper that raises inside a region leaves the pc, registers,
     stats, tallies and streams that block-at-a-time dispatch leaves
     (``MAX_REGION`` 0: no region is built): the region's ``finally``
-    stores its register locals back and folds its counts, including
-    the whole raising block's, as the block's prologue counted them.
-    (The pc is not compared: dispatch leaves it on the raising block,
-    a region on the pc it was entered at.)"""
+    stores its register locals back, folds its counts, including the
+    whole raising block's, as the block's prologue counted them, and
+    hands back the raising block's pc, where dispatch leaves it."""
     monkeypatch.setattr(superblock, "HOT", 1)  # every entry compiled
     monkeypatch.setattr(superblock, "MAX_REGION", 0)
     ref, program = _raised_state(monkeypatch, nth)
@@ -975,7 +975,8 @@ def test_raise_inside_a_region_leaves_block_dispatch_state(nth,
     sut, program = _raised_state(monkeypatch, nth)
     assert _region_heads(program) == {program.symbol("loop")}
     assert sut == ref
-    x, f = sut[:2]
+    pc, x, f = sut[:3]
+    assert pc == program.symbol("even")  # the raising block's start
     assert x[12] == nth and x[13] == nth - 1  # the raise split a block
 
 

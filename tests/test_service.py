@@ -341,6 +341,32 @@ class TestDedupAndCache:
         finally:
             handle.close()
 
+    def test_metrics_scrape_lists_no_cache_directory(self, tmp_path,
+                                                     monkeypatch):
+        """A scrape runs on the event-loop thread: it reads the
+        cache's session counters and never walks its directory."""
+        cache = diskcache.DiskCache(tmp_path / "svc-cache")
+        handle, client = start_service(tmp_path, cache=cache)
+        listed = []
+
+        def spy(real):
+            def listing(path="."):
+                listed.append(os.path.abspath(path))
+                return real(path)
+            return listing
+        try:
+            assert client.run(SPEC).outcome == "scheduled"
+            for name in ("listdir", "scandir"):
+                monkeypatch.setattr(os, name, spy(getattr(os, name)))
+            metrics = client.metrics()
+            monkeypatch.undo()
+        finally:
+            handle.close()
+        root = str(cache.root.resolve())
+        assert not [path for path in listed if path.startswith(root)]
+        assert "repro_service_cache_writes 1" in metrics
+        assert "repro_service_cache_walks 1" in metrics
+
     def test_cache_endpoint_serves_verbatim_entries(self, tmp_path):
         cache = diskcache.DiskCache(tmp_path / "svc-cache")
         handle, client = start_service(tmp_path, cache=cache)
