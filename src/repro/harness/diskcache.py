@@ -230,9 +230,10 @@ class DiskCache:
         #: own writes since the last walk; starts due, so the first
         #: write seeds the index
         self._unwalked = max_entries
-        #: guards the index: the service reads on its event-loop
-        #: thread and writes on executor threads
-        self._lock = threading.Lock()
+        #: guards the index and the file operations that must agree
+        #: with it (touch, unlink, walk): the service reads on its
+        #: event-loop thread and writes on executor threads
+        self._lock = threading.RLock()
         self._migrate()
 
     # ------------------------------------------------------------ paths
@@ -287,7 +288,8 @@ class DiskCache:
             os.replace(flat, target)
         except OSError:
             return False
-        self._forget(flat)
+        with self._lock:
+            self._index.pop(flat, None)
         return True
 
     # ------------------------------------------------------------- read
@@ -327,13 +329,14 @@ class DiskCache:
             elif self._servable(record):
                 self.hits += 1
                 telemetry.emit("cache_hit", run=key[:12], tier="disk")
-                try:  # LRU touch
-                    os.utime(path)
-                except OSError:
-                    pass
-                with self._lock:
-                    self._index[path] = None
-                    self._index.move_to_end(path)
+                with self._lock:  # LRU touch
+                    try:
+                        os.utime(path)
+                    except OSError:
+                        pass
+                    else:
+                        self._index[path] = None
+                        self._index.move_to_end(path)
                 return record
         if remote:
             record = self.remote_probe(key)
@@ -472,44 +475,34 @@ class DiskCache:
         the full walk of :meth:`_evict` instead, which also picks up
         entries other writers added."""
         with self._lock:
-            walk = self._unwalked >= self.max_entries
-            if walk:
-                self._unwalked = 0
-            else:
-                self._unwalked += 1
-                index = self._index
-                index[path] = None
-                index.move_to_end(path)
-                victims = [index.popitem(last=False)[0]
-                           for _ in range(len(index) - self.max_entries)]
-        if walk:
-            self._evict()
-            return
-        for victim in victims:
-            self._remove(victim)
+            if self._unwalked >= self.max_entries:
+                self._evict()
+                return
+            self._unwalked += 1
+            index = self._index
+            index[path] = None
+            index.move_to_end(path)
+            while len(index) > self.max_entries:
+                self._remove(index.popitem(last=False)[0])
 
     def _evict(self):
         """The full walk: re-seed the index with every entry file,
         oldest mtime first, and unlink the oldest beyond
         ``max_entries``."""
-        entries = sorted(self._entries(), key=_mtime)
-        excess = max(0, len(entries) - self.max_entries)
         with self._lock:
+            entries = sorted(self._entries(), key=_mtime)
+            excess = max(0, len(entries) - self.max_entries)
+            for path in entries[:excess]:
+                self._remove(path)
             self._index = OrderedDict.fromkeys(entries[excess:])
             self._unwalked = 0
             self.walks += 1
-        for path in entries[:excess]:
-            self._remove(path)
-
-    def _forget(self, path):
-        """Drop ``path`` from the index (its file is gone)."""
-        with self._lock:
-            self._index.pop(path, None)
 
     def _drop(self, path):
         """Remove an entry file and forget it."""
-        self._forget(path)
-        self._remove(path)
+        with self._lock:
+            self._index.pop(path, None)
+            self._remove(path)
 
     @staticmethod
     def _remove(path):

@@ -238,8 +238,8 @@ class JobScheduler:
 
     def _execute(self, job):
         """Run ``job`` and store its record, on an executor thread: the
-        cache write (a file write plus an LRU scan) stays off the event
-        loop too."""
+        cache write (a file write plus LRU eviction, and now and then a
+        full directory walk) stays off the event loop too."""
         record = self.executor.run(job.ticket)
         if self.cache is not None:
             self.cache.put(job.key, record)

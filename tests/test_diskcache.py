@@ -11,6 +11,7 @@ degrades to a miss.
 
 import json
 import os
+import sys
 import threading
 
 import pytest
@@ -770,6 +771,41 @@ class TestLruIndex:
         assert local.remote_hits == local.writes == 3
         assert local.walks == 1
         assert local.stats()["entries"] == indexed(local) == 2
+
+    @pytest.mark.parametrize("max_entries", (16, 1024))
+    def test_threads_keep_the_index_exact(self, tmp_path, max_entries):
+        """Puts, hits and walks from more threads than cores, switching
+        every microsecond: no put fails, and the index ends naming
+        exactly the entry files on disk. At 16 entries the threads
+        evict and walk all the time; at 1024 the only walk is the
+        first write's, which the other threads' first writes race."""
+        cache = DiskCache(tmp_path, max_entries=max_entries)
+        failures = []
+
+        def worker(n):
+            try:
+                for i in range(100):
+                    if not cache.put(f"{n:02x}{i:062x}", make_record()):
+                        failures.append((n, i))
+                    cache.get(f"{n:02x}{i // 2:062x}")
+            except Exception as exc:  # pragma: no cover
+                failures.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(n,))
+                   for n in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures
+        assert set(cache._index) == set(cache._entries())
+        assert indexed(cache) == min(max_entries, 8 * 100)
 
     def test_counters_touch_no_file(self, tmp_path, monkeypatch):
         cache = DiskCache(tmp_path)
