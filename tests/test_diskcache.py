@@ -683,10 +683,6 @@ def count_walks(monkeypatch, cache):
     return calls
 
 
-def indexed(cache):
-    return len(cache._index)
-
-
 class TestLruIndex:
     def test_filling_puts_walk_once(self, tmp_path, monkeypatch):
         cache = DiskCache(tmp_path, max_entries=16)
@@ -694,7 +690,7 @@ class TestLruIndex:
         for i in range(16):
             assert cache.put(f"{i:064x}", make_record(cycles=i))
         assert len(walks) == 1 == cache.walks
-        assert indexed(cache) == 16
+        assert len(cache._index) == 16
 
     def test_full_cache_walks_once_per_max_entries_writes(
             self, tmp_path, monkeypatch):
@@ -705,7 +701,7 @@ class TestLruIndex:
         assert len(walks) <= 40 // 8
         assert len(walks) == cache.walks
         monkeypatch.undo()
-        assert cache.stats()["entries"] == indexed(cache) == 8
+        assert cache.stats()["entries"] == len(cache._index) == 8
 
     def test_index_eviction_drops_the_least_recently_used(self, tmp_path):
         cache = DiskCache(tmp_path, max_entries=3)
@@ -741,14 +737,14 @@ class TestLruIndex:
         path = cache._path(keys[0])
         path.write_text("junk")
         assert cache.get(keys[0]) is None
-        assert cache.stats()["entries"] == indexed(cache) == 3
+        assert cache.stats()["entries"] == len(cache._index) == 3
         # verify(repair=True)
         cache._path(keys[1]).write_text("junk")
         assert cache.verify(repair=True)["removed"] == 1
-        assert cache.stats()["entries"] == indexed(cache) == 2
+        assert cache.stats()["entries"] == len(cache._index) == 2
         # clear()
         assert cache.clear() == 2
-        assert cache.stats()["entries"] == indexed(cache) == 0
+        assert cache.stats()["entries"] == len(cache._index) == 0
 
     def test_remote_read_through_writes_are_indexed(self, tmp_path,
                                                     monkeypatch):
@@ -770,7 +766,7 @@ class TestLruIndex:
             assert local.get(key) is not None
         assert local.remote_hits == local.writes == 3
         assert local.walks == 1
-        assert local.stats()["entries"] == indexed(local) == 2
+        assert local.stats()["entries"] == len(local._index) == 2
 
     @pytest.mark.parametrize("max_entries", (16, 1024))
     def test_threads_keep_the_index_exact(self, tmp_path, max_entries):
@@ -805,7 +801,7 @@ class TestLruIndex:
         assert not any(thread.is_alive() for thread in threads)
         assert not failures
         assert set(cache._index) == set(cache._entries())
-        assert indexed(cache) == min(max_entries, 8 * 100)
+        assert len(cache._index) == min(max_entries, 8 * 100)
 
     def test_counters_touch_no_file(self, tmp_path, monkeypatch):
         cache = DiskCache(tmp_path)
