@@ -11,7 +11,6 @@ isolate the microarchitecture.
 """
 
 import heapq
-import itertools
 from dataclasses import dataclass, field
 
 from repro.baseline.predictor import GSharePredictor
@@ -19,7 +18,8 @@ from repro.core import group
 from repro.core.lanes import ArchLanes, read_operands
 from repro.core.stats import EngineStats, StallReason
 from repro.core.watchdog import ProgressWatchdog
-from repro.iss.semantics import compute, finish_load
+from repro.iss.semantics import (LOAD_SIZES, VALUE_HANDLERS, ExecResult,
+                                 compute, finish_load)
 from repro.memory.lsu import resolve_store_access
 from repro.isa.instructions import MNEMONICS, FUClass
 from repro.memory.hierarchy import MemoryHierarchy
@@ -74,9 +74,12 @@ _FU_POOL_OF = {
     FUClass.LOAD: "load", FUClass.STORE: "store",
 }
 
-#: mnemonic -> FU pool, so issue never hashes an FUClass member
-_POOL_OF_MNEMONIC = {mnemonic: _FU_POOL_OF[info.fu_class]
-                     for mnemonic, info in MNEMONICS.items()}
+#: FU pool -> its index in ``OoOCore._fu_slots``
+_POOLS = ("alu", "mul", "div", "fpu", "load", "store")
+
+#: mnemonic -> FU pool index, so issue never hashes an FUClass member
+_POOL_INDEX = {mnemonic: _POOLS.index(_FU_POOL_OF[info.fu_class])
+               for mnemonic, info in MNEMONICS.items()}
 
 @dataclass
 class OoOStats(EngineStats):
@@ -104,52 +107,61 @@ class OoOStats(EngineStats):
 
 
 class _RobEntry:
+    """One reorder-buffer entry.
+
+    Every fetched instruction becomes one, and most are wrong-path
+    work that is squashed before it starts. So ``OoOCore._fetch``
+    builds each entry slot by slot, with no ``__init__`` call, and
+    writes only the slots every entry reads: ``seq``, ``instr``,
+    ``facts``, ``addr``, ``state``, ``value``, ``sources``,
+    ``pending_producers`` and ``ready_time``. The rest are written by
+    the stage that first needs them, and read only on the paths that
+    follow it:
+
+    - ``predicted_taken``/``predicted_target``: at dispatch of a
+      branch, jump or ``simt_e`` (``_predict_next``);
+    - ``simt_region`` at dispatch of a ``simt_e``, ``simt_latched`` at
+      dispatch (None) and start of a ``simt_s``;
+    - ``result`` and ``store_addr``: at dispatch of a store (None);
+      ``result`` again at the start of a store or a control op;
+    - ``done_cycle``: at start.
+
+    The ROB never holds a squashed entry: a squash cuts its entries
+    out as it marks them."""
+
     __slots__ = ("seq", "instr", "facts", "addr", "state", "sources",
                  "value", "result", "done_cycle", "predicted_taken",
-                 "predicted_target", "pending_producers",
-                 "ready_time", "dispatch_cycle", "store_drained",
+                 "predicted_target", "pending_producers", "ready_time",
                  "simt_region", "simt_latched", "store_addr")
 
     WAITING = 0
-    READY = 1
     EXECUTING = 2
     DONE = 3
     SQUASHED = 4
 
-    def __init__(self, seq, instr, addr, dispatch_cycle):
-        self.seq = seq
-        self.instr = instr
-        self.facts = instr.facts
-        self.addr = addr
-        self.state = self.WAITING
-        self.sources = []
-        self.value = None
-        self.result = None
-        self.done_cycle = None
-        self.predicted_taken = False
-        self.predicted_target = None
-        self.pending_producers = 0
-        self.ready_time = dispatch_cycle
-        self.dispatch_cycle = dispatch_cycle
-        self.store_drained = False
-        self.simt_region = None
-        self.simt_latched = None
-        self.store_addr = None
-
     @property
     def executed(self):
-        return self.state == self.DONE
+        return self.state == _DONE
 
     def __getstate__(self):
         # ``facts`` is re-bound from ``instr`` on restore, as for the
-        # ring's PEEntry
+        # ring's PEEntry; slots no stage has written yet stay unset
         return {name: getattr(self, name) for name in self.__slots__
-                if name != "facts"}
+                if name != "facts" and hasattr(self, name)}
 
     def __setstate__(self, state):
         for name, value in state.items():
             setattr(self, name, value)
         self.facts = self.instr.facts
+
+
+_WAITING = _RobEntry.WAITING
+_EXECUTING = _RobEntry.EXECUTING
+_DONE = _RobEntry.DONE
+_SQUASHED = _RobEntry.SQUASHED
+
+#: the sources of an entry that reads no register (shared, immutable)
+_NO_SOURCES = ()
 
 
 class OoOCore:
@@ -187,7 +199,10 @@ class OoOCore:
         self._fetch_blocked = None  # unresolved indirect jump entry
 
         self.rob = []
+        #: lane -> the youngest in-flight entry writing it (absent when
+        #: none: the committed register holds the value)
         self.lane_tail = {}
+        #: in-flight stores, oldest first
         self.pending_stores = []
         self._ready_heap = []
         #: producer seq -> the entries waiting on its value, dropped at
@@ -197,7 +212,12 @@ class OoOCore:
         self._waiters = {}
         self._executing = []
         self._blocked_loads = []
-        self._seq = itertools.count()
+        self._next_seq = 0
+        #: free units per FU pool at the start of an issue cycle,
+        #: indexed as :data:`_POOL_INDEX` (copied by each _issue)
+        self._fu_slots = [config.num_alu, config.num_mul, config.num_div,
+                          config.num_fpu, config.num_load_ports,
+                          config.num_store_ports]
         # simt sequential support (baseline has no pipelining extension;
         # it executes simt regions as plain loops)
         self._active_simt_s = {}
@@ -217,7 +237,6 @@ class OoOCore:
         #: optional repro.obs.EventTracer; every emission site is
         #: guarded by a None check so disabled tracing stays free
         self.tracer = None
-        self._retired_this_cycle = 0
         self.watchdog = ProgressWatchdog(
             getattr(config, "watchdog_window", 0))
         #: fast-forward bookkeeping (diagnostics, not exported to stats:
@@ -293,11 +312,8 @@ class OoOCore:
     def _arch_pc(self):
         """Address of the oldest unretired instruction (the point the
         architectural state has reached), or the fetch PC when the ROB
-        holds nothing live."""
-        for entry in self.rob:
-            if entry.state != _RobEntry.SQUASHED:
-                return entry.addr
-        return self.fetch_pc
+        is empty."""
+        return self.rob[0].addr if self.rob else self.fetch_pc
 
     def post_interrupt(self, vector):
         """Request a precise interrupt (taken at the next cycle)."""
@@ -308,11 +324,10 @@ class OoOCore:
         self._pending_interrupt = None
         if self.halted:
             return
-        live = [e for e in self.rob if e.state != _RobEntry.SQUASHED]
-        mepc = live[0].addr if live else self.fetch_pc
+        mepc = self._arch_pc()
         self.csrs[0x341] = (mepc or 0) & MASK32
         if self.rob:
-            self.rob = self._squash_from(self.rob[0].seq, mepc)
+            self._squash_from(self.rob[0].seq, mepc)
         self.pending_stores = []
         self._blocked_loads = []
         self.lane_tail = {}
@@ -324,18 +339,34 @@ class OoOCore:
             + self.config.mispredict_penalty
 
     def step(self):
-        self._retired_this_cycle = 0
+        # A stage is called only when something is due for it.
         if self._pending_interrupt is not None:
             self._take_interrupt()
-        self._complete()
-        self._issue()
-        self._retry_loads()
+        cycle = self.cycle
+        executing = self._executing
+        if executing and executing[0][0] <= cycle:
+            self._complete()
+        ready = self._ready_heap
+        if ready and ready[0][0] <= cycle:
+            self._issue()
+        if self._blocked_loads:
+            self._retry_loads()
+        else:
+            self._ff_retry_starved = False
         self._fetch()
-        self._retire()
-        self._account_stall()
-        self.stats.rob_occupancy_sum += len(self.rob)
-        self.cycle += 1
-        self.stats.cycles = self.cycle
+        rob = self.rob
+        retired = self._retire() if rob and rob[0].state == _DONE else 0
+        stats = self.stats
+        if not retired and not self.halted:
+            # Attribute a zero-retirement cycle to its head-of-ROB
+            # cause, mirroring RingStats' Section 7.3.2 taxonomy so the
+            # two engines emit comparable ``core.stall.*`` counters.
+            reason = self._classify_stall()
+            if reason is not None:
+                stats.stall(reason)
+        stats.rob_occupancy_sum += len(rob)
+        self.cycle = cycle = cycle + 1
+        stats.cycles = cycle
 
     # ------------------------------------------------------- fast-forward
     #
@@ -365,11 +396,8 @@ class OoOCore:
             return False
         if self._ready_heap and self._ready_heap[0][0] <= self.cycle:
             return False  # an entry issues next step
-        if self.rob:
-            head = self.rob[0]
-            if head.state == _RobEntry.DONE \
-                    or head.state == _RobEntry.SQUASHED:
-                return False  # retires / pops next step
+        if self.rob and self.rob[0].state == _DONE:
+            return False  # retires next step
         return True
 
     def ff_event(self, budget):
@@ -385,13 +413,12 @@ class OoOCore:
         # same entries when their time comes.
         target = budget
         executing = self._executing
-        while executing and executing[0][2].state != _RobEntry.EXECUTING:
+        while executing and executing[0][2].state != _EXECUTING:
             heapq.heappop(executing)
         if executing and executing[0][0] < target:
             target = executing[0][0]
         ready = self._ready_heap
-        while ready and ready[0][2].state not in (_RobEntry.WAITING,
-                                                  _RobEntry.READY):
+        while ready and ready[0][2].state != _WAITING:
             heapq.heappop(ready)
         if ready and ready[0][0] < target:
             target = ready[0][0]
@@ -417,102 +444,144 @@ class OoOCore:
     # -------------------------------------------------------------- fetch
 
     def _fetch(self):
+        """Fetch, rename and dispatch up to ``fetch_width``
+        instructions into the ROB, and choose the next fetch PC.
+
+        One loop over hoisted locals does all three stages for each
+        instruction, since most fetched instructions are wrong-path
+        work: each wires its sources to the youngest in-flight
+        producers (``lane_tail``) and enters the ready heap once it
+        waits on none. The fetch, rename, ROB-write and register-read
+        counters rise together and are added once per group."""
         if self.halted or self._fetch_blocked is not None:
             return
-        if self.cycle < self._fetch_stalled_until:
+        cycle = self.cycle
+        if cycle < self._fetch_stalled_until:
             return
         rob = self.rob
-        rob_size = self.config.rob_size
-        if len(rob) >= rob_size:
+        config = self.config
+        room = config.rob_size - len(rob)
+        if room <= 0:
             return
-        line_bytes = self.hierarchy.config.line_bytes
-        instruction_at = self.program.instruction_at
-        fetched = 0
-        while fetched < self.config.fetch_width:
-            if len(rob) >= rob_size:
-                break
-            pc = self.fetch_pc
-            if pc is None:
-                break
-            line = pc - (pc % line_bytes)
-            if line != self._line_buffer:
-                latency = self.hierarchy.fetch_latency(line)
-                self._line_buffer = line
-                if latency > self.hierarchy.config.timings.l1i_hit:
+        width = min(config.fetch_width, room)
+        pc = self.fetch_pc
+        line_buffer = self._line_buffer
+        hierarchy = self.hierarchy
+        line_bytes = hierarchy.config.line_bytes
+        hit_latency = hierarchy.config.timings.l1i_hit
+        instruction_at = self.program.listing.get
+        ready_at = cycle + config.frontend_latency
+        lane_tail = self.lane_tail
+        waiters = self._waiters
+        ready_heap = self._ready_heap
+        tracer = self.tracer
+        new_entry = object.__new__
+        seq = self._next_seq
+        first_seq = seq
+        reads = loads = stores = fp_ops = 0
+        while seq - first_seq < width and pc is not None:
+            line = pc - pc % line_bytes
+            if line != line_buffer:
+                latency = hierarchy.fetch_latency(line)
+                line_buffer = line
+                if latency > hit_latency:
                     # I-cache miss: stall the front end.
-                    self._fetch_stalled_until = self.cycle + latency
+                    self._fetch_stalled_until = cycle + latency
                     break
             instr = instruction_at(pc)
             if instr is None:
-                self._fetch_stalled_until = self.cycle + 1
+                self._fetch_stalled_until = cycle + 1
                 break
-            entry = self._dispatch_entry(instr, pc)
-            fetched += 1
-            self.stats.fetched += 1
-            if entry is None:  # halt-type instruction reached decode
-                break
+            facts = instr.facts
+            entry = new_entry(_RobEntry)
+            entry.seq = seq
+            entry.instr = instr
+            entry.facts = facts
+            entry.addr = pc
+            entry.state = _WAITING
+            entry.value = None
+            seq += 1
+            rob.append(entry)
+            if tracer is not None:
+                tracer.instant("dispatch", cycle, pid=1,
+                               tid=self.core_id, cat="dispatch",
+                               args={"pc": pc, "op": instr.mnemonic,
+                                     "seq": entry.seq})
+            ready = ready_at
+            pending = 0
+            lanes = facts.sources
+            if lanes:
+                sources = []
+                for lane in lanes:
+                    producer = lane_tail.get(lane)
+                    sources.append((lane[0], lane[1], producer))
+                    if producer is None:
+                        continue
+                    if producer.state == _DONE:
+                        if producer.done_cycle >= ready:
+                            ready = producer.done_cycle + 1
+                    else:
+                        pending += 1
+                        waiters.setdefault(producer.seq, []).append(entry)
+                reads += len(lanes)
+            else:
+                sources = _NO_SOURCES
+            entry.sources = sources
+            if facts.is_store:
+                entry.result = None
+                entry.store_addr = None
+                self.pending_stores.append(entry)
+                stores += 1
+            elif facts.is_load:
+                loads += 1
+            if facts.is_fp:
+                fp_ops += 1
+            lane = facts.lane
+            if lane is not None:
+                lane_tail[lane] = entry
+            if not facts.steers:
+                pc = (pc + 4) & MASK32
+            else:
+                mnem = instr.mnemonic
+                if mnem == "simt_e":
+                    pending += self._pair_simt_e(entry)
+                if mnem == "ebreak" or mnem == "ecall":
+                    pc = None
+                    self._fetch_stalled_until = float("inf")
+                else:
+                    pc = self._predict_next(entry, instr, pc)
+            entry.ready_time = ready
+            entry.pending_producers = pending
+            if not pending:
+                heapq.heappush(ready_heap, (ready, entry.seq, entry))
             if self._fetch_blocked is not None:
                 break
+        self.fetch_pc = pc
+        self._line_buffer = line_buffer
+        fetched = seq - first_seq
+        if fetched:
+            self._next_seq = seq
+            stats = self.stats
+            stats.fetched += fetched
+            stats.renames += fetched
+            stats.rob_writes += fetched
+            stats.regfile_reads += reads
+            stats.loads += loads
+            stats.stores += stores
+            stats.fp_ops += fp_ops
 
-    def _dispatch_entry(self, instr, pc):
-        """Create a ROB entry (rename) and choose the next fetch PC."""
-        ready_at = self.cycle + self.config.frontend_latency
-        entry = _RobEntry(next(self._seq), instr, pc, ready_at)
-        self.rob.append(entry)
-        stats = self.stats
-        stats.renames += 1
-        stats.rob_writes += 1
-        if self.tracer is not None:
-            self.tracer.instant("dispatch", self.cycle, pid=1,
-                                tid=self.core_id, cat="dispatch",
-                                args={"pc": pc, "op": instr.mnemonic,
-                                      "seq": entry.seq})
-        mnem = instr.mnemonic
-        facts = entry.facts
-        if mnem == "simt_e":
-            # Pair with the in-flight simt_s before wiring sources.
-            entry.predicted_target = self._simt_region_start(entry)
-        sources = entry.sources
-        lane_tail = self.lane_tail
-        waiters = self._waiters
-        for lane in facts.sources:
-            producer = lane_tail.get(lane)
-            sources.append((lane[0], lane[1], producer))
-            if producer is None:
-                continue
-            if producer.state == _RobEntry.DONE:
-                if producer.done_cycle + 1 > entry.ready_time:
-                    entry.ready_time = producer.done_cycle + 1
-            else:
-                entry.pending_producers += 1
-                waiters.setdefault(producer.seq, []).append(entry)
-        stats.regfile_reads += len(facts.sources)
-        if mnem == "simt_e":
-            simt_s = entry.simt_region
-            if simt_s is not None and not simt_s.executed:
-                sources.append((None, None, simt_s))
-                entry.pending_producers += 1
-                waiters.setdefault(simt_s.seq, []).append(entry)
-        lane = facts.lane
-        if lane is not None:
-            lane_tail[lane] = entry
-        if facts.is_store:
-            self.pending_stores.append(entry)
-            stats.stores += 1
-        elif facts.is_load:
-            stats.loads += 1
-        if facts.is_fp:
-            stats.fp_ops += 1
-        if not facts.steers:
-            self.fetch_pc = (pc + 4) & MASK32
-        elif mnem == "ebreak" or mnem == "ecall":
-            self.fetch_pc = None
-            self._fetch_stalled_until = float("inf")
-        else:
-            self.fetch_pc = self._predict_next(entry, instr, pc)
-        if entry.pending_producers == 0:
-            self._push_ready(entry)
-        return entry
+    def _pair_simt_e(self, entry):
+        """Pair a ``simt_e`` with its region's ``simt_s`` (static
+        backward scan) and make it wait on that ``simt_s`` while it is
+        in flight; returns the producers added (0 or 1)."""
+        entry.simt_region = None
+        entry.predicted_target = self._simt_region_start(entry)
+        simt_s = entry.simt_region
+        if simt_s is None or simt_s.executed:
+            return 0
+        entry.sources = [*entry.sources, (None, None, simt_s)]
+        self._waiters.setdefault(simt_s.seq, []).append(entry)
+        return 1
 
     def _predict_next(self, entry, instr, pc):
         mnem = instr.mnemonic
@@ -543,13 +612,14 @@ class OoOCore:
             return target if take else (pc + 4) & MASK32
         if mnem == "simt_e":
             # The baseline treats simt_e as a loop backward branch,
-            # statically predicted taken (paired in _dispatch_entry).
+            # statically predicted taken (paired in _pair_simt_e).
             self.stats.branches += 1
             region_start = entry.predicted_target
             entry.predicted_taken = region_start is not None
             return region_start if region_start is not None \
                 else (pc + 4) & MASK32
         if mnem == "simt_s":
+            entry.simt_latched = None
             self._active_simt_s[pc] = entry
         return (pc + 4) & MASK32
 
@@ -571,130 +641,135 @@ class OoOCore:
             addr -= 4
         return None
 
-    def _push_ready(self, entry):
-        heapq.heappush(self._ready_heap,
-                       (max(entry.ready_time, entry.dispatch_cycle),
-                        entry.seq, entry))
-
     # -------------------------------------------------------------- issue
 
-    def _fu_pool(self):
-        cfg = self.config
-        return {"alu": cfg.num_alu, "mul": cfg.num_mul, "div": cfg.num_div,
-                "fpu": cfg.num_fpu, "load": cfg.num_load_ports,
-                "store": cfg.num_store_ports}
-
     def _issue(self):
+        """Start up to ``issue_width`` ready entries, oldest first, as
+        the FU pools allow; an entry whose pool is spent retries next
+        cycle."""
         heap = self._ready_heap
         cycle = self.cycle
-        if not heap or heap[0][0] > cycle:
-            return
-        pool = self._fu_pool()
+        pool = self._fu_slots[:]
         issued = 0
         deferred = []
         width = self.config.issue_width
+        start = self._start
         while heap and issued < width and heap[0][0] <= cycle:
-            __, __, entry = heapq.heappop(heap)
-            state = entry.state
-            if state != _RobEntry.WAITING and state != _RobEntry.READY:
+            entry = heapq.heappop(heap)[2]
+            if entry.state != _WAITING:
                 continue
-            fu = _POOL_OF_MNEMONIC[entry.instr.mnemonic]
+            fu = _POOL_INDEX[entry.instr.mnemonic]
             if pool[fu] <= 0:
                 deferred.append(entry)
                 continue
-            started = self._start(entry)
-            if started:
+            if start(entry):
                 pool[fu] -= 1
                 issued += 1
-                self.stats.issues += 1
+        self.stats.issues += issued
         for entry in deferred:
             heapq.heappush(heap, (cycle + 1, entry.seq, entry))
 
     def _retry_loads(self):
-        self._ff_retry_starved = False
-        if not self._blocked_loads:
-            return
         blocked, self._blocked_loads = self._blocked_loads, []
-        pool = self._fu_pool()
+        ports = self.config.num_load_ports
+        starved = False
         for entry in blocked:
-            if entry.state not in (_RobEntry.WAITING, _RobEntry.READY):
+            if entry.state != _WAITING:
                 continue
-            if pool["load"] > 0:
+            if ports > 0:
                 if self._start(entry):
-                    pool["load"] -= 1
+                    ports -= 1
             else:
                 # Port-starved (not store-blocked): will start next
                 # cycle, so the cycle is not quiescent.
-                self._ff_retry_starved = True
+                starved = True
                 self._blocked_loads.append(entry)
+        self._ff_retry_starved = starved
 
     def _start(self, entry):
-        """Begin execution; returns False if the load must re-try."""
+        """Begin execution; returns False if the load must re-try.
+
+        The op's FU class picks the path. Ops whose whole outcome is a
+        register value compute just that value; only stores and
+        control ops keep an ``ExecResult``, which ``resolve_store_
+        access``, ``_commit`` and ``_resolve_control`` read."""
         instr = entry.instr
         facts = entry.facts
         rs1, rs2, rs3 = read_operands(entry, self.arch)
-        mnem = instr.mnemonic
         latency = facts.latency
-
-        if mnem == "simt_s":
-            entry.simt_latched = (rs1, rs2)
-            entry.result = None
-        elif mnem == "simt_e":
-            self._exec_simt_e(entry, rs1)
-        elif mnem.startswith("csr"):
-            entry.value = self._csr_read(instr.csr)
-        elif facts.is_load:
-            outcome = self._exec_load(entry, instr, rs1)
-            if outcome is None:
+        fu = facts.fu_class
+        value_of = VALUE_HANDLERS.get(instr.mnemonic)
+        if value_of is not None:
+            value = value_of(instr, entry.addr, rs1, rs2, rs3)
+            if self.fault_hook is not None:
+                value = self.fault_hook.value("rob", value)
+            entry.value = value
+        elif fu is FUClass.LOAD:
+            latency = self._exec_load(entry, instr, rs1)
+            if latency is None:
                 return False
-            latency = outcome
-        elif facts.is_store:
+        elif fu is FUClass.STORE:
             entry.result = compute(instr, entry.addr, rs1, rs2)
             latency = 1
+        elif fu is FUClass.SIMT:
+            if instr.mnemonic == "simt_s":
+                entry.simt_latched = (rs1, rs2)
+            else:
+                self._exec_simt_e(entry, rs1)
+        elif fu is FUClass.CSR:
+            entry.value = self._csr_read(instr.csr)
         else:
+            # branches, jumps and system ops
             result = compute(instr, entry.addr, rs1, rs2, rs3)
             entry.result = result
-            entry.value = result.value
-            if self.fault_hook is not None and entry.value is not None:
-                entry.value = self.fault_hook.value("rob", entry.value)
-        entry.state = _RobEntry.EXECUTING
-        entry.done_cycle = self.cycle + max(1, latency)
+            value = result.value
+            if self.fault_hook is not None and value is not None:
+                value = self.fault_hook.value("rob", value)
+            entry.value = value
+        if latency < 1:
+            latency = 1
+        cycle = self.cycle
+        done = cycle + latency
+        entry.state = _EXECUTING
+        entry.done_cycle = done
         if not facts.is_mem:
-            self.stats.fu_cycles += max(1, latency)
+            stats = self.stats
+            stats.fu_cycles += latency
             if facts.is_fp:
-                self.stats.fpu_cycles += max(1, latency)
+                stats.fpu_cycles += latency
         if self.tracer is not None:
-            self.tracer.complete(mnem, self.cycle,
-                                 entry.done_cycle - self.cycle, pid=1,
+            self.tracer.complete(instr.mnemonic, cycle, latency, pid=1,
                                  tid=self.core_id, cat="execute",
                                  args={"pc": entry.addr, "seq": entry.seq})
-        heapq.heappush(self._executing,
-                       (entry.done_cycle, entry.seq, entry))
+        heapq.heappush(self._executing, (done, entry.seq, entry))
         return True
 
     def _exec_load(self, entry, instr, rs1):
-        """LSQ discipline; returns latency, or None if blocked."""
-        result = compute(instr, entry.addr, rs1)
-        entry.result = result
-        addr, size = result.mem_addr, result.mem_size
+        """LSQ discipline; returns latency, or None if blocked.
+
+        The youngest older store that overlaps the load decides: an
+        exact match whose data is known forwards it, anything else
+        blocks the load until that store drains at commit. A store
+        whose address is still unknown blocks it too."""
+        addr = (rs1 + instr.imm) & MASK32
+        size = LOAD_SIZES[instr.mnemonic]
+        seq = entry.seq
         forward = None
         for store in reversed(self.pending_stores):
-            if store.seq >= entry.seq or store.state == _RobEntry.SQUASHED:
+            if store.seq >= seq:
                 continue
             access = resolve_store_access(store, self.arch)
             if access is None:
                 self._blocked_loads.append(entry)
                 return None
             s_addr, s_size = access
-            overlap = s_addr < addr + size and addr < s_addr + s_size
-            if not overlap:
+            if not (s_addr < addr + size and addr < s_addr + s_size):
                 continue
             s_res = store.result
-            if s_res is not None and s_addr == addr and s_size == size:
-                forward = s_res.store_value
-            elif not store.store_drained:
+            if s_res is None or s_addr != addr or s_size != size:
                 self._blocked_loads.append(entry)
                 return None
+            forward = s_res.store_value
             break
         if forward is not None:
             self.stats.store_forwards += 1
@@ -718,7 +793,6 @@ class OoOCore:
         return latency
 
     def _exec_simt_e(self, entry, rc_value):
-        from repro.iss.semantics import ExecResult
         simt_s = entry.simt_region
         step, end = (simt_s.simt_latched
                      if simt_s is not None and simt_s.simt_latched
@@ -751,23 +825,31 @@ class OoOCore:
     # ----------------------------------------------------------- complete
 
     def _complete(self):
-        while self._executing and self._executing[0][0] <= self.cycle:
-            __, __, entry = heapq.heappop(self._executing)
-            if entry.state != _RobEntry.EXECUTING:
+        executing = self._executing
+        cycle = self.cycle
+        waiters = self._waiters
+        ready_heap = self._ready_heap
+        while executing and executing[0][0] <= cycle:
+            entry = heapq.heappop(executing)[2]
+            if entry.state != _EXECUTING:
                 continue
-            entry.state = _RobEntry.DONE
-            for waiter in self._waiters.pop(entry.seq, ()):
-                if waiter.state != _RobEntry.WAITING:
-                    continue
-                waiter.ready_time = max(waiter.ready_time,
-                                        entry.done_cycle + 1)
-                waiter.pending_producers -= 1
-                if waiter.pending_producers == 0:
-                    self._push_ready(waiter)
-            self._resolve_control(entry)
+            entry.state = _DONE
+            woken = waiters.pop(entry.seq, None)
+            if woken is not None:
+                ready_at = entry.done_cycle + 1
+                for waiter in woken:
+                    if waiter.state != _WAITING:
+                        continue
+                    if waiter.ready_time < ready_at:
+                        waiter.ready_time = ready_at
+                    waiter.pending_producers -= 1
+                    if waiter.pending_producers == 0:
+                        heapq.heappush(ready_heap, (waiter.ready_time,
+                                                    waiter.seq, waiter))
+            if entry.facts.steers:
+                self._resolve_control(entry)
 
     def _resolve_control(self, entry):
-        instr = entry.instr
         if entry is self._fetch_blocked:
             self._fetch_blocked = None
             self.fetch_pc = entry.result.target
@@ -776,7 +858,8 @@ class OoOCore:
                 self.cycle + self.config.mispredict_penalty
             self.stats.taken_branches += 1
             return
-        if not (entry.facts.is_control or instr.mnemonic == "simt_e"):
+        facts = entry.facts
+        if not (facts.is_control or entry.instr.mnemonic == "simt_e"):
             return
         result = entry.result
         actual_taken = result.taken
@@ -784,7 +867,7 @@ class OoOCore:
             else (entry.addr + 4) & MASK32
         predicted_target = entry.predicted_target if entry.predicted_taken \
             else (entry.addr + 4) & MASK32
-        if entry.facts.is_branch:
+        if facts.is_branch:
             self.predictor.update(entry.addr, actual_taken)
         if actual_taken:
             self.stats.taken_branches += 1
@@ -794,22 +877,38 @@ class OoOCore:
             self._squash_after(entry, actual_target)
 
     def _squash_after(self, entry, correct_target):
+        """Squash everything younger than the mispredicted ``entry``
+        and redirect fetch to ``correct_target``. Only the lanes the
+        squashed entries wrote need a new tail: the youngest kept
+        entry writing each, found walking back from the cut."""
         self.stats.mispredicts += 1
-        self.rob = self._squash_from(entry.seq + 1, entry.addr)
-        self.pending_stores = [s for s in self.pending_stores
-                               if s.state != _RobEntry.SQUASHED]
-        self._blocked_loads = [l for l in self._blocked_loads
-                               if l.state != _RobEntry.SQUASHED]
-        self.lane_tail = {}
-        for e in self.rob:
-            if e.state == _RobEntry.SQUASHED:
-                continue
+        seq = entry.seq
+        killed = self._squash_from(seq + 1, entry.addr)
+        stores = self.pending_stores
+        while stores and stores[-1].seq > seq:
+            stores.pop()
+        if self._blocked_loads:
+            self._blocked_loads = [l for l in self._blocked_loads
+                                   if l.state != _SQUASHED]
+        lane_tail = self.lane_tail
+        lost = set()
+        for e in killed:
             lane = e.facts.lane
-            if lane is not None:
-                self.lane_tail[lane] = e
-        self._active_simt_s = {
-            addr: ent for addr, ent in self._active_simt_s.items()
-            if ent.state != _RobEntry.SQUASHED}
+            if lane is not None and lane not in lost:
+                lost.add(lane)
+                del lane_tail[lane]
+        if lost:
+            for e in reversed(self.rob):
+                lane = e.facts.lane
+                if lane in lost:
+                    lane_tail[lane] = e
+                    lost.remove(lane)
+                    if not lost:
+                        break
+        if self._active_simt_s:
+            self._active_simt_s = {
+                addr: ent for addr, ent in self._active_simt_s.items()
+                if ent.state != _SQUASHED}
         self._fetch_blocked = None
         self.fetch_pc = correct_target
         self._fetch_stalled_until = \
@@ -818,31 +917,40 @@ class OoOCore:
 
     def _squash_from(self, seq, pc):
         """Kill every ROB entry from ``seq`` on (a mispredict's shadow,
-        or everything on an interrupt at ``pc``); returns the older."""
-        keep = [e for e in self.rob if e.seq < seq]
+        or everything on an interrupt at ``pc``): cut them from the
+        ROB and return them, oldest first."""
+        rob = self.rob
+        cut = len(rob)
+        while cut and rob[cut - 1].seq >= seq:
+            cut -= 1
+        killed = rob[cut:]
+        del rob[cut:]
         if self.tracer is not None:
             self.tracer.instant("squash", self.cycle, pid=1,
                                 tid=self.core_id, cat="squash",
-                                args={"pc": pc, "seq": seq, "entries":
-                                      len(self.rob) - len(keep)})
+                                args={"pc": pc, "seq": seq,
+                                      "entries": len(killed)})
         waiters = self._waiters
-        for e in self.rob[len(keep):]:
-            e.state = _RobEntry.SQUASHED
+        for e in killed:
+            e.state = _SQUASHED
             waiters.pop(e.seq, None)
-        return keep
+        return killed
 
     # ------------------------------------------------------------- retire
 
     def _retire(self):
+        """Commit up to ``retire_width`` done entries from the ROB
+        head; returns how many retired."""
+        rob = self.rob
+        width = self.config.retire_width
+        stats = self.stats
+        commit = self._commit
         retired = 0
-        while self.rob and retired < self.config.retire_width:
-            head = self.rob[0]
-            if head.state == _RobEntry.SQUASHED:
-                self.rob.pop(0)
-                continue
-            if head.state != _RobEntry.DONE:
+        while rob and retired < width:
+            head = rob[0]
+            if head.state != _DONE:
                 break
-            self._commit(head)
+            commit(head)
             self._last_commit = (head.addr, head.instr.mnemonic)
             if self.commit_hook is not None:
                 self.commit_hook(head)
@@ -852,22 +960,12 @@ class OoOCore:
                                     args={"pc": head.addr,
                                           "op": head.instr.mnemonic,
                                           "seq": head.seq})
-            self.rob.pop(0)
+            del rob[0]
             retired += 1
-            self.stats.retired += 1
-            self._retired_this_cycle += 1
+            stats.retired += 1
             if self.halted:
                 break
-
-    def _account_stall(self):
-        """Attribute a zero-retirement cycle to its head-of-ROB cause,
-        mirroring RingStats' Section 7.3.2 taxonomy so the two engines
-        emit comparable ``core.stall.*`` counters."""
-        if self.halted or self._retired_this_cycle:
-            return
-        reason = self._classify_stall()
-        if reason is not None:
-            self.stats.stall(reason)
+        return retired
 
     def _classify_stall(self):
         if not self.rob:
@@ -883,22 +981,19 @@ class OoOCore:
     def _stall_origin(self, entry):
         """Walk producer links to the stall source (like the ring's).
 
-        Iterative with a visited set: producer graphs with converging
-        edges can revisit nodes, and the previous depth-capped recursion
-        mislabeled deep dependence chains as STRUCTURAL."""
-        visited = set()
+        Every link points to an older entry, so the walk ends; it is
+        iterative, since a dependence chain may be as deep as the
+        ROB."""
         while True:
-            if id(entry) in visited:
-                return StallReason.STRUCTURAL
-            visited.add(id(entry))
-            if entry.state == _RobEntry.EXECUTING:
+            state = entry.state
+            if state == _EXECUTING:
                 return StallReason.MEMORY if entry.facts.is_mem else None
-            if entry.state == _RobEntry.DONE:
+            if state == _DONE:
                 return None  # retires next cycle; not a stall source
             if entry in self._blocked_loads:
                 return StallReason.MEMORY
             for __, __, producer in entry.sources:
-                if producer is not None and not producer.executed:
+                if producer is not None and producer.state != _DONE:
                     entry = producer
                     break
             else:
@@ -910,24 +1005,21 @@ class OoOCore:
                 return StallReason.STRUCTURAL
 
     def _commit(self, entry):
-        instr = entry.instr
-        if instr.mnemonic == "ebreak":
-            self.halted = True
-            self.halt_reason = "ebreak"
-        elif instr.mnemonic == "ecall":
-            self.halted = True
-            self.halt_reason = "ecall"
         facts = entry.facts
-        if facts.is_store and not entry.store_drained:
+        if facts.steers:
+            mnem = entry.instr.mnemonic
+            if mnem == "ebreak" or mnem == "ecall":
+                self.halted = True
+                self.halt_reason = mnem
+        if facts.is_store:
             result = entry.result
             self.hierarchy.memory.store(result.mem_addr,
                                         result.store_value,
                                         result.mem_size)
             self.hierarchy.data_access_latency(result.mem_addr, self.cycle,
                                                is_write=True)
-            entry.store_drained = True
-            if entry in self.pending_stores:
-                self.pending_stores.remove(entry)
+            # the oldest in-flight store: stores commit in order
+            del self.pending_stores[0]
         lane = facts.lane
         if lane is not None and entry.value is not None:
             if self.fault_hook is not None:

@@ -57,7 +57,10 @@ from repro.obs.resilience import (
 #: 7: entries keep no ``waiters`` (engines hold the wake-up lists), a
 #:    ``Cluster`` counts its live entries and an ``Activation`` holds
 #:    no entry list
-CKPT_SCHEMA = 7
+#: 8: an OoO ``_RobEntry`` keeps no dispatch cycle or drained flag and
+#:    leaves unused slots unset; the core counts sequence numbers in
+#:    an int and keeps its FU-pool sizes as a list
+CKPT_SCHEMA = 8
 
 #: on-disk magic prefix
 MAGIC = b"DIAGCKPT"

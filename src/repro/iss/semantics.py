@@ -261,6 +261,51 @@ for _mnem in ("fence", "ecall", "ebreak", "simt_s", "simt_e"):
 del _mnem, _op, _base, _size, _fp
 
 
+def _v_binary(op):
+    def value(instr, pc, rs1, rs2, rs3):
+        return op(rs1, rs2)
+    return value
+
+
+def _v_imm(op):
+    def value(instr, pc, rs1, rs2, rs3):
+        return op(rs1, instr.imm)
+    return value
+
+
+def _v_fma(fp):
+    def value(instr, pc, rs1, rs2, rs3):
+        return fp(rs1, rs2, rs3)
+    return value
+
+
+def _v_unary(fp):
+    def value(instr, pc, rs1, rs2, rs3):
+        return fp(rs1)
+    return value
+
+
+#: mnemonic -> value(instr, pc, rs1, rs2, rs3) for every op whose whole
+#: outcome is its register value (integer, M and F arithmetic, lui,
+#: auipc): the value :func:`compute` would wrap in an ExecResult, for
+#: callers that need nothing else
+VALUE_HANDLERS = {}
+for _mnem, _op in _ALU_OPS.items():
+    VALUE_HANDLERS[_mnem] = _v_binary(_op)
+for _mnem, _base in _ALU_IMM.items():
+    VALUE_HANDLERS[_mnem] = _v_imm(_ALU_OPS[_base])
+for _mnem, _fp in _FP_BINARY.items():
+    VALUE_HANDLERS[_mnem] = _v_binary(_fp)
+for _mnem, _fp in _FP_FMA.items():
+    VALUE_HANDLERS[_mnem] = _v_fma(_fp)
+for _mnem, _fp in _FP_UNARY.items():
+    VALUE_HANDLERS[_mnem] = _v_unary(_fp)
+VALUE_HANDLERS["lui"] = lambda instr, pc, rs1, rs2, rs3: instr.imm & MASK32
+VALUE_HANDLERS["auipc"] = \
+    lambda instr, pc, rs1, rs2, rs3: (pc + instr.imm) & MASK32
+del _mnem, _op, _base, _fp
+
+
 def handler_for(mnemonic):
     """The execute thunk for ``mnemonic`` (used by the decoder to bind
     handlers at decode time), or None for unknown mnemonics."""

@@ -46,8 +46,13 @@ Exactness rules (enforced by tests/test_iss_superblock.py):
   ``memory.load`` only for a page never written or an access that
   crosses into the next page.
 * ``simt_s``/``simt_e``, CSR ops (they read the live instruction
-  counter) and unknown mnemonics never enter a block: the run loop
-  falls back to scalar stepping for them (``Block.run is None``).
+  counter), the halting ``ebreak``/``ecall`` and unknown mnemonics
+  never enter a block: the run loop falls back to scalar stepping for
+  them (``Block.run is None``), and a block that reaches one ends
+  before it. A halt runs once per run, so stepping it costs nothing,
+  and no generated code needs the ISS itself: it binds only the
+  ISS's register files, memory and stats, so no block closes an
+  ISS -> block cache -> block -> ISS reference cycle.
 
 Loop regions: a block whose terminal ``b*``/``jal`` jumps back to a
 head at or before its own start is a loop latch. When a latch gets hot
@@ -74,8 +79,7 @@ after a raise, as block dispatch leaves it; the region never holds
 the ISS itself, which would make ISS -> block cache -> region -> ISS
 a reference cycle. A region
 holds no ``ebreak``/``ecall``, ``simt_*``, CSR or unknown instruction
-(a block that would reach one is an exit), so nothing in it halts or
-changes the SIMT stack. Every transfer that leaves the region — a target
+(no block does), so nothing in it halts or changes the SIMT stack. Every transfer that leaves the region — a target
 outside it, any ``jalr``, an exhausted budget — returns the next pc.
 The head's :class:`Block` carries the bound region as ``loop``;
 :meth:`repro.iss.simulator.ISS._run_blocks` calls it in place of
@@ -92,7 +96,7 @@ from repro.iss.semantics import (LOAD_SIGNED, LOAD_SIZES, STORE_SIZES,
                                  _ALU_IMM, _ALU_OPS, _BRANCH_OPS,
                                  _FP_BINARY, _FP_FMA, _FP_UNARY)
 from repro.iss.simulator import (MASK32, MN_SLOTS, WARM_FRONT_END,
-                                 WARM_LINES, HaltReason, warm_mode)
+                                 WARM_LINES, warm_mode)
 from repro.memory.main_memory import _PAGE_BITS, _PAGE_MASK
 
 #: straight-line run length cap: bounds compile latency and the
@@ -111,8 +115,8 @@ MAX_REGION = 256
 #: third key field of a loop region's factory-cache entry
 LOOP = "loop"
 
-#: control/system terminals a block may end with (inclusive)
-_TERMINALS = frozenset(_BRANCH_OPS) | {"jal", "jalr", "ebreak", "ecall"}
+#: control transfers a block may end with (inclusive)
+_TERMINALS = frozenset(_BRANCH_OPS) | {"jal", "jalr"}
 
 #: integer ops whose results need no re-mask when inlined on
 #: already-masked operands (bitwise/compare/shift-right); ``{a}`` and
@@ -176,7 +180,7 @@ class _Factory(NamedTuple):
     """A compiled block or region, cached on the Program."""
 
     make: object      # _make(x, f, mem, pages, stats, mn, touch, branch,
-                      #       iss, ...)
+                      #       ...)
     helpers: tuple    # closure-scope helper values, in parameter order
     length: int       # instructions (a region: summed over its blocks)
     source: str
@@ -446,12 +450,6 @@ class _Codegen:
                 iname = self.helper(instr)
                 self.emit(f"branch({pc}, {iname}, True, _t)")
             self.emit("return _t")
-            return
-        # ebreak / ecall: final halt, pc stays on the instruction
-        reason = HaltReason.EBREAK if mnem == "ebreak" \
-            else HaltReason.ECALL
-        self.emit(f"iss.halt_reason = {self.helper(reason)}",
-                  f"return {pc}")
 
     # -------------------------------------------------------- output
 
@@ -460,8 +458,8 @@ class _Codegen:
         the helpers, and returns function ``name``."""
         helpers = "".join(f", {h}" for h in self.helpers)
         text = "\n".join(f"        {line}" for line in body)
-        return (f"def _make(x, f, mem, pages, stats, mn, touch, branch, "
-                f"iss{helpers}):\n"
+        return (f"def _make(x, f, mem, pages, stats, mn, touch, "
+                f"branch{helpers}):\n"
                 f"    def {name}({params}):\n{text}\n"
                 f"    return {name}\n")
 
@@ -563,9 +561,8 @@ def _build_factory(program, start_pc, mode):
 
 def _region_lines(program, head, latch_pc):
     """{start pc: line} of the loop region: the blocks reachable from
-    ``head`` without leaving [head, latch_pc]. A block ending in
-    ``ebreak``/``ecall`` or starting on scalar territory is an exit,
-    not a member. None when the head is not a member or the region
+    ``head`` without leaving [head, latch_pc]. A pc on scalar territory is an
+    exit, not a member. None when the head is not a member or the region
     exceeds :data:`MAX_REGION` instructions."""
     lines = {}
     size = 0
@@ -575,7 +572,7 @@ def _region_lines(program, head, latch_pc):
         if pc in lines or not head <= pc <= latch_pc:
             continue
         line = _line(program, pc)
-        if not line or line[-1][1].mnemonic in ("ebreak", "ecall"):
+        if not line:
             continue
         size += len(line)
         if size > MAX_REGION:
@@ -692,8 +689,7 @@ def _bind(entry, iss, warm, mode):
     branch = warm.branch if mode == WARM_FRONT_END else None
     memory = iss.memory
     return entry.make(iss.x, iss.f, memory, memory._pages, iss.stats,
-                      iss.stats.mn_counts, touch, branch, iss,
-                      *entry.helpers)
+                      iss.stats.mn_counts, touch, branch, *entry.helpers)
 
 
 def compile_block(iss, start_pc, warm):

@@ -39,6 +39,7 @@ from repro.obs.progress import (
 )
 from repro.obs.registry import (
     HOST_STAT_PREFIXES,
+    OPENMETRICS_CONTENT_TYPE,
     Counter,
     Gauge,
     Histogram,
@@ -69,6 +70,7 @@ __all__ = [
     "HOST_STAT_PREFIXES",
     "Histogram",
     "MetricsServer",
+    "OPENMETRICS_CONTENT_TYPE",
     "PhaseProfiler",
     "ProgressRenderer",
     "SHARED_CORE_COUNTERS",

@@ -21,7 +21,7 @@ import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from repro.obs.registry import StatsRegistry
+from repro.obs.registry import OPENMETRICS_CONTENT_TYPE, StatsRegistry
 
 
 class CampaignProgress:
@@ -342,9 +342,6 @@ class MetricsServer:
     body; it runs on the server thread, so it must only read shared
     state (StatsRegistry reads are plain attribute reads — safe)."""
 
-    CONTENT_TYPE = ("application/openmetrics-text; version=1.0.0; "
-                    "charset=utf-8")
-
     def __init__(self, provider, port=0, host="127.0.0.1"):
         self.provider = provider
         server = self
@@ -360,7 +357,7 @@ class MetricsServer:
                     self.send_error(500, str(exc))
                     return
                 self.send_response(200)
-                self.send_header("Content-Type", server.CONTENT_TYPE)
+                self.send_header("Content-Type", OPENMETRICS_CONTENT_TYPE)
                 self.send_header("Content-Length", str(len(body)))
                 self.end_headers()
                 self.wfile.write(body)

@@ -43,6 +43,11 @@ HOST_STAT_PREFIXES = ("host.", "sim.host.", "iss.host.", "harness.",
                       "ckpt.")
 
 #: flat stats merged by min()/max() rather than summed
+#: the HTTP ``Content-Type`` of an OpenMetrics text exposition
+#: (:meth:`StatsRegistry.to_openmetrics`, :func:`openmetrics_flat`)
+OPENMETRICS_CONTENT_TYPE = ("application/openmetrics-text; "
+                            "version=1.0.0; charset=utf-8")
+
 _MIN_STATS = frozenset(("sim.halted",))
 _MAX_STATS = frozenset(("sim.timed_out",))
 

@@ -36,7 +36,7 @@ import threading
 from repro.harness import diskcache
 from repro.obs import telemetry
 from repro.obs.progress import ProgressRenderer
-from repro.obs.registry import StatsRegistry
+from repro.obs.registry import OPENMETRICS_CONTENT_TYPE, StatsRegistry
 from repro.obs.resilience import resilience
 from repro.service.scheduler import JobScheduler, RejectedRequest
 
@@ -49,10 +49,6 @@ STREAM_INTERVAL = 0.25
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
             405: "Method Not Allowed", 413: "Payload Too Large",
             429: "Too Many Requests", 500: "Internal Server Error"}
-
-OPENMETRICS_TYPE = ("application/openmetrics-text; version=1.0.0; "
-                    "charset=utf-8")
-
 
 class Service:
     """One bound service instance: scheduler + cache + telemetry fold
@@ -188,7 +184,7 @@ class Service:
                                         **self.scheduler.snapshot()})
         elif path in ("/metrics", "/metrics/"):
             self._respond_text(writer, 200, self.metrics_text(),
-                               OPENMETRICS_TYPE)
+                               OPENMETRICS_CONTENT_TYPE)
         elif path.startswith("/v1/cache/"):
             self._handle_cache(writer, path[len("/v1/cache/"):])
         else:

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from repro.asm.assembler import assemble
 from repro.core.watchdog import SimulationHang
 from repro.machines import MACHINES
+from repro.machines import machine as machine_entry
 from repro.verify.lockstep import Divergence, run_lockstep
 from repro.verify.torture import generate
 
@@ -73,7 +74,13 @@ def clear_programs():
 
 @dataclass(frozen=True)
 class TortureSpec:
-    """One torture cell: (program seed, engine, FF mode, SIMT mode)."""
+    """One torture cell: (program seed, engine, FF mode, SIMT mode).
+
+    Construction validates and never folds: a cell no machine can run
+    raises ``ValueError`` here rather than inside a worker, and every
+    valid cell keeps its spelling, so journals and reports of existing
+    campaigns stay byte-identical. ``config`` names a DiAG preset (the
+    baseline runs its one configuration whatever it names)."""
 
     seed: int                 # campaign base seed
     index: int                # program index within the campaign
@@ -83,6 +90,19 @@ class TortureSpec:
     ops: int = 40
     config: str = "F4C2"
     max_cycles: int = 400_000
+
+    def __post_init__(self):
+        machine_entry(self.machine)
+        if not isinstance(self.config, str) \
+                or self.config not in MACHINES["diag"].presets:
+            raise ValueError(f"unknown diag config {self.config!r}")
+        for name, low in (("seed", 0), ("index", 0), ("ops", 1),
+                          ("max_cycles", 1)):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) \
+                    or value < low:
+                raise ValueError(f"{name} must be an int >= {low}, "
+                                 f"got {value!r}")
 
     @property
     def program_seed(self):

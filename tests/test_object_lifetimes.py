@@ -27,6 +27,7 @@ from repro.core import F4C2, DiAGProcessor
 from repro.core.cluster import Activation, Cluster
 from repro.core.pe import DisabledRun, PEEntry
 from repro.harness import clear_cache, run_diag
+from repro.iss import ISS, HaltReason
 from repro.memory.cache import Cache
 from repro.memory.main_memory import MainMemory
 from repro.obs import deterministic_view, gc_totals
@@ -34,7 +35,7 @@ from repro.sampling import SamplingParams, run_sampled
 from repro.verify.lockstep import run_lockstep
 
 WATCHED = (PEEntry, DisabledRun, Activation, Cluster, _RobEntry,
-           MainMemory, Cache)
+           MainMemory, Cache, ISS)
 
 # A loop whose data-dependent branch mispredicts every other
 # iteration, with FP work in flight across the squashes.
@@ -108,6 +109,16 @@ def _ooo_paused():
     assert core.rob
 
 
+def _iss_reruns():
+    """One program run by 12 ISS instances. Compiled blocks are cached
+    per program, so every block, the once-a-run halting line included,
+    is compiled and bound to the later instances."""
+    program = assemble(LOOP)
+    for __ in range(12):
+        iss = ISS(program)
+        assert iss.run() is HaltReason.EBREAK
+
+
 def _lockstep(machine):
     def case():
         assert run_lockstep(assemble(LOOP), machine=machine).halted
@@ -133,6 +144,7 @@ CASES = {
     "diag-fu-share4": _diag(fu_share_factor=4),
     "ooo": _ooo,
     "ooo-paused-in-flight": _ooo_paused,
+    "iss-reruns": _iss_reruns,
     "lockstep-diag": _lockstep("diag"),
     "lockstep-ooo": _lockstep("ooo"),
     "sampled": _sampled,

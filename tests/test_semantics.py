@@ -1,10 +1,11 @@
 """Pure instruction semantics (repro.iss.semantics.compute)."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.iss.semantics import compute, finish_load
+from repro.iss.semantics import (VALUE_HANDLERS, ExecResult, compute,
+                                 finish_load)
 from repro.isa.instructions import Instruction
 
 bits32 = st.integers(min_value=0, max_value=0xFFFFFFFF)
@@ -163,3 +164,19 @@ class TestMisc:
                      "mulh", "slt", "sltu"):
             value = run(mnem, a, b).value
             assert 0 <= value <= U32, mnem
+
+
+class TestValueHandlers:
+    """``VALUE_HANDLERS`` is ``compute`` for the ops whose whole
+    outcome is their register value."""
+
+    @pytest.mark.parametrize("mnem", sorted(VALUE_HANDLERS))
+    @settings(max_examples=20, deadline=None)
+    @given(rs1=bits32, rs2=bits32, rs3=bits32,
+           imm=st.integers(min_value=-2048, max_value=2047))
+    def test_matches_compute(self, mnem, rs1, rs2, rs3, imm):
+        instr = Instruction(mnem, rd=1, rs1=2, rs2=3, rs3=4, imm=imm)
+        result = compute(instr, 0x1000, rs1, rs2, rs3)
+        assert result == ExecResult(value=result.value)
+        assert VALUE_HANDLERS[mnem](instr, 0x1000, rs1, rs2, rs3) \
+            == result.value

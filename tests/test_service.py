@@ -24,11 +24,13 @@ import os
 import signal
 import threading
 import time
+import urllib.request
 
 import pytest
 
 from repro.harness import clear_cache, diskcache, run_specs
-from repro.obs import deterministic_view, telemetry
+from repro.obs import (OPENMETRICS_CONTENT_TYPE, deterministic_view,
+                       telemetry)
 from repro.obs.resilience import reset_resilience
 from repro.service import (
     FairQueue,
@@ -366,6 +368,18 @@ class TestDedupAndCache:
         assert not [path for path in listed if path.startswith(root)]
         assert "repro_service_cache_writes 1" in metrics
         assert "repro_service_cache_walks 1" in metrics
+
+    def test_metrics_content_type_is_the_openmetrics_constant(self,
+                                                              tmp_path):
+        handle, client = start_service(tmp_path)
+        try:
+            with urllib.request.urlopen(f"{handle.url}/metrics",
+                                        timeout=30) as response:
+                assert response.status == 200
+                content_type = response.headers["Content-Type"]
+        finally:
+            handle.close()
+        assert content_type == OPENMETRICS_CONTENT_TYPE
 
     def test_cache_endpoint_serves_verbatim_entries(self, tmp_path):
         cache = diskcache.DiskCache(tmp_path / "svc-cache")

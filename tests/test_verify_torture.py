@@ -105,6 +105,38 @@ class TestCampaign:
         assert "1 cells" in report.summary()
 
 
+class TestSpecValidation:
+    """A cell no machine can run is a ValueError at construction, one
+    per rejected field; a valid cell keeps its spelling (no folding)."""
+
+    BASE = dict(seed=0, index=0, machine="diag")
+
+    @pytest.mark.parametrize("field,value", [
+        ("machine", "gem5"),
+        ("config", "F9C9"),
+        ("ops", 0),
+        ("max_cycles", 0),
+        ("seed", -1),
+        ("index", -1),
+    ])
+    def test_rejects(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TortureSpec(**{**self.BASE, field: value})
+
+    def test_ooo_cells_name_a_diag_preset(self):
+        with pytest.raises(ValueError, match="config"):
+            TortureSpec(seed=0, index=0, machine="ooo", config="ooo8")
+
+    def test_valid_cells_keep_their_fields(self):
+        spec = TortureSpec(seed=7, index=3, machine="ooo", ff=False,
+                           simt=True, ops=1, config=SIMT_CONFIG,
+                           max_cycles=1)
+        assert (spec.seed, spec.index, spec.machine, spec.ff, spec.simt,
+                spec.ops, spec.config, spec.max_cycles) == \
+            (7, 3, "ooo", False, True, 1, SIMT_CONFIG, 1)
+        assert all(replace(spec) == spec for spec in build_specs(0, 2))
+
+
 def _cell_view(report):
     return [(o.spec, o.status, o.detail, o.retired, o.cycles,
              o.failure_class) for o in report.outcomes]
