@@ -77,10 +77,11 @@ leaves the registers and stats that block-at-a-time dispatch leaves
 caller's one-item list ``at``, which the run loop makes ``ISS.pc``
 after a raise, as block dispatch leaves it; the region never holds
 the ISS itself, which would make ISS -> block cache -> region -> ISS
-a reference cycle. A region
-holds no ``ebreak``/``ecall``, ``simt_*``, CSR or unknown instruction
-(no block does), so nothing in it halts or changes the SIMT stack. Every transfer that leaves the region — a target
-outside it, any ``jalr``, an exhausted budget — returns the next pc.
+a reference cycle. A region holds no ``ebreak``/``ecall``, ``simt_*``,
+CSR or unknown instruction (no block does), so nothing in it halts or
+changes the SIMT stack. Every transfer that leaves the region — a
+target outside it, any ``jalr``, an exhausted budget — returns the
+next pc.
 The head's :class:`Block` carries the bound region as ``loop``;
 :meth:`repro.iss.simulator.ISS._run_blocks` calls it in place of
 ``run`` (``run_until_pc`` keeps per-block dispatch). Region factories
@@ -561,9 +562,9 @@ def _build_factory(program, start_pc, mode):
 
 def _region_lines(program, head, latch_pc):
     """{start pc: line} of the loop region: the blocks reachable from
-    ``head`` without leaving [head, latch_pc]. A pc on scalar territory is an
-    exit, not a member. None when the head is not a member or the region
-    exceeds :data:`MAX_REGION` instructions."""
+    ``head`` without leaving [head, latch_pc]. A pc on scalar territory
+    is an exit, not a member. None when the head is not a member or the
+    region exceeds :data:`MAX_REGION` instructions."""
     lines = {}
     size = 0
     todo = [head]

@@ -42,12 +42,12 @@ from bisect import bisect_left
 HOST_STAT_PREFIXES = ("host.", "sim.host.", "iss.host.", "harness.",
                       "ckpt.")
 
-#: flat stats merged by min()/max() rather than summed
 #: the HTTP ``Content-Type`` of an OpenMetrics text exposition
 #: (:meth:`StatsRegistry.to_openmetrics`, :func:`openmetrics_flat`)
 OPENMETRICS_CONTENT_TYPE = ("application/openmetrics-text; "
                             "version=1.0.0; charset=utf-8")
 
+#: flat stats merged by min()/max() rather than summed
 _MIN_STATS = frozenset(("sim.halted",))
 _MAX_STATS = frozenset(("sim.timed_out",))
 

@@ -50,6 +50,7 @@ _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
             405: "Method Not Allowed", 413: "Payload Too Large",
             429: "Too Many Requests", 500: "Internal Server Error"}
 
+
 class Service:
     """One bound service instance: scheduler + cache + telemetry fold
     + HTTP server."""
